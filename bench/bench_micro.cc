@@ -435,9 +435,11 @@ BENCHMARK(BM_RoundThroughput_Repetition)->Arg(24)->Arg(48);
 
 static void BM_RoundThroughput_RepetitionFaultFree(benchmark::State& state) {
   // The same compiled pipeline with no adversary: isolates the
-  // exchange-capture + stash + redelivery path, which must report
-  // bytes_per_round == 0 (the adversary's copy-on-touch snapshots and
-  // corruption ledger are the only allocators left in the probe above).
+  // exchange-capture + vote + redelivery path, which must report
+  // bytes_per_round == 0.  Under attack (the probe above) a vote slot
+  // grows the first time a hop sees more distinct copies than before, so
+  // that probe allocates a little until every slot has met its worst
+  // round.
   const auto n = static_cast<graph::NodeId>(state.range(0));
   const graph::Graph g = graph::clique(n);
   std::vector<std::uint64_t> inputs(static_cast<std::size_t>(g.nodeCount()),

@@ -171,7 +171,7 @@ std::vector<F16> ReedSolomon::interpolateFirstEll(const F16* word) const {
   return coeffs;
 }
 
-std::optional<std::vector<F16>> ReedSolomon::decodeSyndrome(
+std::optional<std::vector<F16>> ReedSolomon::decode(
     const std::vector<F16>& received) const {
   assert(received.size() == k_);
   const std::size_t nsynd = k_ - ell_;
@@ -338,17 +338,6 @@ std::optional<std::vector<F16>> ReedSolomon::decodeBW(
     if (res.has_value()) return res;
   }
   return tryDecode(received, 0);
-}
-
-std::optional<std::vector<F16>> ReedSolomon::decode(
-    const std::vector<F16>& received) const {
-  // Both decoders accept exactly the words within distance maxErrors() of
-  // a codeword and return that codeword's message, so the fallback only
-  // matters if the syndrome path ever under-claims -- it is a safety net,
-  // not a semantic fork, and rejects cost one BW pass exactly as before.
-  auto res = decodeSyndrome(received);
-  if (res.has_value()) return res;
-  return decodeBW(received);
 }
 
 std::size_t ReedSolomon::hamming(const std::vector<F16>& a,

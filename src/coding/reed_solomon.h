@@ -11,8 +11,8 @@
 // guarantees the honest codeword is the unique one within half the
 // distance.  Two independent decoders implement that contract:
 //
-//  * decodeSyndrome() -- the production path.  Because the evaluation
-//    points make this a generalized RS code, a word is a codeword iff its
+//  * decode() -- the syndrome decoder.  Because the evaluation points
+//    make this a generalized RS code, a word is a codeword iff its
 //    k - ell weighted power sums (syndromes) S_j = sum_i r_i u_i x_i^j all
 //    vanish, where u_i is the dual-code column multiplier cached by the
 //    constructor.  Zero syndromes short-circuit straight to interpolation
@@ -25,11 +25,9 @@
 //    message is read off with the cached Lagrange rows.
 //
 //  * decodeBW() -- the Berlekamp-Welch oracle: dense O((ell+f)^3)
-//    elimination, compiled-in as the cross-check for the differential test
-//    suite and as decode()'s fallback.  Both decoders accept exactly the
-//    words within the unique decoding radius of some codeword and return
-//    that codeword's message, so decode() behaves identically whichever
-//    path answered.
+//    elimination, kept as the cross-check of the differential test suite,
+//    which shows both decoders accept exactly the words within the unique
+//    decoding radius of some codeword and return that codeword's message.
 //
 // Hot-path layout: the constructor caches the evaluation matrix (one
 // contiguous row of x_i^j per coefficient j), the per-point power rows
@@ -68,15 +66,9 @@ class ReedSolomon {
 
   /// Decodes a received word (size k) with at most maxErrors() corrupted
   /// symbols.  Returns std::nullopt if no codeword lies within the unique
-  /// decoding radius.  Syndrome fast path with the Berlekamp-Welch oracle
-  /// as fallback; both have the same accept/reject set, so the fallback is
-  /// belt-and-braces, not a behavioral fork.
-  [[nodiscard]] std::optional<std::vector<gf::F16>> decode(
-      const std::vector<gf::F16>& received) const;
-
-  /// Syndrome decoder: syndromes -> Berlekamp-Massey locator -> Chien
+  /// decoding radius.  Syndromes -> Berlekamp-Massey locator -> Chien
   /// search -> Forney values -> syndrome re-validation (see file comment).
-  [[nodiscard]] std::optional<std::vector<gf::F16>> decodeSyndrome(
+  [[nodiscard]] std::optional<std::vector<gf::F16>> decode(
       const std::vector<gf::F16>& received) const;
 
   /// Berlekamp-Welch oracle decoder (the pre-syndrome production path,

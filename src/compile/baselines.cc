@@ -29,13 +29,9 @@ class NaiveNode final : public NodeState {
         rep_(2 * f + 1),
         capture_(g, self),
         inbox_(g, self) {
-    // Stash slots follow adjacency order; every neighbor contributes
-    // exactly one copy per repetition, so the shape is fixed up front and
-    // the Msg slots are reused allocation-free from the second inner round
-    // on (sim::assignMsg keeps each slot's words capacity).
-    stash_.resize(g.degree(self));
-    for (auto& copies : stash_)
-      copies.resize(static_cast<std::size_t>(rep_));
+    // One vote slot per neighbor, in adjacency order, rewritten in place
+    // every inner round (capacity kept across reset()).
+    votes_.resize(g.degree(self));
   }
 
   void send(int round, Outbox& out) override {
@@ -63,17 +59,16 @@ class NaiveNode final : public NodeState {
     }
     const int rep = g % rep_;
     const auto& nbs = g_.neighbors(self_);
-    for (std::size_t i = 0; i < nbs.size(); ++i)
-      sim::assignMsg(stash_[i][static_cast<std::size_t>(rep)],
-                     in.from(nbs[i].node));
+    for (std::size_t i = 0; i < nbs.size(); ++i) {
+      if (rep == 0) votes_[i].reset();
+      votes_[i].add(in.from(nbs[i].node));
+    }
     if (rep != rep_ - 1) return;
     for (std::size_t i = 0; i < nbs.size(); ++i) {
-      const auto& copies = stash_[i];
-      // Majority copy via the shared helper (first copy achieving the
-      // maximal agreement count wins -- the tie-break the negative-control
-      // experiments pin down, and the decode rule the byzantine/rewind
-      // compilers share).
-      const Msg& maj = majorityRef(copies.data(), copies.size());
+      // Majority copy (the first value to reach the top count wins -- the
+      // tie-break the negative-control experiments pin down, and the
+      // decode rule the byzantine/rewind compilers share).
+      const Msg& maj = votes_[i].winner();
       // Redeliver through the reused inbox: every slot is rewritten each
       // inner round, absent included, so no stale message survives.
       Msg& slot = inbox_.slot(nbs[i].node);
@@ -94,7 +89,7 @@ class NaiveNode final : public NodeState {
   }
 
   /// Network::reset() in-place re-init: re-initializes (or rebuilds) the
-  /// inner node and rewinds the compiler state; capture/stash/inbox slots
+  /// inner node and rewinds the compiler state; capture/vote/inbox slots
   /// keep their capacity -- each is fully rewritten before its next read.
   void reinit(const sim::Algorithm& inner, NodeId v, const Graph& g,
               util::Rng rng) {
@@ -111,7 +106,7 @@ class NaiveNode final : public NodeState {
   int innerRounds_;
   int rep_;
   sim::FlatCapture capture_;  // inner sends, reused across repetitions
-  std::vector<std::vector<Msg>> stash_;  // [neighbor slot][repetition]
+  std::vector<VoteSlot> votes_;  // [neighbor slot]
   MapInbox inbox_;
   bool done_ = false;
 };

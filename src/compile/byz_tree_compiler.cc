@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <map>
 #include <optional>
 
+#include "compile/tree_stages.h"
 #include "sketch/l0sampler.h"
-#include "sketch/sparse_recovery.h"
 #include "util/rng.h"
 
 namespace mobile::compile {
@@ -15,7 +16,6 @@ using graph::Graph;
 using graph::NodeId;
 using sim::Inbox;
 using sim::MapInbox;
-using sim::MapOutbox;
 using sim::Msg;
 using sim::MsgView;
 using sim::NodeState;
@@ -32,33 +32,19 @@ std::uint64_t deriveSketchSeed(std::uint64_t treeSeed, int h) {
   return util::splitmix64(st);
 }
 
-/// Per-thread sketch scratch.  Every use is confined to a single
-/// send/receive call (the references never outlive the call), so the
-/// engine's node-parallel lanes can share one set per thread instead of
-/// holding ~5-8 KB of sampler state per *node* -- the difference between
-/// fitting n=10^6 in single-digit GB and not.  Shape parameters are
-/// remembered per cell: nodes from different trials (different f,
-/// sparsity, or sketch options) interleave on driver lanes, so a cell is
-/// reconstructed whenever the requested shape differs and merely reseeded
-/// otherwise (the original per-node reseed idiom, hoisted per thread).
-struct SketchScratch {
-  std::optional<sketch::SparseRecovery> sparse;
-  std::size_t sparseSparsity = 0;
-  int sparseRows = 0;
-  std::optional<sketch::SparseRecovery> sparseRecv;
-  std::size_t recvSparsity = 0;
-  int recvRows = 0;
+/// Per-thread l0-sketch scratch, for the reason given at SparseCell in
+/// tree_stages.cc; the shape is remembered so cells are rebuilt
+/// only when a node of another trial asks for different levels.
+struct L0Scratch {
   std::vector<sketch::L0Sampler> sketches;
-  int tSketches = 0;
   unsigned levels = 0;
-  std::optional<sketch::L0Sampler> l0Recv;
-  unsigned l0RecvLevels = 0;
-  std::vector<std::uint64_t> words;
+  std::optional<sketch::L0Sampler> recv;
+  unsigned recvLevels = 0;
   std::vector<std::uint64_t> tmp;
 };
 
-SketchScratch& scratch() {
-  static thread_local SketchScratch s;
+L0Scratch& l0Scratch() {
+  static thread_local L0Scratch s;
   return s;
 }
 
@@ -79,7 +65,7 @@ ByzSchedule ByzSchedule::compute(const PackingKnowledge& pk, int innerRounds,
   const DmCodec codec(pk.k, dmCap, opts.cPP);
   s.chunks = codec.chunks();
   s.sketchSteps = 2 * pk.depthBound + 1;
-  s.eccSteps = s.chunks * (pk.depthBound + 1);
+  s.eccSteps = s.chunks / s.sharesPerHop * (pk.depthBound + 1);
   const SlotSchedule slots{pk.eta, opts.engine.effectiveRho()};
   s.roundsPerIteration = slots.blockRounds(s.sketchSteps + s.eccSteps);
   s.roundsPerSimRound = 1 + s.z * s.roundsPerIteration;
@@ -90,14 +76,11 @@ ByzSchedule ByzSchedule::compute(const PackingKnowledge& pk, int innerRounds,
 namespace {
 
 struct Pos {
-  int simRound;  // 1-based inner round being simulated
-  int offset;    // 0-based offset within the sim-round block
+  int simRound;   // 1-based inner round being simulated
   bool exchange;
   int j;          // iteration, 0-based
   bool inSketch;  // sketch block vs ECC block
-  int step;       // 1-based logical step within the block
-  int rep;
-  int slot;
+  SlotPos hop;    // step (1-based within the block), rep, slot
 };
 
 class ByzNode final : public NodeState {
@@ -117,16 +100,17 @@ class ByzNode final : public NodeState {
         opts_(opts),
         sched_(sched),
         slots_{pk_->eta, opts.engine.effectiveRho()},
-        codec_(pk_->k, opts.dmCap > 0 ? opts.dmCap : 2 * f_ + 8, opts.cPP),
         shared_(std::move(shared)),
+        isRoot_(self == pk_->root),
         exchCapture_(g, self),
+        votes_(view_.degree(), slots_),
+        seeds_(ChildRule::AsListed),
+        sparse_(static_cast<std::size_t>(opts.sparseSlack * 4 * f_),
+                static_cast<std::size_t>(opts.sparseRows), pk_->depthBound,
+                ChildRule::AsListed),
+        down_(pk_->k, opts.dmCap > 0 ? opts.dmCap : 2 * f_ + 8, opts.cPP,
+              sched.sharesPerHop, pk_->depthBound, ChildRule::AsListed),
         inbox_(g, self) {
-    isRoot_ = (self_ == pk_->root);
-    // Fixed-shape stash: one VoteSlot per (neighbor, schedule slot).  A
-    // slot stores distinct messages with multiplicities instead of all
-    // rho copies (fault-free rounds keep exactly one), rewritten in place
-    // each scheduled round -- the compile/baselines.cc no-alloc idiom.
-    stash_.resize(g_.degree(self_) * static_cast<std::size_t>(pk_->eta));
     // Exchange-step key tables are adjacency-indexed and fully rewritten
     // by every exchange, so the shape is fixed up front.
     sentKey_.assign(g_.degree(self_), 0);
@@ -140,17 +124,22 @@ class ByzNode final : public NodeState {
       sendExchange(p, out);
       return;
     }
-    if (p.inSketch && p.step == 1 && p.rep == 0 && p.slot == 0)
-      startIteration(p, round);
-    // Per neighbor, the tree scheduled in this slot (by *our* belief).
-    const auto& nbs = g_.neighbors(self_);
-    for (std::size_t i = 0; i < nbs.size(); ++i) {
-      const int tree = view_.treeAt(static_cast<int>(i), p.slot);
-      if (tree < 0) continue;
-      Msg m = p.inSketch ? sketchMessage(tree, p, nbs[i].node)
-                         : eccMessage(tree, p, nbs[i].node);
-      if (m.present) out.to(nbs[i].node, m);
-    }
+    const bool blockStart =
+        p.hop.step == 1 && p.hop.rep == 0 && p.hop.slot == 0;
+    if (blockStart && p.inSketch) startIteration(p);
+    if (blockStart && !p.inSketch && isRoot_) computeDm(p);
+    const int D = pk_->depthBound;
+    sendScheduled(view_, p.hop.slot, out,
+                  [&](int tree, NodeId to) -> const Msg* {
+                    if (!p.inSketch)
+                      return down_.send(view_, tree, to, p.hop.step);
+                    if (p.hop.step <= D)
+                      return seeds_.send(view_, tree, to, p.hop.step);
+                    if (sparseMode())
+                      return sparse_.send(view_, tree, to, p.hop.step - D,
+                                          seeds_.word(tree), entries_);
+                    return l0Message(tree, to, p.hop.step - D);
+                  });
   }
 
   void receive(int round, const Inbox& in) override {
@@ -163,26 +152,22 @@ class ByzNode final : public NodeState {
       receiveExchange(p, in);
       return;
     }
-    const int rho = slots_.rho;
-    const auto& nbs = g_.neighbors(self_);
-    for (std::size_t i = 0; i < nbs.size(); ++i) {
-      const int tree = view_.treeAt(static_cast<int>(i), p.slot);
-      if (tree < 0) continue;
-      VoteSlot& vs = stashSlot(i, p.slot);
-      if (p.rep == 0) vs.reset();
-      vs.add(in.from(nbs[i].node));
-      if (p.rep == rho - 1) {
-        const Msg& maj = vs.winner();
-        if (p.inSketch)
-          handleSketch(tree, p, nbs[i].node, maj);
-        else
-          handleEcc(tree, p, nbs[i].node, maj);
-      }
-    }
-    // Block boundaries.
-    if (!p.inSketch && p.step == sched_.eccSteps && p.rep == rho - 1 &&
-        p.slot == pk_->eta - 1) {
-      finishIteration(p, round);
+    const int D = pk_->depthBound;
+    votes_.receive(view_, p.hop, in,
+                   [&](int tree, NodeId from, const Msg& m) {
+                     if (!p.inSketch)
+                       down_.receive(view_, tree, from, p.hop.step, m);
+                     else if (p.hop.step <= D)
+                       seeds_.receive(view_, tree, from, p.hop.step, m);
+                     else if (sparseMode())
+                       sparse_.receive(view_, tree, from, seeds_.word(tree),
+                                       m);
+                     else
+                       receiveL0(tree, from, m);
+                   });
+    if (!p.inSketch && p.hop.step == sched_.eccSteps &&
+        p.hop.rep == slots_.rho - 1 && p.hop.slot == pk_->eta - 1) {
+      finishIteration(p);
       if (p.j == sched_.z - 1) deliverToInner(p);
     }
   }
@@ -199,25 +184,15 @@ class ByzNode final : public NodeState {
     Pos p{};
     const int g = round - 1;
     p.simRound = g / sched_.roundsPerSimRound + 1;
-    p.offset = g % sched_.roundsPerSimRound;
-    p.exchange = (p.offset == 0);
+    const int offset = g % sched_.roundsPerSimRound;
+    p.exchange = (offset == 0);
     if (p.exchange) return p;
-    const int q = p.offset - 1;
+    const int q = offset - 1;
     p.j = q / sched_.roundsPerIteration;
     const int r = q % sched_.roundsPerIteration;
     const int sketchRounds = slots_.blockRounds(sched_.sketchSteps);
-    if (r < sketchRounds) {
-      p.inSketch = true;
-      p.step = slots_.stepOf(r) + 1;
-      p.rep = slots_.repOf(r);
-      p.slot = slots_.slotOf(r);
-    } else {
-      const int e = r - sketchRounds;
-      p.inSketch = false;
-      p.step = slots_.stepOf(e) + 1;
-      p.rep = slots_.repOf(e);
-      p.slot = slots_.slotOf(e);
-    }
+    p.inSketch = r < sketchRounds;
+    p.hop = slots_.at(p.inSketch ? r : r - sketchRounds);
     return p;
   }
 
@@ -229,18 +204,12 @@ class ByzNode final : public NodeState {
     return sketchBlockStartRound(p) + slots_.blockRounds(sched_.sketchSteps);
   }
 
-  /// The vote slot of (neighbor index, schedule slot).
-  [[nodiscard]] VoteSlot& stashSlot(std::size_t nbIndex, int slot) {
-    return stash_[nbIndex * static_cast<std::size_t>(pk_->eta) +
-                  static_cast<std::size_t>(slot)];
+  [[nodiscard]] bool sparseMode() const {
+    return opts_.correction == CorrectionMode::SparseOneShot;
   }
-
-  [[nodiscard]] int depthIn(int tree) const { return view_.depth(tree); }
-  [[nodiscard]] NodeId parentIn(int tree) const {
-    return view_.parent(tree);
-  }
-  [[nodiscard]] bool isChildIn(int tree, NodeId u) const {
-    return view_.hasChild(tree, u);
+  [[nodiscard]] bool contract() const {
+    return opts_.engine.mode == EngineMode::Contract && shared_ &&
+           shared_->oracle;
   }
 
   // --- exchange step -------------------------------------------------------
@@ -298,17 +267,13 @@ class ByzNode final : public NodeState {
 
   // --- iteration lifecycle ---------------------------------------------------
 
-  void startIteration(const Pos& p, int round) {
-    (void)round;
+  void startIteration(const Pos& p) {
     currentSimRound_ = p.simRound;
-    seed_.clear();
+    seeds_.start(pk_->k);
+    sparse_.start();
     accum_.clear();
-    sparseAccum_.clear();
-    recvShares_.assign(
-        static_cast<std::size_t>(sched_.chunks),
-        std::vector<gf::F16>(static_cast<std::size_t>(pk_->k), gf::F16(0)));
-    fwdShare_.clear();
-    dmComputed_ = false;
+    down_.start();
+    down_.forget();
     buildEntries();
     if (shared_) {
       if (self_ == 0) shared_->iterationEntries.clear();  // node 0 resets
@@ -321,15 +286,12 @@ class ByzNode final : public NodeState {
       }
     }
     if (isRoot_) {
-      treeSeed_.assign(static_cast<std::size_t>(pk_->k), 0);
+      // The root draws every tree's sketch seed and knows it immediately.
       for (int t = 0; t < pk_->k; ++t) {
-        treeSeed_[static_cast<std::size_t>(t)] = rng_.next();
-        if (shared_)
-          shared_->trueSeeds[t] = treeSeed_[static_cast<std::size_t>(t)];
+        const std::uint64_t seed = rng_.next();
+        if (shared_) shared_->trueSeeds[t] = seed;
+        seeds_.seed(t, {seed});
       }
-      // The root knows its own seeds immediately.
-      for (int t = 0; t < pk_->k; ++t)
-        seed_[t] = treeSeed_[static_cast<std::size_t>(t)];
     }
   }
 
@@ -345,33 +307,13 @@ class ByzNode final : public NodeState {
     }
   }
 
-  [[nodiscard]] std::size_t sparsity() const {
-    return static_cast<std::size_t>(opts_.sparseSlack * 4 * f_);
-  }
+  // --- l0 upcast (Section 3.2) ------------------------------------------------
 
-  // The local-sketch builders reuse per-node scratch objects: every call
-  // reseeds the same cells for the requested tree instead of constructing
-  // fresh sketches, so steady-state rounds allocate nothing here.  The
-  // returned references stay valid until the next call.
-
-  [[nodiscard]] sketch::SparseRecovery& localSparse(std::uint64_t treeSeed) {
-    SketchScratch& sc = scratch();
-    if (!sc.sparse || sc.sparseSparsity != sparsity() ||
-        sc.sparseRows != opts_.sparseRows) {
-      sc.sparse.emplace(treeSeed, sparsity(),
-                        static_cast<std::size_t>(opts_.sparseRows));
-      sc.sparseSparsity = sparsity();
-      sc.sparseRows = opts_.sparseRows;
-    } else {
-      sc.sparse->reseed(treeSeed);
-    }
-    for (const auto& [key, freq] : entries_) sc.sparse->update(key, freq);
-    return *sc.sparse;
-  }
-
+  /// t l0-samplers of entries_ seeded from `treeSeed`, in thread-local
+  /// scratch (valid until the next call on this thread).
   [[nodiscard]] std::vector<sketch::L0Sampler>& localSketches(
       std::uint64_t treeSeed) {
-    SketchScratch& sc = scratch();
+    L0Scratch& sc = l0Scratch();
     const auto tS = static_cast<std::size_t>(opts_.tSketches);
     if (sc.sketches.size() != tS || sc.levels != opts_.sketchLevels) {
       sc.sketches.clear();
@@ -379,7 +321,6 @@ class ByzNode final : public NodeState {
       for (int h = 0; h < opts_.tSketches; ++h)
         sc.sketches.emplace_back(deriveSketchSeed(treeSeed, h), kUniverseBits,
                                  opts_.sketchLevels);
-      sc.tSketches = opts_.tSketches;
       sc.levels = opts_.sketchLevels;
     } else {
       for (int h = 0; h < opts_.tSketches; ++h)
@@ -391,101 +332,49 @@ class ByzNode final : public NodeState {
     return sc.sketches;
   }
 
-  /// Receive-side scratch: a sketch slot reseeded to match an incoming
+  /// Receive-side scratch: a sketch reseeded to match an incoming
   /// serialized sketch, filled via loadWords (in-place deserialize).
-  [[nodiscard]] sketch::SparseRecovery& recvSparse(std::uint64_t treeSeed) {
-    SketchScratch& sc = scratch();
-    if (!sc.sparseRecv || sc.recvSparsity != sparsity() ||
-        sc.recvRows != opts_.sparseRows) {
-      sc.sparseRecv.emplace(treeSeed, sparsity(),
-                            static_cast<std::size_t>(opts_.sparseRows));
-      sc.recvSparsity = sparsity();
-      sc.recvRows = opts_.sparseRows;
-    } else {
-      sc.sparseRecv->reseed(treeSeed);
-    }
-    return *sc.sparseRecv;
-  }
-
   [[nodiscard]] sketch::L0Sampler& recvL0(std::uint64_t sketchSeed) {
-    SketchScratch& sc = scratch();
-    if (!sc.l0Recv || sc.l0RecvLevels != opts_.sketchLevels) {
-      sc.l0Recv.emplace(sketchSeed, kUniverseBits, opts_.sketchLevels);
-      sc.l0RecvLevels = opts_.sketchLevels;
+    L0Scratch& sc = l0Scratch();
+    if (!sc.recv || sc.recvLevels != opts_.sketchLevels) {
+      sc.recv.emplace(sketchSeed, kUniverseBits, opts_.sketchLevels);
+      sc.recvLevels = opts_.sketchLevels;
     } else {
-      sc.l0Recv->reseed(sketchSeed);
+      sc.recv->reseed(sketchSeed);
     }
-    return *sc.l0Recv;
+    return *sc.recv;
   }
 
-  // --- sketch block ----------------------------------------------------------
-
-  [[nodiscard]] Msg sketchMessage(int tree, const Pos& p, NodeId to) {
-    const int d = depthIn(tree);
-    const int D = pk_->depthBound;
-    if (d < 0) return {};
-    if (p.step <= D) {
-      // Seed flood: depth step-1 nodes forward to children.
-      if (d == p.step - 1 && seed_.count(tree) && isChildIn(tree, to))
-        return Msg::of(seed_.at(tree));
-      return {};
+  /// Up-wave step `step` of 1..D+1: depth d >= 1 sends its t merged
+  /// sketches to its parent at step D + 1 - d.
+  [[nodiscard]] const Msg* l0Message(int tree, NodeId to, int step) {
+    const int d = view_.depth(tree);
+    if (d <= 0 || step != pk_->depthBound + 1 - d ||
+        to != view_.parent(tree))
+      return nullptr;
+    std::vector<sketch::L0Sampler>& mine = localSketches(seeds_.word(tree));
+    const auto acc = accum_.find(tree);
+    if (acc != accum_.end()) {
+      for (int h = 0; h < opts_.tSketches; ++h)
+        mine[static_cast<std::size_t>(h)].merge(
+            acc->second[static_cast<std::size_t>(h)]);
     }
-    // Upcast: depth d sends at step 2D+1-d to its parent.
-    if (d > 0 && p.step == 2 * D + 1 - d && to == parentIn(tree)) {
-      const std::uint64_t ts = seed_.count(tree) ? seed_.at(tree) : 0;
-      if (opts_.correction == CorrectionMode::SparseOneShot) {
-        sketch::SparseRecovery& mine = localSparse(ts);
-        const auto acc = sparseAccum_.find(tree);
-        if (acc != sparseAccum_.end()) mine.merge(acc->second);
-        std::vector<std::uint64_t>& words = scratch().words;
-        mine.serializeInto(words);
-        return Msg::ofWords(words);
-      }
-      std::vector<sketch::L0Sampler>& mine = localSketches(ts);
-      const auto acc = accum_.find(tree);
-      if (acc != accum_.end()) {
-        for (int h = 0; h < opts_.tSketches; ++h)
-          mine[static_cast<std::size_t>(h)].merge(
-              acc->second[static_cast<std::size_t>(h)]);
-      }
-      SketchScratch& sc = scratch();
-      sc.words.clear();
-      for (const auto& s : mine) {
-        s.serializeInto(sc.tmp);
-        sc.words.insert(sc.words.end(), sc.tmp.begin(), sc.tmp.end());
-      }
-      return Msg::ofWords(sc.words);
+    Msg& m = sim::resetScratch(hopScratch());
+    std::vector<std::uint64_t>& tmp = l0Scratch().tmp;
+    for (const auto& s : mine) {
+      s.serializeInto(tmp);
+      m.words.insert(m.words.end(), tmp.begin(), tmp.end());
     }
-    return {};
+    return &m;
   }
 
-  void handleSketch(int tree, const Pos& p, NodeId from, const Msg& m) {
-    const int d = depthIn(tree);
-    const int D = pk_->depthBound;
-    if (d < 0) return;
-    if (p.step <= D) {
-      if (d == p.step && from == parentIn(tree) && m.present)
-        seed_[tree] = m.at(0);
-      return;
-    }
-    // Bundle from a child (it sent at step 2D+1-(d+1)).
-    if (!isChildIn(tree, from) || !m.present) return;
-    const std::uint64_t ts = seed_.count(tree) ? seed_.at(tree) : 0;
-    if (opts_.correction == CorrectionMode::SparseOneShot) {
-      sketch::SparseRecovery& got = recvSparse(ts);
-      if (m.size() != got.serializedWords()) return;  // malformed: drop
-      got.loadWords(m.words.data(), m.size());
-      const auto acc = sparseAccum_.find(tree);
-      if (acc == sparseAccum_.end())
-        sparseAccum_.emplace(tree, got);
-      else
-        acc->second.merge(got);
-      return;
-    }
+  /// Merges a child's bundle of t sketches; malformed bundles are dropped.
+  void receiveL0(int tree, NodeId from, const Msg& m) {
+    if (view_.depth(tree) < 0 || !view_.hasChild(tree, from)) return;
+    const std::uint64_t ts = seeds_.word(tree);
     const std::size_t per =
         recvL0(deriveSketchSeed(ts, 0)).serializedWords();
-    if (m.size() != per * static_cast<std::size_t>(opts_.tSketches))
-      return;  // malformed (corrupted) bundle: drop
+    if (m.size() != per * static_cast<std::size_t>(opts_.tSketches)) return;
     auto acc = accum_.find(tree);
     const bool firstBundle = acc == accum_.end();
     if (firstBundle)
@@ -502,66 +391,31 @@ class ByzNode final : public NodeState {
 
   // --- root: dominating mismatches -------------------------------------------
 
-  void computeDmSparse() {
-    dmComputed_ = true;
-    // Section 1.2.2: recover the full mismatch support per tree, then take
-    // the majority result across trees (most trees are uncorrupted, so the
-    // true support wins; no Delta threshold needed).
-    std::map<std::vector<std::uint64_t>, int> votes;
-    for (int t = 0; t < pk_->k; ++t) {
-      sketch::SparseRecovery& merged =
-          localSparse(treeSeed_[static_cast<std::size_t>(t)]);
-      const auto acc = sparseAccum_.find(t);
-      if (acc != sparseAccum_.end()) merged.merge(acc->second);
-      std::vector<std::uint64_t> canon;
-      const auto rec = merged.recoverAll();
-      if (rec.has_value()) {
-        for (const auto& e : *rec)
-          if (e.frequency > 0) canon.push_back(e.key);
-        std::sort(canon.begin(), canon.end());
-      } else {
-        canon.push_back(~0ULL);  // failure marker
-      }
-      ++votes[canon];
-    }
-    std::vector<std::uint64_t> winner;
-    int best = 0;
-    for (const auto& [canon, count] : votes) {
-      if (count > best) {
-        best = count;
-        winner = canon;
-      }
-    }
-    if (!winner.empty() && winner[0] == ~0ULL) winner.clear();
-    if (static_cast<int>(winner.size()) > codec_.dmCap())
-      winner.resize(static_cast<std::size_t>(codec_.dmCap()));
-    dmKeys_ = winner;
-    shares_ = codec_.encode(winner);
-    if (shared_) shared_->trueShares = shares_;
+  /// Root, at the start of the ECC block: recovers the DM keys and hands
+  /// them to the share downcast.
+  void computeDm(const Pos& p) {
+    if (sparseMode())
+      down_.encode(sparse_.recoverMajority(seeds_, pk_->k, entries_));
+    else
+      down_.encode(l0Dm(p));
+    if (shared_) shared_->trueShares = down_.shares();
   }
 
-  void computeDm(const Pos& p) {
-    if (opts_.correction == CorrectionMode::SparseOneShot) {
-      computeDmSparse();
-      return;
-    }
-    dmComputed_ = true;
-    // Resolve per-tree sketches: own + accumulated children.
+  /// Section 3.2: the observed mismatches with support >= Delta_j across
+  /// all trees' merged l0-sketches.
+  [[nodiscard]] std::vector<std::uint64_t> l0Dm(const Pos& p) {
     std::map<std::uint64_t, int> supp;
     std::map<std::uint64_t, bool> positive;
-    const bool contract =
-        opts_.engine.mode == EngineMode::Contract && shared_ && shared_->oracle;
     const int sketchStart = sketchBlockStartRound(p);
     const int sketchEnd = eccBlockStartRound(p) - 1;
     for (int t = 0; t < pk_->k; ++t) {
-      std::vector<sketch::L0Sampler>& merged =
-          localSketches(treeSeed_[static_cast<std::size_t>(t)]);
+      std::vector<sketch::L0Sampler>& merged = localSketches(seeds_.word(t));
       const auto acc = accum_.find(t);
       if (acc != accum_.end())
         for (int h = 0; h < opts_.tSketches; ++h)
           merged[static_cast<std::size_t>(h)].merge(
               acc->second[static_cast<std::size_t>(h)]);
-      if (contract &&
+      if (contract() &&
           shared_->oracle->survives(t, sketchStart, sketchEnd,
                                     sched_.sketchSteps, opts_.engine.cRS)) {
         // Ideal functionality: the fault-free aggregate.
@@ -592,83 +446,32 @@ class ByzNode final : public NodeState {
     for (const auto& [key, s] : supp)
       if (s >= delta && positive.count(key)) dm.push_back(key);
     std::sort(dm.begin(), dm.end());
-    if (static_cast<int>(dm.size()) > codec_.dmCap())
-      dm.resize(static_cast<std::size_t>(codec_.dmCap()));
-    dmKeys_ = dm;
-    shares_ = codec_.encode(dm);
-    if (shared_) shared_->trueShares = shares_;
+    return dm;
   }
 
-  // --- ECC block -------------------------------------------------------------
+  // --- end of iteration --------------------------------------------------------
 
-  [[nodiscard]] Msg eccMessage(int tree, const Pos& p, NodeId to) {
-    const int D = pk_->depthBound;
-    const int chunk = (p.step - 1) / (D + 1);
-    const int wstep = (p.step - 1) % (D + 1) + 1;
-    const int d = depthIn(tree);
-    if (d < 0 || !isChildIn(tree, to)) return {};
-    if (isRoot_ && !dmComputed_) computeDm(p);
-    if (d != wstep - 1) return {};
-    if (isRoot_) {
-      return Msg::of(
-          shares_[static_cast<std::size_t>(chunk)]
-                 [static_cast<std::size_t>(tree)]
-              .value());
-    }
-    const auto it = fwdShare_.find({tree, chunk});
-    if (it == fwdShare_.end()) return {};
-    return Msg::of(it->second);
-  }
-
-  void handleEcc(int tree, const Pos& p, NodeId from, const Msg& m) {
-    const int D = pk_->depthBound;
-    const int chunk = (p.step - 1) / (D + 1);
-    const int wstep = (p.step - 1) % (D + 1) + 1;
-    const int d = depthIn(tree);
-    if (d < 0 || from != parentIn(tree) || d != wstep || !m.present) return;
-    const std::uint16_t sym = static_cast<std::uint16_t>(m.at(0));
-    fwdShare_[{tree, chunk}] = sym;
-    recvShares_[static_cast<std::size_t>(chunk)]
-               [static_cast<std::size_t>(tree)] =
-        gf::F16(sym);
-  }
-
-  void finishIteration(const Pos& p, int round) {
-    (void)round;
-    std::vector<std::uint64_t> dm;
-    if (isRoot_) {
-      if (!dmComputed_) computeDm(p);  // degenerate packs with no children
-      dm = dmKeys_;
-    } else {
-      const bool contract = opts_.engine.mode == EngineMode::Contract &&
-                            shared_ && shared_->oracle;
-      if (contract) {
-        const int eccStart = eccBlockStartRound(p);
-        const int eccEnd = eccStart + slots_.blockRounds(sched_.eccSteps) - 1;
-        for (int t = 0; t < pk_->k; ++t) {
-          if (shared_->oracle->survives(t, eccStart, eccEnd, sched_.eccSteps,
-                                        opts_.engine.cRS) &&
-              !shared_->trueShares.empty()) {
-            for (int c = 0; c < sched_.chunks; ++c)
-              recvShares_[static_cast<std::size_t>(c)]
-                         [static_cast<std::size_t>(t)] =
-                  shared_->trueShares[static_cast<std::size_t>(c)]
-                                     [static_cast<std::size_t>(t)];
-          }
-        }
+  void finishIteration(const Pos& p) {
+    if (!isRoot_ && contract() && !shared_->trueShares.empty()) {
+      const int eccStart = eccBlockStartRound(p);
+      const int eccEnd = eccStart + slots_.blockRounds(sched_.eccSteps) - 1;
+      auto& shares = down_.shares();
+      for (int t = 0; t < pk_->k; ++t) {
+        if (!shared_->oracle->survives(t, eccStart, eccEnd, sched_.eccSteps,
+                                       opts_.engine.cRS))
+          continue;
+        for (int c = 0; c < sched_.chunks; ++c)
+          shares[static_cast<std::size_t>(c)][static_cast<std::size_t>(t)] =
+              shared_->trueShares[static_cast<std::size_t>(c)]
+                                 [static_cast<std::size_t>(t)];
       }
-      dm = codec_.decode(recvShares_);
     }
     // Patch estimates (Step 3 of the iteration).
-    for (const std::uint64_t key : dm) {
-      const DecodedKey dec = decodeKey(key);
-      if (dec.receiver != self_) continue;
-      if (dec.chunk > kAbsentChunk) continue;
-      const std::ptrdiff_t idx = exchCapture_.indexOf(dec.sender);
-      if (idx < 0) continue;  // not a neighbor
+    down_.finish(view_, self_, isRoot_, [&](int idx, const DecodedKey& dec) {
+      if (dec.chunk > kAbsentChunk) return;
       estKey_[static_cast<std::size_t>(idx)] =
           encodeKey(dec.sender, self_, dec.chunk, dec.payload);
-    }
+    });
     if (shared_) recordMismatches(p.j + 1);
   }
 
@@ -704,9 +507,8 @@ class ByzNode final : public NodeState {
   ByzOptions opts_;
   ByzSchedule sched_;
   SlotSchedule slots_;
-  DmCodec codec_;
   std::shared_ptr<ByzShared> shared_;
-  bool isRoot_ = false;
+  bool isRoot_;
   bool done_ = false;
   int currentSimRound_ = 1;
 
@@ -718,21 +520,14 @@ class ByzNode final : public NodeState {
   Msg exchMsg_;
   std::vector<std::uint64_t> sentKey_;  // [nbIndex] my round-i sends
   std::vector<std::uint64_t> estKey_;   // [nbIndex] estimates of receipts
-  std::vector<std::pair<std::uint64_t, std::int64_t>> entries_;
+  StreamEntries entries_;
 
-  std::map<int, std::uint64_t> seed_;  // tree -> sketch seed this iteration
-  std::vector<std::uint64_t> treeSeed_;  // root only
-  std::map<int, std::vector<sketch::L0Sampler>> accum_;  // children merges
-  std::map<int, sketch::SparseRecovery> sparseAccum_;    // SparseOneShot mode
-  /// Repetition stash, [neighbor slot][schedule slot] flattened; fixed
-  /// shape, vote slots rewritten in place every scheduled round.
-  std::vector<VoteSlot> stash_;
-
-  bool dmComputed_ = false;
-  std::vector<std::uint64_t> dmKeys_;
-  std::vector<std::vector<gf::F16>> shares_;      // root: [chunk][tree]
-  std::vector<std::vector<gf::F16>> recvShares_;  // node: [chunk][tree]
-  std::map<std::pair<int, int>, std::uint16_t> fwdShare_;  // (tree,chunk)
+  // The tree stages of one iteration (docs/architecture.md section 7).
+  ArcVotes votes_;
+  TreeFlood seeds_;  // sketch seed R(T) per tree
+  SparseConvergecast sparse_;                            // SparseOneShot
+  std::map<int, std::vector<sketch::L0Sampler>> accum_;  // L0Iterative
+  ShareDowncast down_;
   MapInbox inbox_;  // reused delivery surface for the inner algorithm
 };
 

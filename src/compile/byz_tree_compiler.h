@@ -5,20 +5,17 @@
 // Every round i of the inner algorithm A is simulated by one *phase*:
 //
 //   Step 1  (1 round)      all nodes exchange their round-i messages.
-//   Step 2  (z iterations) mismatch correction:
-//       (a) every node forms the multiset S_{i,j}(v): its sent messages
-//           with frequency +1 and current received-estimates with -1 --
-//           matching transmissions cancel, mismatches survive;
-//       (b) per tree T: the root floods a fresh sketch seed R(T) down T,
-//           every node builds t independent l0-samplers of S_{i,j}(v) with
-//           R(T), and the sketches are merge-aggregated up T (procedure
-//           L0RS(T, S_{i,j}), RS-compiled, all k trees in parallel via the
-//           Lemma 3.3 scheduler);
-//       (c) the root queries every sketch, keeps the observed mismatches
-//           with support >= Delta_j (Eq. 8's dominating mismatches), and
-//       (d) broadcasts the list via ECCSafeBroadcast (Reed-Solomon share
-//           per tree, Lemma 3.6); every node decodes and patches its
-//           estimates.
+//   Step 2  (z iterations) mismatch correction: every node streams its
+//       sent messages (+1) and received estimates (-1) into sketches, so
+//       matching transmissions cancel and mismatches survive; the root's
+//       seeds flood down every tree, the sketches merge up, the root
+//       extracts the dominating mismatches (DM) and ECC-broadcasts them
+//       down all k trees (Lemma 3.6), and every node patches its
+//       estimates.  CorrectionMode picks the sketch: t l0-samplers per
+//       tree with the Delta_j support threshold of Eq. 8, or one O(f)-
+//       sparse recovery sketch with a majority across trees.  The tree
+//       stages are shared with the rewind compiler (docs/architecture.md
+//       section 7.1).
 //       Real mismatches halve each iteration w.h.p. (Lemma 3.8), so after
 //       z = O(log f) iterations all estimates are exact.
 //   Step 3  deliver the corrected messages to the inner A instance.
@@ -75,8 +72,9 @@ struct ByzOptions {
 struct ByzSchedule {
   int z = 0;
   int sketchSteps = 0;     // 2*DTP + 1
-  int eccSteps = 0;        // chunks * (DTP + 1)
+  int eccSteps = 0;        // chunks / sharesPerHop * (DTP + 1)
   int chunks = 0;
+  int sharesPerHop = 1;    // ECC shares per hop message
   int roundsPerIteration = 0;
   int roundsPerSimRound = 0;
   int totalRounds = 0;

@@ -21,7 +21,7 @@
 // per-arc tree ids int16_t (k <= 32767, depth <= 32767 -- both orders of
 // magnitude above any schedule the compilers accept).
 //
-// See docs/architecture.md section 4 for how these two pieces slot into
+// See docs/architecture.md section 7 for how these two pieces slot into
 // the compiler pipeline.
 #pragma once
 
@@ -46,35 +46,14 @@ using graph::EdgeId;
 using graph::Graph;
 using graph::NodeId;
 
-/// Majority vote over `count` message copies at `copies`, ties broken by
-/// first occurrence; returns a reference into the caller's stash.  The
-/// no-alloc decode step of the hop-repetition engine, shared by the
-/// slot-indexed stashes of the byzantine and rewind compilers.
-[[nodiscard]] inline const sim::Msg& majorityRef(const sim::Msg* copies,
-                                                 std::size_t count) {
-  std::size_t bestIdx = 0;
-  int bestCount = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    int c = 0;
-    for (std::size_t j = 0; j < count; ++j)
-      if (copies[j] == copies[i]) ++c;
-    if (c > bestCount) {
-      bestCount = c;
-      bestIdx = i;
-    }
-  }
-  return copies[bestIdx];
-}
-
-/// A majority slot that stores each *distinct* message once with its
-/// multiplicity instead of all rho copies.  Fault-free schedules deliver
-/// rho identical copies, so the slot holds one message -- cutting the
-/// dominant per-node stash of the hop-repetition engine to ~1/rho of the
-/// copy-stash footprint at scale.  winner() reproduces majorityRef
-/// exactly: distinct values are kept in first-occurrence order and the
-/// winner is the first value attaining the maximum count (majorityRef's
-/// strict-> scan picks the same one).  Capacity is kept across reset(),
-/// preserving the compilers' no-steady-state-allocation idiom.
+/// The majority decoder of every repeated hop: add() each received copy,
+/// then winner() is the value received most often, ties going to the
+/// value seen first.  Each *distinct* message is stored once with its
+/// multiplicity instead of all copies, so fault-free schedules hold one
+/// message per slot -- ~1/rho of a copy stash's footprint at scale.
+/// Capacity is kept across reset(), preserving the compilers' no-steady-
+/// state-allocation idiom.  tests/test_vote_slot.cc checks winner()
+/// against the copy-stash majority it replaced.
 class VoteSlot {
  public:
   void reset() { used_ = 0; }
@@ -206,9 +185,6 @@ class NodeTreeView {
   [[nodiscard]] bool hasChild(int t, NodeId u) const {
     const auto ch = children(t);
     return std::find(ch.begin(), ch.end(), u) != ch.end();
-  }
-  [[nodiscard]] bool inTree(int t, NodeId neighbor) const {
-    return parent(t) == neighbor || hasChild(t, neighbor);
   }
 
   /// Arc-indexed slot tables; `i` is the neighbor's position in

@@ -20,22 +20,6 @@ using sim::Outbox;
 
 namespace {
 
-/// Majority value over padded-round copies (absent majority -> {}).
-Msg padMajority(const std::vector<Msg>& copies) {
-  Msg best;
-  int bestCount = 0;
-  for (std::size_t i = 0; i < copies.size(); ++i) {
-    int count = 0;
-    for (std::size_t j = 0; j < copies.size(); ++j)
-      if (copies[j] == copies[i]) ++count;
-    if (count > bestCount) {
-      bestCount = count;
-      best = copies[i];
-    }
-  }
-  return best;
-}
-
 class PackingNode final : public NodeState {
  public:
   PackingNode(NodeId self, const Graph& g, util::Rng rng,
@@ -96,21 +80,18 @@ class PackingNode final : public NodeState {
     const int pad = opts_.padRepetition;
     const int logical = (round - 1) / pad + 1;
     const int rep = (round - 1) % pad;
-    for (const auto& nb : g_.neighbors(self_))
-      stash_[nb.node].push_back(in.from(nb.node).toMsg());
-    if (rep != pad - 1) return;
-    // Majority-decode this logical round.
-    std::map<NodeId, Msg> decoded;
-    for (auto& [nbr, copies] : stash_) {
-      decoded[nbr] = padMajority(copies);
-      copies.clear();
+    for (const auto& nb : g_.neighbors(self_)) {
+      VoteSlot& votes = votes_[nb.node];
+      if (rep == 0) votes.reset();
+      votes.add(in.from(nb.node));
     }
+    if (rep != pad - 1) return;
     if (logical == 1) {
       for (const auto& nb : g_.neighbors(self_)) {
         if (self_ > nb.node) {
           edgeColor_[nb.node] = myColor_[nb.node];
         } else {
-          const Msg& m = decoded[nb.node];
+          const Msg& m = votes_[nb.node].winner();
           if (m.present)
             edgeColor_[nb.node] =
                 static_cast<int>(m.at(0) % static_cast<std::uint64_t>(opts_.k));
@@ -121,7 +102,7 @@ class PackingNode final : public NodeState {
       for (const auto& nb : g_.neighbors(self_)) {
         const auto it = edgeColor_.find(nb.node);
         if (it == edgeColor_.end()) continue;
-        const Msg& m = decoded[nb.node];
+        const Msg& m = votes_[nb.node].winner();
         if (!m.present) continue;
         const std::size_t c = static_cast<std::size_t>(it->second);
         if (m.at(0) > bestId_[c]) {
@@ -132,7 +113,7 @@ class PackingNode final : public NodeState {
       }
     } else if (logical == 2 + opts_.bfsRounds) {
       for (const auto& nb : g_.neighbors(self_)) {
-        const Msg& m = decoded[nb.node];
+        const Msg& m = votes_[nb.node].winner();
         if (!m.present) continue;
         const int c = static_cast<int>(m.at(0) %
                                        static_cast<std::uint64_t>(opts_.k));
@@ -180,7 +161,7 @@ class PackingNode final : public NodeState {
   std::vector<NodeId> parent_;
   std::vector<int> depthGuess_;
   std::vector<std::vector<NodeId>> children_;
-  std::map<NodeId, std::vector<Msg>> stash_;
+  std::map<NodeId, VoteSlot> votes_;  // this logical round's padded copies
   bool done_ = false;
 };
 

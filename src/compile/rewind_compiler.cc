@@ -1,14 +1,10 @@
 #include "compile/rewind_compiler.h"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
-#include <optional>
-#include <set>
 
-#include "compile/ecc_broadcast.h"
+#include "compile/tree_stages.h"
 #include "hash/fingerprint.h"
-#include "sketch/sparse_recovery.h"
 
 namespace mobile::compile {
 
@@ -18,7 +14,6 @@ using sim::Inbox;
 using sim::MapInbox;
 using sim::MapOutbox;
 using sim::Msg;
-using sim::MsgView;
 using sim::NodeState;
 using sim::Outbox;
 
@@ -33,48 +28,36 @@ std::uint64_t symbolOf(bool present, std::uint64_t payload) {
   return present ? (kPresentBit | (payload & 0xffffffffULL)) : kAbsentSym;
 }
 
-/// Outbox that discards everything (used while replaying inner rounds).
-class NullOutbox final : public Outbox {
- public:
-  using Outbox::Outbox;
-  void to(NodeId, const Msg&) override {}
-};
-
+/// M_i(u,v) of Round-Initialization.
 struct Tuple {
   std::uint64_t m = kAbsentSym;
   std::uint64_t r = 0;
   std::uint64_t hash = 0;
   std::uint64_t len = 0;
-
-  [[nodiscard]] std::uint64_t word(int i) const {
-    switch (i) {
-      case 0: return m;
-      case 1: return r;
-      case 2: return hash;
-      default: return len;
-    }
-  }
-  void setWord(int i, std::uint64_t v) {
-    switch (i) {
-      case 0: m = v; break;
-      case 1: r = v; break;
-      case 2: hash = v; break;
-      default: len = v; break;
-    }
-  }
-  [[nodiscard]] std::uint64_t chunk(int c) const {
-    return (word(c / 2) >> (32 * (c % 2))) & 0xffffffffULL;
-  }
-  void setChunk(int c, std::uint64_t v) {
-    std::uint64_t w = word(c / 2);
-    const int shift = 32 * (c % 2);
-    w &= ~(0xffffffffULL << shift);
-    w |= (v & 0xffffffffULL) << shift;
-    setWord(c / 2, w);
-  }
 };
 
+/// The tuple's wire words, in order.
+constexpr std::uint64_t Tuple::*kTupleWords[] = {&Tuple::m, &Tuple::r,
+                                                 &Tuple::hash, &Tuple::len};
+
+/// 32-bit chunk c of a tuple's wire words: one stream element of the
+/// correction sketches.
+std::uint64_t chunkOf(const Tuple& t, int c) {
+  return (t.*kTupleWords[c / 2] >> (32 * (c % 2))) & 0xffffffffULL;
+}
+
+void setChunk(Tuple& t, int c, std::uint64_t v) {
+  std::uint64_t& w = t.*kTupleWords[c / 2];
+  const int shift = 32 * (c % 2);
+  w = (w & ~(0xffffffffULL << shift)) | ((v & 0xffffffffULL) << shift);
+}
+
 constexpr int kChunksPerTuple = 8;
+
+/// The correction capacity d of Lemma 4.2.
+int correctionCap(const RewindOptions& opts, int f) {
+  return opts.correctionCap > 0 ? opts.correctionCap : 4 * std::max(1, f);
+}
 
 class RewindNode final : public NodeState {
  public:
@@ -87,31 +70,32 @@ class RewindNode final : public NodeState {
         rng_(std::move(rng)),
         inner_(std::move(inner)),
         pk_(std::move(pk)),
-        opts_(opts),
+        view_(pk_->view(self)),
         sched_(sched),
         slots_{pk_->eta, opts.engine.effectiveRho()},
-        d_(opts.correctionCap > 0 ? opts.correctionCap : 4 * std::max(1, f)),
-        codec_(pk_->k, 8 * (opts.correctionCap > 0 ? opts.correctionCap
-                                                   : 4 * std::max(1, f)),
-               3),
+        isRoot_(self == pk_->root),
         shared_(std::move(shared)),
         replayCapture_(g, self),
-        replayInbox_(g, self) {
+        replayInbox_(g, self),
+        votes_(view_.degree(), slots_),
+        seeds_(ChildRule::ParentExcluded),
+        sparse_(static_cast<std::size_t>(16 * correctionCap(opts, f)),
+                static_cast<std::size_t>(opts.sketchRows), pk_->depthBound,
+                ChildRule::ParentExcluded),
+        down_(pk_->k, 8 * correctionCap(opts, f), 3, sched.sharesPerHop,
+              pk_->depthBound, ChildRule::ParentExcluded),
+        verdicts_(ChildRule::ParentExcluded, 2) {
     for (const auto& nb : g_.neighbors(self_)) {
       inTrans_[nb.node] = {};
       outTrans_[nb.node] = {};
     }
-    // Fixed-shape tuple tables and stashes, indexed by adjacency position
-    // and rewritten in place each phase (sim::assignMsg keeps the words
-    // capacity) -- the compile/baselines.cc no-alloc idiom, replacing the
-    // per-round map/vector churn this compiler used to pay.
+    // Fixed-shape tuple tables and vote slots, indexed by adjacency
+    // position and rewritten in place each phase -- the compile/baselines.cc
+    // no-alloc idiom.
     const std::size_t deg = g_.degree(self_);
     sendTuple_.resize(deg);
     recvTuple_.resize(deg);
-    initStash_.resize(deg * static_cast<std::size_t>(sched_.initRounds));
-    stash_.resize(deg * static_cast<std::size_t>(pk_->eta) *
-                  static_cast<std::size_t>(slots_.rho));
-    replaySends_.resize(deg);
+    initVotes_.resize(deg);
     for (const auto& nb : g_.neighbors(self_))
       (void)replayInbox_.slot(nb.node);  // fix the replay slot set up front
   }
@@ -122,9 +106,8 @@ class RewindNode final : public NodeState {
     if (o < sched_.initRounds) {
       const auto& nbs = g_.neighbors(self_);
       for (std::size_t i = 0; i < nbs.size(); ++i) {
-        const Tuple& t = sendTuple_[i];
         sim::resetScratch(scratch_);
-        for (int w = 0; w < 4; ++w) scratch_.push(t.word(w));
+        for (const auto word : kTupleWords) scratch_.push(sendTuple_[i].*word);
         out.to(nbs[i].node, scratch_);
       }
       return;
@@ -137,21 +120,18 @@ class RewindNode final : public NodeState {
   }
 
   void receive(int round, const Inbox& in) override {
-    const int g = round - 1;
-    const int o = g % sched_.roundsPerGlobal;
+    const int o = (round - 1) % sched_.roundsPerGlobal;
     if (o < sched_.initRounds) {
       const auto& nbs = g_.neighbors(self_);
-      const auto reps = static_cast<std::size_t>(sched_.initRounds);
-      for (std::size_t i = 0; i < nbs.size(); ++i)
-        sim::assignMsg(initStash_[i * reps + static_cast<std::size_t>(o)],
-                       in.from(nbs[i].node));
+      for (std::size_t i = 0; i < nbs.size(); ++i) {
+        if (o == 0) initVotes_[i].reset();
+        initVotes_[i].add(in.from(nbs[i].node));
+      }
       if (o == sched_.initRounds - 1) {
         for (std::size_t i = 0; i < nbs.size(); ++i) {
-          const Msg& m = majorityRef(initStash_.data() + i * reps, reps);
-          Tuple t;
-          for (int w = 0; w < 4; ++w)
-            t.setWord(w, m.atOr(static_cast<std::size_t>(w), 0));
-          recvTuple_[i] = t;
+          const Msg& m = initVotes_[i].winner();
+          for (std::size_t w = 0; w < 4; ++w)
+            recvTuple_[i].*kTupleWords[w] = m.atOr(w, 0);
         }
       }
       return;
@@ -173,303 +153,120 @@ class RewindNode final : public NodeState {
  private:
   // --- inner replay ---------------------------------------------------------
 
-  /// Replays the (deterministic) inner node over the estimated incoming
-  /// transcripts and fills replaySends_ (adjacency-indexed) with its
-  /// symbols for round `gamma+1`.
-  void replayNext() {
+  /// A fresh (deterministic) inner node replayed over the first `rounds`
+  /// symbols of the estimated incoming transcripts; its sends land in the
+  /// reused capture and are discarded.
+  [[nodiscard]] std::unique_ptr<NodeState> replay(int rounds) {
     auto node = inner_.makeNode(self_, g_, util::Rng(0x5e9));
-    const int gamma = static_cast<int>(gammaLen());
-    for (int i = 1; i <= std::min(gamma, inner_.rounds); ++i) {
-      NullOutbox nul(g_, self_);
-      node->send(i, nul);
+    for (int i = 1; i <= rounds; ++i) {
+      replayCapture_.begin();
+      node->send(i, replayCapture_);
       replayInbox_.clearSlots();
       for (const auto& [u, trans] : inTrans_) {
+        if (static_cast<std::size_t>(i - 1) >= trans.size()) continue;
         const std::uint64_t sym = trans[static_cast<std::size_t>(i - 1)];
         if (sym & kPresentBit)
           sim::resetScratch(replayInbox_.slot(u)).push(sym & 0xffffffffULL);
       }
       node->receive(i, replayInbox_);
     }
-    const auto& nbs = g_.neighbors(self_);
-    if (gamma + 1 > inner_.rounds) {
-      for (std::size_t i = 0; i < nbs.size(); ++i)
-        replaySends_[i] = kBottomSym;
-      return;
-    }
-    replayCapture_.begin();
-    node->send(gamma + 1, replayCapture_);
-    for (std::size_t i = 0; i < nbs.size(); ++i) {
-      const Msg& cm = replayCapture_.slot(i);
-      replaySends_[i] = symbolOf(cm.present, cm.present ? cm.atOr(0, 0) : 0);
-    }
+    return node;
   }
 
   [[nodiscard]] std::size_t gammaLen() const {
     return outTrans_.empty() ? 0 : outTrans_.begin()->second.size();
   }
 
-  /// The rho stash copies of (neighbor index, schedule slot).
-  [[nodiscard]] Msg* stashSlot(std::size_t nbIndex, int slot) {
-    return stash_.data() + (nbIndex * static_cast<std::size_t>(pk_->eta) +
-                            static_cast<std::size_t>(slot)) *
-                               static_cast<std::size_t>(slots_.rho);
-  }
-
-  /// Adjacency index of neighbor `u` (-1 when not adjacent).
-  [[nodiscard]] int nbIndexOf(NodeId u) const {
-    const auto& nbs = g_.neighbors(self_);
-    for (std::size_t i = 0; i < nbs.size(); ++i)
-      if (nbs[i].node == u) return static_cast<int>(i);
-    return -1;
-  }
-
+  /// Refills sendTuple_ in place; m is the replayed inner node's message
+  /// for round gamma + 1 (bottom once the inner algorithm has ended).
+  /// recvTuple_ is rewritten at the end of the init phase, before anything
+  /// reads it.
   void startGlobalRound() {
-    replayNext();
+    const int gamma = static_cast<int>(gammaLen());
+    const bool running = gamma < inner_.rounds;
+    const auto node = replay(std::min(gamma, inner_.rounds));
+    replayCapture_.begin();
+    if (running) node->send(gamma + 1, replayCapture_);
     const auto& nbs = g_.neighbors(self_);
-    // recvTuple_ entries are all rewritten at the end of the init phase,
-    // before anything reads them; sendTuple_ is refilled here in place.
     for (std::size_t i = 0; i < nbs.size(); ++i) {
+      const Msg& cm = replayCapture_.slot(i);
       Tuple t;
-      t.m = replaySends_[i];
+      t.m = running ? symbolOf(cm.present, cm.atOr(0, 0)) : kBottomSym;
       t.r = rng_.next();
       t.hash =
           hash::TranscriptFingerprint(t.r).hash(outTrans_.at(nbs[i].node));
       t.len = gammaLen();
       sendTuple_[i] = t;
     }
-    seed_.clear();
-    accum_.clear();
-    recvShares_.assign(
-        static_cast<std::size_t>(codec_.chunks()),
-        std::vector<gf::F16>(static_cast<std::size_t>(pk_->k), gf::F16(0)));
-    dmComputed_ = false;
-    consUp_.clear();
-    consDown_.clear();
   }
 
   // --- correction phase (Lemma 4.2) ------------------------------------------
 
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::int64_t>>
-  correctionEntries() const {
-    std::vector<std::pair<std::uint64_t, std::int64_t>> entries;
+  /// Starts the correction stages: the tuples are final once the init
+  /// phase is decoded, so the chunked stream entries are built once, and
+  /// the root draws every tree's sketch seed.  Held ECC shares are never
+  /// forgotten: a node that misses this round's shares forwards the last
+  /// ones it held.
+  void startCorrection() {
+    seeds_.start(pk_->k);
+    sparse_.start();
+    down_.start();
+    entries_.clear();
     const auto& nbs = g_.neighbors(self_);
     for (std::size_t i = 0; i < nbs.size(); ++i) {
       const Tuple& s = sendTuple_[i];
       const Tuple& r = recvTuple_[i];
       for (int c = 0; c < kChunksPerTuple; ++c) {
-        entries.push_back(
+        entries_.push_back(
             {encodeKey(self_, nbs[i].node, static_cast<unsigned>(c),
-                       s.chunk(c)),
+                       chunkOf(s, c)),
              +1});
-        entries.push_back(
+        entries_.push_back(
             {encodeKey(nbs[i].node, self_, static_cast<unsigned>(c),
-                       r.chunk(c)),
+                       chunkOf(r, c)),
              -1});
       }
     }
-    return entries;
-  }
-
-  // Scratch-backed sketch builders (see byz_tree_compiler.cc): the same
-  // objects are reseeded per (tree, iteration) instead of reconstructed,
-  // so steady-state correction rounds do not allocate sketch storage.
-
-  [[nodiscard]] sketch::SparseRecovery& localSketch(std::uint64_t treeSeed) {
-    if (!sketchScratch_)
-      sketchScratch_.emplace(treeSeed, static_cast<std::size_t>(16 * d_),
-                             static_cast<std::size_t>(opts_.sketchRows));
-    else
-      sketchScratch_->reseed(treeSeed);
-    for (const auto& [key, freq] : correctionEntries())
-      sketchScratch_->update(key, freq);
-    return *sketchScratch_;
-  }
-
-  [[nodiscard]] sketch::SparseRecovery& recvSketch(std::uint64_t treeSeed) {
-    if (!recvScratch_)
-      recvScratch_.emplace(treeSeed, static_cast<std::size_t>(16 * d_),
-                           static_cast<std::size_t>(opts_.sketchRows));
-    else
-      recvScratch_->reseed(treeSeed);
-    return *recvScratch_;
+    if (isRoot_)
+      for (int t = 0; t < pk_->k; ++t) seeds_.seed(t, {rng_.next()});
   }
 
   void correctionSend(int cr, Outbox& out) {
     const int D = pk_->depthBound;
     const int sketchRounds = slots_.blockRounds(2 * D + 1);
     const bool inSketch = cr < sketchRounds;
-    const int r = inSketch ? cr : cr - sketchRounds;
-    const int step = slots_.stepOf(r) + 1;
-    const int slot = slots_.slotOf(r);
-    const bool isRoot = self_ == pk_->root;
-    if (isRoot && seedInit_ < globalIndex_) {
-      seedInit_ = globalIndex_;
-      treeSeed_.assign(static_cast<std::size_t>(pk_->k), 0);
-      for (int t = 0; t < pk_->k; ++t) {
-        treeSeed_[static_cast<std::size_t>(t)] = rng_.next();
-        seed_[t] = treeSeed_[static_cast<std::size_t>(t)];
-      }
-    }
-    const NodeTreeView view = pk_->view(self_);
-    const auto& nbs = g_.neighbors(self_);
-    for (std::size_t i = 0; i < nbs.size(); ++i) {
-      const auto& nb = nbs[i];
-      const int tree = view.treeAt(static_cast<int>(i), slot);
-      if (tree < 0) continue;
-      const int d = view.depth(tree);
-      if (d < 0) continue;
-      if (inSketch) {
-        if (step <= D) {
-          if (d == step - 1 && seed_.count(tree) &&
-              view.parent(tree) != nb.node &&
-              view.inTree(tree, nb.node))
-            out.to(nb.node, Msg::of(seed_.at(tree)));
-        } else if (d > 0 && step == 2 * D + 1 - d &&
-                   nb.node == view.parent(tree)) {
-          sketch::SparseRecovery& mine =
-              localSketch(seed_.count(tree) ? seed_.at(tree) : 0);
-          const auto acc = accum_.find(tree);
-          if (acc != accum_.end()) mine.merge(acc->second);
-          mine.serializeInto(wordScratch_);
-          out.to(nb.node, Msg::ofWords(wordScratch_));
-        }
-      } else {
-        // ECC: all chunks bundled in one hop message per tree.
-        if (isRoot && !dmComputed_) computeDm();
-        if (d == step - 1 && view.inTree(tree, nb.node) &&
-            view.parent(tree) != nb.node) {
-          std::vector<std::uint64_t> words;
-          bool have = true;
-          for (int c = 0; c < codec_.chunks(); ++c) {
-            if (isRoot) {
-              words.push_back(
-                  shares_[static_cast<std::size_t>(c)]
-                         [static_cast<std::size_t>(tree)]
-                      .value());
-            } else {
-              const auto fw = fwdShare_.find({tree, c});
-              if (fw == fwdShare_.end()) {
-                have = false;
-                break;
-              }
-              words.push_back(fw->second);
-            }
-          }
-          if (have) out.to(nb.node, Msg::ofWords(std::move(words)));
-        }
-      }
-    }
+    const SlotPos h = slots_.at(inSketch ? cr : cr - sketchRounds);
+    if (cr == 0) startCorrection();
+    if (cr == sketchRounds && isRoot_)
+      down_.encode(sparse_.recoverMajority(seeds_, pk_->k, entries_));
+    sendScheduled(view_, h.slot, out, [&](int tree, NodeId to) -> const Msg* {
+      if (!inSketch) return down_.send(view_, tree, to, h.step);
+      if (h.step <= D) return seeds_.send(view_, tree, to, h.step);
+      return sparse_.send(view_, tree, to, h.step - D, seeds_.word(tree),
+                          entries_);
+    });
   }
 
   void correctionReceive(int cr, const Inbox& in) {
     const int D = pk_->depthBound;
     const int sketchRounds = slots_.blockRounds(2 * D + 1);
     const bool inSketch = cr < sketchRounds;
-    const int r = inSketch ? cr : cr - sketchRounds;
-    const int step = slots_.stepOf(r) + 1;
-    const int rep = slots_.repOf(r);
-    const int slot = slots_.slotOf(r);
-    const NodeTreeView view = pk_->view(self_);
-    const auto& nbs = g_.neighbors(self_);
-    for (std::size_t i = 0; i < nbs.size(); ++i) {
-      const auto& nb = nbs[i];
-      const int tree = view.treeAt(static_cast<int>(i), slot);
-      if (tree < 0) continue;
-      const int d = view.depth(tree);
-      if (d < 0) continue;
-      Msg* copies = stashSlot(i, slot);
-      sim::assignMsg(copies[static_cast<std::size_t>(rep)],
-                     in.from(nb.node));
-      if (rep != slots_.rho - 1) continue;
-      const Msg& m =
-          majorityRef(copies, static_cast<std::size_t>(slots_.rho));
-      if (!m.present) continue;
-      if (inSketch) {
-        if (step <= D) {
-          if (d == step &&
-              nb.node == view.parent(tree))
-            seed_[tree] = m.at(0);
-        } else if (view.inTree(tree, nb.node) &&
-                   nb.node != view.parent(tree)) {
-          const std::uint64_t ts = seed_.count(tree) ? seed_.at(tree) : 0;
-          sketch::SparseRecovery& got = recvSketch(ts);
-          if (m.size() != got.serializedWords()) continue;
-          got.loadWords(m.words.data(), m.size());
-          auto acc = accum_.find(tree);
-          if (acc == accum_.end())
-            accum_.emplace(tree, got);
-          else
-            acc->second.merge(got);
-        }
-      } else {
-        if (d == step &&
-            nb.node == view.parent(tree) &&
-            m.size() == static_cast<std::size_t>(codec_.chunks())) {
-          for (int c = 0; c < codec_.chunks(); ++c) {
-            fwdShare_[{tree, c}] = m.at(static_cast<std::size_t>(c));
-            recvShares_[static_cast<std::size_t>(c)]
-                       [static_cast<std::size_t>(tree)] =
-                gf::F16(static_cast<std::uint16_t>(
-                    m.at(static_cast<std::size_t>(c))));
-          }
-        }
-      }
-    }
-    if (!inSketch && step == D + 1 && rep == slots_.rho - 1 &&
-        slot == pk_->eta - 1)
-      applyCorrection();
-  }
-
-  void computeDm() {
-    dmComputed_ = true;
-    // Per tree: the merged recovery (own sketch + children accumulations).
-    std::map<std::vector<std::uint64_t>, int> votes;
-    for (int t = 0; t < pk_->k; ++t) {
-      sketch::SparseRecovery& merged =
-          localSketch(treeSeed_[static_cast<std::size_t>(t)]);
-      const auto acc = accum_.find(t);
-      if (acc != accum_.end()) merged.merge(acc->second);
-      std::vector<std::uint64_t> canon;
-      const auto rec = merged.recoverAll();
-      if (rec.has_value()) {
-        for (const auto& e : *rec)
-          if (e.frequency > 0) canon.push_back(e.key);
-        std::sort(canon.begin(), canon.end());
-      } else {
-        canon.push_back(~0ULL);  // failure marker
-      }
-      ++votes[canon];
-    }
-    std::vector<std::uint64_t> winner;
-    int best = 0;
-    for (const auto& [canon, count] : votes) {
-      if (count > best) {
-        best = count;
-        winner = canon;
-      }
-    }
-    if (!winner.empty() && winner[0] == ~0ULL) winner.clear();
-    if (static_cast<int>(winner.size()) > codec_.dmCap())
-      winner.resize(static_cast<std::size_t>(codec_.dmCap()));
-    dmKeys_ = winner;
-    shares_ = codec_.encode(winner);
-  }
-
-  void applyCorrection() {
-    std::vector<std::uint64_t> dm;
-    if (self_ == pk_->root) {
-      if (!dmComputed_) computeDm();
-      dm = dmKeys_;
-    } else {
-      dm = codec_.decode(recvShares_);
-    }
-    for (const std::uint64_t key : dm) {
-      const DecodedKey dec = decodeKey(key);
-      if (dec.receiver != self_) continue;
-      const int idx = nbIndexOf(dec.sender);
-      if (idx < 0) continue;
-      recvTuple_[static_cast<std::size_t>(idx)].setChunk(
-          static_cast<int>(dec.chunk), dec.payload);
+    const SlotPos h = slots_.at(inSketch ? cr : cr - sketchRounds);
+    votes_.receive(view_, h, in, [&](int tree, NodeId from, const Msg& m) {
+      if (!inSketch)
+        down_.receive(view_, tree, from, h.step, m);
+      else if (h.step <= D)
+        seeds_.receive(view_, tree, from, h.step, m);
+      else
+        sparse_.receive(view_, tree, from, seeds_.word(tree), m);
+    });
+    if (!inSketch && h.step == down_.steps() && h.rep == slots_.rho - 1 &&
+        h.slot == pk_->eta - 1) {
+      down_.finish(view_, self_, isRoot_,
+                   [&](int idx, const DecodedKey& dec) {
+                     setChunk(recvTuple_[static_cast<std::size_t>(idx)],
+                              static_cast<int>(dec.chunk), dec.payload);
+                   });
     }
   }
 
@@ -494,118 +291,72 @@ class RewindNode final : public NodeState {
     return {good, gammaLen()};
   }
 
+  /// (min GoodState, max length) over this node's subtree of `tree`.
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> aggregate(
+      int tree) const {
+    auto [good, len] = localVote();
+    const auto up = consUp_.find(tree);
+    if (up != consUp_.end()) {
+      good = std::min(good, up->second.first);
+      len = std::max(len, up->second.second);
+    }
+    return {good, len};
+  }
+
+  // Steps 1..D are the up-wave of the subtree aggregates; steps D+1..2D+1
+  // flood the root's per-tree verdict back down.
+
   void consensusSend(int cr, Outbox& out) {
     const int D = pk_->depthBound;
-    const int step = slots_.stepOf(cr) + 1;
-    const int slot = slots_.slotOf(cr);
-    const NodeTreeView view = pk_->view(self_);
-    const auto& nbs = g_.neighbors(self_);
-    for (std::size_t i = 0; i < nbs.size(); ++i) {
-      const auto& nb = nbs[i];
-      const int tree = view.treeAt(static_cast<int>(i), slot);
-      if (tree < 0) continue;
-      const int d = view.depth(tree);
-      if (d < 0) continue;
-      if (step <= D) {
-        // Upcast: depth d sends (min good, max len) at step D - d + 1.
-        if (d > 0 && step == D - d + 1 &&
-            nb.node == view.parent(tree)) {
-          auto [good, len] = localVote();
-          const auto up = consUp_.find(tree);
-          if (up != consUp_.end()) {
-            good = std::min(good, up->second.first);
-            len = std::max(len, up->second.second);
-          }
-          Msg m;
-          m.push(good);
-          m.push(len);
-          out.to(nb.node, m);
-        }
-      } else {
-        // Downcast: depth step - D - 1 forwards the root's verdict.
-        if (d == step - D - 1 && view.inTree(tree, nb.node) &&
-            view.parent(tree) != nb.node) {
-          std::pair<std::uint64_t, std::uint64_t> verdict;
-          if (self_ == pk_->root) {
-            auto [good, len] = localVote();
-            const auto up = consUp_.find(tree);
-            if (up != consUp_.end()) {
-              good = std::min(good, up->second.first);
-              len = std::max(len, up->second.second);
-            }
-            verdict = {good, len};
-          } else {
-            const auto dn = consDown_.find(tree);
-            if (dn == consDown_.end()) continue;
-            verdict = dn->second;
-          }
-          Msg m;
-          m.push(verdict.first);
-          m.push(verdict.second);
-          out.to(nb.node, m);
-        }
+    const SlotPos h = slots_.at(cr);
+    if (cr == 0) {
+      consUp_.clear();
+      verdicts_.start(pk_->k);
+    }
+    if (isRoot_ && h.step == D + 1 && h.rep == 0 && h.slot == 0) {
+      for (int t = 0; t < pk_->k; ++t) {
+        const auto [good, len] = aggregate(t);
+        verdicts_.seed(t, {good, len});
       }
     }
+    sendScheduled(view_, h.slot, out, [&](int tree, NodeId to) -> const Msg* {
+      if (h.step > D) return verdicts_.send(view_, tree, to, h.step - D);
+      // Depth d sends (min good, max len) to its parent at step D - d + 1.
+      const int d = view_.depth(tree);
+      if (d <= 0 || h.step != D - d + 1 || to != view_.parent(tree))
+        return nullptr;
+      const auto [good, len] = aggregate(tree);
+      return &sim::resetScratch(hopScratch()).push(good).push(len);
+    });
   }
 
   void consensusReceive(int cr, const Inbox& in) {
     const int D = pk_->depthBound;
-    const int step = slots_.stepOf(cr) + 1;
-    const int rep = slots_.repOf(cr);
-    const int slot = slots_.slotOf(cr);
-    const NodeTreeView view = pk_->view(self_);
-    const auto& nbs = g_.neighbors(self_);
-    for (std::size_t i = 0; i < nbs.size(); ++i) {
-      const auto& nb = nbs[i];
-      const int tree = view.treeAt(static_cast<int>(i), slot);
-      if (tree < 0) continue;
-      const int d = view.depth(tree);
-      if (d < 0) continue;
-      Msg* copies = stashSlot(i, slot);
-      sim::assignMsg(copies[static_cast<std::size_t>(rep)],
-                     in.from(nb.node));
-      if (rep != slots_.rho - 1) continue;
-      const Msg& m =
-          majorityRef(copies, static_cast<std::size_t>(slots_.rho));
-      if (!m.present || m.size() < 2) continue;
-      if (step <= D) {
-        // A child's aggregate.
-        if (view.inTree(tree, nb.node) &&
-            nb.node != view.parent(tree) &&
-            d == D - step) {
-          auto& agg = consUp_[tree];
-          if (consUpInit_.insert(tree).second) {
-            agg = {m.at(0), m.at(1)};
-          } else {
-            agg.first = std::min(agg.first, m.at(0));
-            agg.second = std::max(agg.second, m.at(1));
-          }
-        }
-      } else {
-        if (nb.node == view.parent(tree) &&
-            d == step - D)
-          consDown_[tree] = {m.at(0), m.at(1)};
+    const SlotPos h = slots_.at(cr);
+    votes_.receive(view_, h, in, [&](int tree, NodeId from, const Msg& m) {
+      if (h.step > D) {
+        verdicts_.receive(view_, tree, from, h.step - D, m);
+        return;
       }
-    }
+      // A child's aggregate.
+      if (m.size() < 2 || view_.depth(tree) != D - h.step ||
+          !isChild(view_, tree, from, ChildRule::ParentExcluded))
+        return;
+      const auto [agg, fresh] = consUp_.try_emplace(tree, m.at(0), m.at(1));
+      if (!fresh) {
+        agg->second.first = std::min(agg->second.first, m.at(0));
+        agg->second.second = std::max(agg->second.second, m.at(1));
+      }
+    });
   }
 
   void finishGlobalRound() {
-    ++globalIndex_;
-    // Majority verdict across trees.
+    // Majority verdict across the trees whose verdict arrived (all of them
+    // at the root).
     std::map<std::pair<std::uint64_t, std::uint64_t>, int> votes;
-    if (self_ == pk_->root) {
-      for (int t = 0; t < pk_->k; ++t) {
-        auto [good, len] = localVote();
-        const auto up = consUp_.find(t);
-        if (up != consUp_.end()) {
-          good = std::min(good, up->second.first);
-          len = std::max(len, up->second.second);
-        }
-        ++votes[{good, len}];
-      }
-    } else {
-      for (const auto& [tree, v] : consDown_) ++votes[v];
-    }
+    for (int t = 0; t < pk_->k; ++t)
+      if (verdicts_.has(t))
+        ++votes[{verdicts_.word(t, 0), verdicts_.word(t, 1)}];
     std::pair<std::uint64_t, std::uint64_t> verdict{0, gammaLen()};
     int best = 0;
     for (const auto& [v, count] : votes) {
@@ -614,7 +365,6 @@ class RewindNode final : public NodeState {
         verdict = v;
       }
     }
-    consUpInit_.clear();
     // Rewind-if-error update (Section 4.1).
     if (verdict.first == 1) {
       const auto& nbs = g_.neighbors(self_);
@@ -654,22 +404,9 @@ class RewindNode final : public NodeState {
     }
   }
 
+  /// Output: the inner node replayed over the estimated transcripts.
   void finalize() {
-    // Output: replay inner over the first `rounds` symbols of the estimated
-    // transcripts.
-    auto node = inner_.makeNode(self_, g_, util::Rng(0x5e9));
-    for (int i = 1; i <= inner_.rounds; ++i) {
-      NullOutbox nul(g_, self_);
-      node->send(i, nul);
-      MapInbox inbox(g_, self_);
-      for (const auto& [u, trans] : inTrans_) {
-        if (static_cast<std::size_t>(i - 1) >= trans.size()) continue;
-        const std::uint64_t sym = trans[static_cast<std::size_t>(i - 1)];
-        if (sym & kPresentBit) inbox.put(u, Msg::of(sym & 0xffffffffULL));
-      }
-      node->receive(i, inbox);
-    }
-    output_ = node->output();
+    output_ = replay(inner_.rounds)->output();
     done_ = true;
   }
 
@@ -680,48 +417,32 @@ class RewindNode final : public NodeState {
   util::Rng rng_;
   sim::Algorithm inner_;
   std::shared_ptr<const PackingKnowledge> pk_;
-  RewindOptions opts_;
+  NodeTreeView view_;
   RewindSchedule sched_;
   SlotSchedule slots_;
-  int d_;
-  DmCodec codec_;
+  bool isRoot_;
   std::shared_ptr<RewindShared> shared_;
 
   std::map<NodeId, std::vector<std::uint64_t>> inTrans_;   // pi~(u, v)
   std::map<NodeId, std::vector<std::uint64_t>> outTrans_;  // pi(v, u)
-  /// Tuple tables and message stashes are adjacency-indexed fixed-shape
-  /// buffers rewritten in place (no per-round map churn):
-  ///   sendTuple_/recvTuple_   [neighbor]
-  ///   initStash_              [neighbor][init repetition]
-  ///   stash_                  [neighbor][schedule slot][rho repetition]
+  /// Adjacency-indexed tuple tables and init-phase vote slots, rewritten
+  /// in place every global round.
   std::vector<Tuple> sendTuple_, recvTuple_;
-  std::vector<Msg> initStash_;
-  std::vector<Msg> stash_;
+  std::vector<VoteSlot> initVotes_;
   Msg scratch_;  // reused init-phase send buffer
-  /// Replay surfaces, reused across global rounds: the capture collects the
-  /// replayed node's round-(gamma+1) sends, the inbox redelivers estimated
-  /// transcripts, and replaySends_ holds the resulting symbols.
+  /// Replay surfaces, reused across global rounds: the capture collects
+  /// the replayed node's sends, the inbox redelivers estimated transcripts.
   sim::FlatCapture replayCapture_;
   sim::MapInbox replayInbox_;
-  std::vector<std::uint64_t> replaySends_;  // [nbIndex]
 
-  std::map<int, std::uint64_t> seed_;
-  std::vector<std::uint64_t> treeSeed_;
-  int seedInit_ = -1;
-  int globalIndex_ = 0;
-  std::map<int, sketch::SparseRecovery> accum_;
-  // Reusable sketch scratch (zero steady-state allocation); see the
-  // builder comments above.
-  std::optional<sketch::SparseRecovery> sketchScratch_;
-  std::optional<sketch::SparseRecovery> recvScratch_;
-  std::vector<std::uint64_t> wordScratch_;
-  bool dmComputed_ = false;
-  std::vector<std::uint64_t> dmKeys_;
-  std::vector<std::vector<gf::F16>> shares_, recvShares_;
-  std::map<std::pair<int, int>, std::uint64_t> fwdShare_;
-
-  std::map<int, std::pair<std::uint64_t, std::uint64_t>> consUp_, consDown_;
-  std::set<int> consUpInit_;
+  // The tree stages (docs/architecture.md section 7).
+  ArcVotes votes_;  // shared by the correction and consensus phases
+  StreamEntries entries_;
+  TreeFlood seeds_;  // sketch seed R(T) per tree
+  SparseConvergecast sparse_;
+  ShareDowncast down_;
+  std::map<int, std::pair<std::uint64_t, std::uint64_t>> consUp_;
+  TreeFlood verdicts_;  // (good, len) per tree
 
   bool done_ = false;
   std::uint64_t output_ = 0;
@@ -734,10 +455,8 @@ RewindSchedule rewindSchedule(const PackingKnowledge& pk, int innerRounds,
   RewindSchedule s;
   const SlotSchedule slots{pk.eta, opts.engine.effectiveRho()};
   const int D = pk.depthBound;
-  const int d =
-      opts.correctionCap > 0 ? opts.correctionCap : 4 * std::max(1, f);
-  const DmCodec codec(pk.k, 8 * d, 3);
-  (void)codec;
+  // Every chunk's share rides in one hop message: a single down-wave.
+  s.sharesPerHop = DmCodec(pk.k, 8 * correctionCap(opts, f), 3).chunks();
   s.globalRounds = opts.multiplier * innerRounds;
   s.initRounds = opts.initRepeats > 0 ? opts.initRepeats : 2 * (D + 2);
   s.correctionRounds =

@@ -12,17 +12,18 @@
 //     transcript hash (hash/fingerprint.h).  Receivers majority-decode.
 //
 //   Message-Correction (Lemma 4.2)  the d-message correction procedure:
-//     tuples are chunked into 32-bit stream elements; every node feeds
-//     (sent, +1) / (received, -1) into s-sparse recovery sketches -- the
-//     ~O(DTP + f) variant of Section 1.2.2 -- which are aggregated up every
-//     packing tree; the root takes the majority recovery across trees and
-//     ECC-broadcasts the surviving true chunks; nodes patch their tuples.
+//     tuples are chunked into 32-bit stream elements, and every node feeds
+//     (sent, +1) / (received, -1) into the ~O(DTP + f) sparse-recovery
+//     correction of Section 1.2.2 -- the same tree stages the byzantine
+//     compiler runs (docs/architecture.md section 7.1), with all ECC
+//     chunks bundled per hop; nodes patch their tuples.
 //
 //   Rewind-If-Error  every node checks its neighbors' transcript
 //     fingerprints against its own estimates; the network min(GoodState)
-//     and max transcript length are aggregated over the trees (majority
-//     across trees); nodes then extend, rewind, or hold their transcripts
-//     per the Section 4.1 rules.
+//     and max transcript length are aggregated up the trees and the root's
+//     per-tree verdict is flooded back down (majority across trees); nodes
+//     then extend, rewind, or hold their transcripts per the Section 4.1
+//     rules.
 //
 // The potential Phi(i) = min 2*prefix(pi~, Gamma) - max |pi~| (Eq. 10)
 // rises by >= +1 on good global-rounds and falls by <= 3 on bad ones
@@ -56,6 +57,7 @@ struct RewindSchedule {
   int initRounds = 0;
   int correctionRounds = 0;
   int consensusRounds = 0;
+  int sharesPerHop = 0;  // ECC shares per hop message (all chunks)
   int roundsPerGlobal = 0;
   int totalRounds = 0;
 };

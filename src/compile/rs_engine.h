@@ -49,6 +49,14 @@ struct EngineOptions {
   }
 };
 
+/// One round's place in a scheduled block: 1-based logical step, then the
+/// repetition and the schedule slot within it.
+struct SlotPos {
+  int step = 0;
+  int rep = 0;
+  int slot = 0;
+};
+
 /// Slot arithmetic of the Lemma 3.3 scheduler.  A block of S logical steps
 /// over a packing with load eta and repetition rho occupies
 /// S * rho * eta rounds:  round index r (0-based within the block)
@@ -64,6 +72,9 @@ struct SlotSchedule {
   [[nodiscard]] int stepOf(int r) const { return r / roundsPerStep(); }
   [[nodiscard]] int repOf(int r) const { return (r % roundsPerStep()) / eta; }
   [[nodiscard]] int slotOf(int r) const { return r % eta; }
+  [[nodiscard]] SlotPos at(int r) const {
+    return {stepOf(r) + 1, repOf(r), slotOf(r)};
+  }
 };
 
 /// Ground-truth helper for Contract mode: per-tree global edge sets plus

@@ -1,7 +1,8 @@
 #include "compile/rs_scheduler.h"
 
-#include <algorithm>
 #include <cassert>
+
+#include "compile/tree_stages.h"
 
 namespace mobile::compile {
 
@@ -9,7 +10,6 @@ using graph::Graph;
 using graph::NodeId;
 using sim::Inbox;
 using sim::Msg;
-using sim::MsgView;
 using sim::NodeState;
 using sim::Outbox;
 
@@ -23,78 +23,50 @@ class SchedNode final : public NodeState {
       : self_(self),
         g_(g),
         pk_(std::move(pk)),
+        view_(pk_->view(self)),
         engine_(engine),
         slots_{pk_->eta, engine.effectiveRho()},
-        shared_(std::move(shared)) {
-    // Fixed-shape vote stash, [neighbor][schedule slot], each slot holding
-    // distinct messages with multiplicities -- the slot-indexed no-alloc
-    // idiom of compile/baselines.cc (a (tree, neighbor) pair is exactly a
-    // (slot, neighbor) pair under the Lemma 3.3 schedule).
-    stash_.resize(g_.degree(self_) * static_cast<std::size_t>(pk_->eta));
+        shared_(std::move(shared)),
+        votes_(view_.degree(), slots_),
+        flood_(ChildRule::ParentExcluded) {
     reinit(std::move(rng));
   }
 
   /// Network::reset() in-place re-initializer: exactly the constructor's
-  /// mutable state, reusing every allocation (stash slot capacities
+  /// mutable state, reusing every allocation (vote slot capacities
   /// survive; each slot is fully rewritten before its next majority read).
   void reinit(util::Rng rng) {
     done_ = false;
-    value_.assign(static_cast<std::size_t>(pk_->k), 0);
-    have_.assign(static_cast<std::size_t>(pk_->k), 0);
+    flood_.start(pk_->k);
     if (self_ == pk_->root) {
       shared_->truth.assign(static_cast<std::size_t>(pk_->k), 0);
       for (int t = 0; t < pk_->k; ++t) {
-        value_[static_cast<std::size_t>(t)] = rng.next() | 1u;
-        have_[static_cast<std::size_t>(t)] = 1;
-        shared_->truth[static_cast<std::size_t>(t)] =
-            value_[static_cast<std::size_t>(t)];
+        const std::uint64_t value = rng.next() | 1u;
+        flood_.seed(t, {value});
+        shared_->truth[static_cast<std::size_t>(t)] = value;
       }
     }
   }
 
   void send(int round, Outbox& out) override {
-    const int r = round - 1;
-    const int step = slots_.stepOf(r) + 1;
-    const int slot = slots_.slotOf(r);
-    if (step > pk_->depthBound) return;
-    const NodeTreeView view = pk_->view(self_);
-    const auto& nbs = g_.neighbors(self_);
-    for (std::size_t i = 0; i < nbs.size(); ++i) {
-      const int tree = view.treeAt(static_cast<int>(i), slot);
-      if (tree < 0) continue;
-      const int d = view.depth(tree);
-      if (d != step - 1 || view.parent(tree) == nbs[i].node) continue;
-      if (!view.inTree(tree, nbs[i].node)) continue;
-      if (!have_[static_cast<std::size_t>(tree)]) continue;
-      out.to(nbs[i].node, sim::resetScratch(scratch_).push(
-                              value_[static_cast<std::size_t>(tree)]));
-    }
+    const SlotPos h = slots_.at(round - 1);
+    if (h.step > pk_->depthBound) return;
+    sendScheduled(view_, h.slot, out, [&](int tree, NodeId to) {
+      return flood_.send(view_, tree, to, h.step);
+    });
   }
 
   void receive(int round, const Inbox& in) override {
-    const int r = round - 1;
-    const int step = slots_.stepOf(r) + 1;
-    const int rep = slots_.repOf(r);
-    const int slot = slots_.slotOf(r);
-    if (step > pk_->depthBound) return;
-    const NodeTreeView view = pk_->view(self_);
-    const auto& nbs = g_.neighbors(self_);
-    for (std::size_t i = 0; i < nbs.size(); ++i) {
-      const int tree = view.treeAt(static_cast<int>(i), slot);
-      if (tree < 0) continue;
-      const int d = view.depth(tree);
-      if (d != step || view.parent(tree) != nbs[i].node) continue;
-      VoteSlot& vs = stashSlot(i, slot);
-      if (rep == 0) vs.reset();
-      vs.add(in.from(nbs[i].node));
-      if (rep == slots_.rho - 1) {
-        const Msg& m = vs.winner();
-        if (m.present) {
-          value_[static_cast<std::size_t>(tree)] = m.at(0);
-          have_[static_cast<std::size_t>(tree)] = 1;
-        }
-      }
-    }
+    const SlotPos h = slots_.at(round - 1);
+    if (h.step > pk_->depthBound) return;
+    votes_.receive(
+        view_, h, in,
+        [&](int tree, NodeId from, const Msg& m) {
+          flood_.receive(view_, tree, from, h.step, m);
+        },
+        [&](int tree, NodeId from) {
+          return flood_.expects(view_, tree, from, h.step);
+        });
     if (round == slots_.blockRounds(pk_->depthBound)) publish();
   }
 
@@ -105,38 +77,29 @@ class SchedNode final : public NodeState {
         if (shared_->oracle->survives(t, 1,
                                       slots_.blockRounds(pk_->depthBound),
                                       pk_->depthBound, engine_.cRS))
-          value_[static_cast<std::size_t>(t)] =
-              shared_->truth[static_cast<std::size_t>(t)];
+          flood_.seed(t, {shared_->truth[static_cast<std::size_t>(t)]});
       }
     }
     auto& row = shared_->received;
     if (row.size() < static_cast<std::size_t>(g_.nodeCount()))
       row.resize(static_cast<std::size_t>(g_.nodeCount()));
-    row[static_cast<std::size_t>(self_)] = value_;
+    row[static_cast<std::size_t>(self_)].assign(flood_.words().begin(),
+                                                flood_.words().end());
     done_ = true;
   }
 
   [[nodiscard]] bool done() const override { return done_; }
 
  private:
-  /// The vote slot of (neighbor index, schedule slot).
-  [[nodiscard]] VoteSlot& stashSlot(std::size_t nbIndex, int slot) {
-    return stash_[nbIndex * static_cast<std::size_t>(pk_->eta) +
-                  static_cast<std::size_t>(slot)];
-  }
-
   NodeId self_;
   const Graph& g_;
   std::shared_ptr<const PackingKnowledge> pk_;
+  NodeTreeView view_;
   EngineOptions engine_;
   SlotSchedule slots_;
   std::shared_ptr<ScheduledBroadcastShared> shared_;
-  std::vector<std::uint64_t> value_;
-  std::vector<char> have_;
-  /// Vote stash, [neighbor][schedule slot] flattened; fixed shape,
-  /// rewritten in place every scheduled round.
-  std::vector<VoteSlot> stash_;
-  Msg scratch_;  // reused send buffer
+  ArcVotes votes_;
+  TreeFlood flood_;  // the root's value per tree
   bool done_ = false;
 };
 

@@ -107,7 +107,7 @@ void BroadcastCore::send(int localRound, Outbox& out) {
     const int tree = view.treeAt(static_cast<int>(i), slot);
     if (tree < 0) continue;
     const int d = view.depth(tree);
-    if (d != step - 1 || !view.inTree(tree, nbs[i].node)) continue;
+    if (d != step - 1 || !view.hasChild(tree, nbs[i].node)) continue;
     if (view.parent(tree) == nbs[i].node) continue;
     if (!haveShare_[static_cast<std::size_t>(tree)]) continue;
     const std::uint64_t word =

@@ -1,0 +1,188 @@
+#include "compile/tree_stages.h"
+
+#include <algorithm>
+#include <cassert>
+#include <optional>
+
+namespace mobile::compile {
+
+namespace {
+
+/// A sketch cell held per thread, not per node: every use is confined to
+/// one send or receive call, so the engine's node-parallel lanes share one
+/// cell per thread -- the difference between fitting n=10^6 in
+/// single-digit GB and not.  Nodes from different trials (different
+/// sparsity or rows) interleave on driver lanes, so the cell is rebuilt
+/// whenever the requested shape differs and merely reseeded otherwise.
+struct SparseCell {
+  std::optional<sketch::SparseRecovery> sketch;
+  std::size_t sparsity = 0;
+  std::size_t rows = 0;
+
+  sketch::SparseRecovery& reseed(std::uint64_t seed, std::size_t s,
+                                 std::size_t r) {
+    if (!sketch || sparsity != s || rows != r) {
+      sketch.emplace(seed, s, r);
+      sparsity = s;
+      rows = r;
+    } else {
+      sketch->reseed(seed);
+    }
+    return *sketch;
+  }
+};
+
+}  // namespace
+
+// --- TreeFlood ---------------------------------------------------------------
+
+void TreeFlood::start(int k) {
+  words_.assign(static_cast<std::size_t>(k * width_), 0);
+  have_.assign(static_cast<std::size_t>(k), 0);
+}
+
+void TreeFlood::seed(int tree, std::initializer_list<std::uint64_t> words) {
+  assert(static_cast<int>(words.size()) == width_);
+  std::copy(words.begin(), words.end(),
+            words_.begin() + static_cast<std::ptrdiff_t>(tree * width_));
+  have_[static_cast<std::size_t>(tree)] = 1;
+}
+
+// --- SparseConvergecast ------------------------------------------------------
+
+sketch::SparseRecovery& SparseConvergecast::local(
+    std::uint64_t seed, const StreamEntries& entries) const {
+  static thread_local SparseCell cell;
+  sketch::SparseRecovery& s = cell.reseed(seed, sparsity_, rows_);
+  for (const auto& [key, freq] : entries) s.update(key, freq);
+  return s;
+}
+
+const sim::Msg* SparseConvergecast::send(const NodeTreeView& view, int tree,
+                                         NodeId to, int step,
+                                         std::uint64_t seed,
+                                         const StreamEntries& entries) {
+  const int d = view.depth(tree);
+  if (d <= 0 || step != depthBound_ + 1 - d || to != view.parent(tree))
+    return nullptr;
+  sketch::SparseRecovery& mine = local(seed, entries);
+  const auto acc = accum_.find(tree);
+  if (acc != accum_.end()) mine.merge(acc->second);
+  sim::Msg& m = sim::resetScratch(hopScratch());
+  mine.serializeInto(m.words);
+  return &m;
+}
+
+void SparseConvergecast::receive(const NodeTreeView& view, int tree,
+                                 NodeId from, std::uint64_t seed,
+                                 const sim::Msg& m) {
+  if (view.depth(tree) < 0 || !isChild(view, tree, from, rule_)) return;
+  static thread_local SparseCell cell;
+  sketch::SparseRecovery& got = cell.reseed(seed, sparsity_, rows_);
+  if (m.size() != got.serializedWords()) return;
+  got.loadWords(m.words.data(), m.size());
+  const auto acc = accum_.find(tree);
+  if (acc == accum_.end())
+    accum_.emplace(tree, got);
+  else
+    acc->second.merge(got);
+}
+
+std::vector<std::uint64_t> SparseConvergecast::recoverMajority(
+    const TreeFlood& seeds, int k, const StreamEntries& entries) {
+  // Most trees are uncorrupted, so the true support wins the vote; no
+  // Delta threshold is needed (Section 1.2.2).
+  constexpr std::uint64_t kFailed = ~0ULL;
+  std::map<std::vector<std::uint64_t>, int> votes;
+  for (int t = 0; t < k; ++t) {
+    sketch::SparseRecovery& merged = local(seeds.word(t), entries);
+    const auto acc = accum_.find(t);
+    if (acc != accum_.end()) merged.merge(acc->second);
+    std::vector<std::uint64_t> canon;
+    const auto rec = merged.recoverAll();
+    if (rec.has_value()) {
+      for (const auto& e : *rec)
+        if (e.frequency > 0) canon.push_back(e.key);
+      std::sort(canon.begin(), canon.end());
+    } else {
+      canon.push_back(kFailed);
+    }
+    ++votes[canon];
+  }
+  std::vector<std::uint64_t> winner;
+  int best = 0;
+  for (const auto& [canon, count] : votes) {
+    if (count > best) {
+      best = count;
+      winner = canon;
+    }
+  }
+  if (!winner.empty() && winner[0] == kFailed) winner.clear();
+  return winner;
+}
+
+// --- ShareDowncast -----------------------------------------------------------
+
+ShareDowncast::ShareDowncast(int k, int dmCap, int cPP, int sharesPerHop,
+                             int depthBound, ChildRule rule)
+    : k_(k),
+      codec_(k, dmCap, cPP),
+      perHop_(sharesPerHop),
+      depthBound_(depthBound),
+      rule_(rule) {
+  assert(perHop_ >= 1 && codec_.chunks() % perHop_ == 0);
+}
+
+void ShareDowncast::start() {
+  dm_.clear();
+  shares_.assign(static_cast<std::size_t>(codec_.chunks()),
+                 std::vector<gf::F16>(static_cast<std::size_t>(k_), gf::F16(0)));
+  held_.resize(static_cast<std::size_t>(codec_.chunks() * k_), -1);
+}
+
+void ShareDowncast::forget() { std::fill(held_.begin(), held_.end(), -1); }
+
+void ShareDowncast::encode(std::vector<std::uint64_t> dm) {
+  if (static_cast<int>(dm.size()) > codec_.dmCap())
+    dm.resize(static_cast<std::size_t>(codec_.dmCap()));
+  shares_ = codec_.encode(dm);
+  dm_ = std::move(dm);
+  for (int c = 0; c < codec_.chunks(); ++c)
+    for (int t = 0; t < k_; ++t)
+      held_[at(c, t)] =
+          shares_[static_cast<std::size_t>(c)][static_cast<std::size_t>(t)]
+              .value();
+}
+
+const sim::Msg* ShareDowncast::send(const NodeTreeView& view, int tree,
+                                    NodeId to, int step) const {
+  const int wave = (step - 1) / (depthBound_ + 1);
+  if (view.depth(tree) != step - 1 - wave * (depthBound_ + 1) ||
+      !isChild(view, tree, to, rule_))
+    return nullptr;
+  sim::Msg& m = sim::resetScratch(hopScratch());
+  for (int c = wave * perHop_; c < (wave + 1) * perHop_; ++c) {
+    const std::int32_t sym = held_[at(c, tree)];
+    if (sym < 0) return nullptr;
+    m.push(static_cast<std::uint64_t>(sym));
+  }
+  return &m;
+}
+
+void ShareDowncast::receive(const NodeTreeView& view, int tree, NodeId from,
+                            int step, const sim::Msg& m) {
+  const int wave = (step - 1) / (depthBound_ + 1);
+  if (view.depth(tree) != step - wave * (depthBound_ + 1) ||
+      view.parent(tree) != from ||
+      m.size() != static_cast<std::size_t>(perHop_))
+    return;
+  for (int i = 0; i < perHop_; ++i) {
+    const int c = wave * perHop_ + i;
+    const auto sym = static_cast<std::uint16_t>(m.at(static_cast<std::size_t>(i)));
+    shares_[static_cast<std::size_t>(c)][static_cast<std::size_t>(tree)] =
+        gf::F16(sym);
+    held_[at(c, tree)] = sym;
+  }
+}
+
+}  // namespace mobile::compile

@@ -1,0 +1,264 @@
+// The scheduled tree stages shared by the byzantine tree compiler, the
+// rewind compiler and the Lemma 3.3 scheduled broadcast; see
+// docs/architecture.md section 7.1 for the wave directions, the arc vote
+// stash, shares per hop and which compiler uses which stage.
+//
+// Each stage offers a send step, which returns the message for one
+// (tree, neighbor) hop or nullptr, and a receive step, which consumes one
+// decoded hop.  Wave steps are 1-based and local to the stage.  Sends
+// build into one thread-local buffer (hopScratch), valid until the next
+// stage send on the same thread; the arc loop hands it to the outbox at
+// once, so engine lanes never share it and no node holds sketch-sized
+// buffers.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <initializer_list>
+#include <map>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "compile/common.h"
+#include "compile/ecc_broadcast.h"
+#include "compile/rs_engine.h"
+#include "sim/node.h"
+#include "sketch/sparse_recovery.h"
+
+namespace mobile::compile {
+
+/// Stream elements (key, frequency) fed into a node's sketches.
+using StreamEntries = std::vector<std::pair<std::uint64_t, std::int64_t>>;
+
+/// How a node reads a belief that lists its parent among its children in
+/// some tree -- a contradiction only weak packings built under attack
+/// produce.  The byzantine compiler takes the child list as given; rewind
+/// and the scheduled broadcast leave the parent out of it.
+enum class ChildRule { AsListed, ParentExcluded };
+
+[[nodiscard]] inline bool isChild(const NodeTreeView& view, int tree,
+                                  NodeId u, ChildRule rule) {
+  return view.hasChild(tree, u) &&
+         (rule == ChildRule::AsListed || view.parent(tree) != u);
+}
+
+/// The calling thread's send buffer shared by every stage (see above).
+[[nodiscard]] inline sim::Msg& hopScratch() {
+  static thread_local sim::Msg m;
+  return m;
+}
+
+/// Sends msgFor(tree, neighbor) on every arc whose `slot` carries a tree,
+/// skipping hops for which it returns nullptr.
+template <class MsgFor>
+void sendScheduled(const NodeTreeView& view, int slot, sim::Outbox& out,
+                   MsgFor&& msgFor) {
+  for (int i = 0; i < view.degree(); ++i) {
+    const int tree = view.treeAt(i, slot);
+    if (tree < 0) continue;
+    const NodeId to = view.neighborAt(i);
+    if (const sim::Msg* m = msgFor(tree, to)) out.to(to, *m);
+  }
+}
+
+/// Decodes every scheduled arc.
+struct AcceptAll {
+  bool operator()(int /*tree*/, NodeId /*from*/) const { return true; }
+};
+
+/// The hop-repetition decoder: one VoteSlot per (arc, schedule slot),
+/// rewritten in place every scheduled round.
+class ArcVotes {
+ public:
+  ArcVotes(int degree, SlotSchedule slots)
+      : slots_(slots),
+        votes_(static_cast<std::size_t>(degree) *
+               static_cast<std::size_t>(slots.eta)) {}
+
+  /// Adds this repetition's copy on every scheduled arc that
+  /// expects(tree, neighbor) accepts; at the last repetition calls
+  /// onHop(tree, neighbor, majority) for each present majority.  A stage
+  /// that ignores most arcs passes a filter so their copies are never
+  /// read.
+  template <class OnHop, class Expects = AcceptAll>
+  void receive(const NodeTreeView& view, SlotPos pos, const sim::Inbox& in,
+               OnHop&& onHop, Expects&& expects = {}) {
+    for (int i = 0; i < view.degree(); ++i) {
+      const int tree = view.treeAt(i, pos.slot);
+      if (tree < 0) continue;
+      const NodeId from = view.neighborAt(i);
+      if (!expects(tree, from)) continue;
+      VoteSlot& vs = votes_[static_cast<std::size_t>(i) *
+                                static_cast<std::size_t>(slots_.eta) +
+                            static_cast<std::size_t>(pos.slot)];
+      if (pos.rep == 0) vs.reset();
+      vs.add(in.from(from));
+      if (pos.rep != slots_.rho - 1) continue;
+      const sim::Msg& m = vs.winner();
+      if (m.present) onHop(tree, from, m);
+    }
+  }
+
+ private:
+  SlotSchedule slots_;
+  std::vector<VoteSlot> votes_;  // [arc][schedule slot]
+};
+
+/// Down-flood of `width` words per tree from the root.
+class TreeFlood {
+ public:
+  explicit TreeFlood(ChildRule rule, int width = 1)
+      : rule_(rule), width_(width) {}
+
+  /// Clears every tree (value 0, not held).
+  void start(int k);
+  /// Root side: holds `words` for `tree` (exactly `width` of them).
+  void seed(int tree, std::initializer_list<std::uint64_t> words);
+
+  [[nodiscard]] const sim::Msg* send(const NodeTreeView& view, int tree,
+                                     NodeId to, int step) const {
+    if (view.depth(tree) != step - 1 || !has(tree) ||
+        !isChild(view, tree, to, rule_))
+      return nullptr;
+    sim::Msg& m = sim::resetScratch(hopScratch());
+    for (int w = 0; w < width_; ++w) m.push(word(tree, w));
+    return &m;
+  }
+  /// Whether a hop of `tree` from `from` carries the flood at `step`.
+  [[nodiscard]] bool expects(const NodeTreeView& view, int tree, NodeId from,
+                             int step) const {
+    return view.depth(tree) == step && view.parent(tree) == from;
+  }
+  void receive(const NodeTreeView& view, int tree, NodeId from, int step,
+               const sim::Msg& m) {
+    if (!expects(view, tree, from, step) ||
+        m.size() < static_cast<std::size_t>(width_))
+      return;
+    std::copy_n(m.words.begin(), width_,
+                words_.begin() + static_cast<std::ptrdiff_t>(tree * width_));
+    have_[static_cast<std::size_t>(tree)] = 1;
+  }
+
+  [[nodiscard]] bool has(int tree) const {
+    return have_[static_cast<std::size_t>(tree)] != 0;
+  }
+  /// Word `w` of `tree` (0 until the flood delivered it).
+  [[nodiscard]] std::uint64_t word(int tree, int w = 0) const {
+    return words_[static_cast<std::size_t>(tree * width_ + w)];
+  }
+  /// All trees' words, [tree][width] flattened.
+  [[nodiscard]] std::span<const std::uint64_t> words() const {
+    return words_;
+  }
+
+ private:
+  ChildRule rule_;
+  int width_;
+  std::vector<std::uint64_t> words_;
+  std::vector<char> have_;
+};
+
+/// Sparse-recovery sketches of the node's stream entries, merged up every
+/// tree.  Sketch objects live in thread-local scratch, reseeded per use.
+class SparseConvergecast {
+ public:
+  SparseConvergecast(std::size_t sparsity, std::size_t rows, int depthBound,
+                     ChildRule rule)
+      : sparsity_(sparsity),
+        rows_(rows),
+        depthBound_(depthBound),
+        rule_(rule) {}
+
+  void start() { accum_.clear(); }
+
+  /// Up-wave over depthBound + 1 steps: depth d >= 1 sends its merged
+  /// sketch (seeded `seed`) to its parent at step depthBound + 1 - d.
+  [[nodiscard]] const sim::Msg* send(const NodeTreeView& view, int tree,
+                                     NodeId to, int step, std::uint64_t seed,
+                                     const StreamEntries& entries);
+  /// Merges a child's sketch for `tree`; malformed sketches are dropped.
+  void receive(const NodeTreeView& view, int tree, NodeId from,
+               std::uint64_t seed, const sim::Msg& m);
+
+  /// Root: per tree, the positive support recovered from its own plus the
+  /// merged sketches; returns the majority support across trees (sorted;
+  /// empty when the winning trees failed to recover).
+  [[nodiscard]] std::vector<std::uint64_t> recoverMajority(
+      const TreeFlood& seeds, int k, const StreamEntries& entries);
+
+ private:
+  [[nodiscard]] sketch::SparseRecovery& local(
+      std::uint64_t seed, const StreamEntries& entries) const;
+
+  std::size_t sparsity_;
+  std::size_t rows_;
+  int depthBound_;
+  ChildRule rule_;
+  std::map<int, sketch::SparseRecovery> accum_;  // children merges per tree
+};
+
+/// ECCSafeBroadcast of the root's DM keys: chunk c's share for tree t
+/// travels down t.  Shares are bundled `sharesPerHop` per hop message, so
+/// the stage spans chunks / sharesPerHop down-waves of depthBound + 1
+/// steps each.
+class ShareDowncast {
+ public:
+  ShareDowncast(int k, int dmCap, int cPP, int sharesPerHop, int depthBound,
+                ChildRule rule);
+
+  [[nodiscard]] int steps() const {
+    return codec_.chunks() / perHop_ * (depthBound_ + 1);
+  }
+
+  /// Zeroes the received-share table and drops the root's DM; held
+  /// shares survive.
+  void start();
+  /// Drops every held share.  Until then a node that misses a hop keeps
+  /// forwarding the shares it last held.
+  void forget();
+  /// Root side: truncates `dm` to the codec cap and holds its shares.
+  void encode(std::vector<std::uint64_t> dm);
+  /// Shares [chunk][tree]: encoded at the root, received elsewhere.
+  [[nodiscard]] std::vector<std::vector<gf::F16>>& shares() {
+    return shares_;
+  }
+
+  [[nodiscard]] const sim::Msg* send(const NodeTreeView& view, int tree,
+                                     NodeId to, int step) const;
+  void receive(const NodeTreeView& view, int tree, NodeId from, int step,
+               const sim::Msg& m);
+
+  /// The DM keys (the root's own list, else the decoded shares; empty on
+  /// a decode failure); calls patch(arcIndex, key) for every key sent to
+  /// `self` by a neighbor.
+  template <class Patch>
+  void finish(const NodeTreeView& view, NodeId self, bool isRoot,
+              Patch&& patch) const {
+    const std::vector<std::uint64_t> dm =
+        isRoot ? dm_ : codec_.decode(shares_);
+    for (const std::uint64_t key : dm) {
+      const DecodedKey dec = decodeKey(key);
+      if (dec.receiver != self) continue;
+      const int idx = view.arcIndexOf(dec.sender);
+      if (idx >= 0) patch(idx, dec);
+    }
+  }
+
+ private:
+  [[nodiscard]] std::size_t at(int chunk, int tree) const {
+    return static_cast<std::size_t>(chunk) * static_cast<std::size_t>(k_) +
+           static_cast<std::size_t>(tree);
+  }
+
+  int k_;
+  DmCodec codec_;
+  int perHop_;
+  int depthBound_;
+  ChildRule rule_;
+  std::vector<std::uint64_t> dm_;             // root: the DM keys
+  std::vector<std::vector<gf::F16>> shares_;  // [chunk][tree] to decode
+  std::vector<std::int32_t> held_;  // [chunk][tree] forwarded symbol; -1 none
+};
+
+}  // namespace mobile::compile

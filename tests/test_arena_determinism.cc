@@ -75,6 +75,23 @@ constexpr Golden kGoldens[] = {
     {"mst-sparse", 5ull, 0x51ba60dcf2a236b3ull, 13860, 1, 490, 479, 245},
     {"rr4096", 1ull, 0xac15728d5754d0c9ull, 327680, 1, 160, 40, 20},
     {"rr4096", 2ull, 0xac15728d5754d0c9ull, 327680, 1, 160, 40, 20},
+    // byz in SparseOneShot mode on clique(8), and L0 byz over a greedy
+    // packing of a random 4-regular graph (slot load eta > 1): captured
+    // from the engine of commit bfa04e0, before the shared tree-stage
+    // module replaced the compilers' private copies.
+    {"byz-sparse", 1ull, 0x8c83b094ddb17b5cull, 3920, 240, 409, 140, 409},
+    {"byz-sparse", 2ull, 0x8c83b094ddb17b5cull, 3920, 240, 409, 140, 409},
+    {"byz-sparse", 3ull, 0x8c83b094ddb17b5cull, 3920, 240, 409, 140, 409},
+    {"byz-sparse", 4ull, 0x8c83b094ddb17b5cull, 3920, 240, 409, 140, 409},
+    {"byz-sparse", 5ull, 0x8c83b094ddb17b5cull, 3920, 240, 409, 140, 409},
+    {"byz-greedy", 1ull, 0x9530f1e14db5ef1bull, 43418, 630, 5671, 821, 5671},
+    // rewind under random byzantine hits on clique(8), and over a weak
+    // packing the expander protocol built under attack: these pin the
+    // stale-share forwarding and the parent-excluding child rule of the
+    // rewind compiler (docs/architecture.md section 7.1).  Captured from
+    // the same engine as the two rows above.
+    {"rewind-random", 5ull, 0x3b61d5cd09e255cull, 19302, 1920, 1290, 690, 1290},
+    {"rewind-weak", 1ull, 0x80b402431aa1556cull, 218611, 1920, 1590, 660, 1590},
 };
 
 struct Case {
@@ -106,8 +123,44 @@ const graph::Graph& rr4096Graph() {
   return g;
 }
 
+const graph::Graph& expanderGraph() {
+  static const graph::Graph g = [] {
+    util::Rng ggen(11);
+    return graph::randomRegular(32, 4, ggen);
+  }();
+  EXPECT_EQ(graph::structuralFingerprint(g), 0x199679f231f5eed0ull);
+  return g;
+}
+
+const graph::Graph& denseExpanderGraph() {
+  static const graph::Graph g = [] {
+    util::Rng ggen(5);
+    return graph::randomRegular(30, 24, ggen);
+  }();
+  EXPECT_EQ(graph::structuralFingerprint(g), 0x1540972d0da3bb8cull);
+  return g;
+}
+
+/// A weak packing from the expander protocol run under attack: node
+/// beliefs disagree, and some list their own parent as a child.
+std::shared_ptr<const compile::PackingKnowledge> weakPacking(
+    const graph::Graph& g) {
+  compile::ExpanderPackingOptions opts;
+  opts.k = 3;
+  opts.bfsRounds = 8;
+  auto result = std::make_shared<compile::ExpanderPackingResult>();
+  const sim::Algorithm packer =
+      compile::makeExpanderPackingProtocol(g, opts, result);
+  adv::RandomByzantine adversary(1, 77);
+  sim::Network net(g, packer, 3, &adversary);
+  net.run(packer.rounds);
+  return result->knowledge;
+}
+
 const graph::Graph& graphByName(const std::string& name) {
   if (name == "mst-sparse") return sparseGraph();
+  if (name == "byz-greedy") return expanderGraph();
+  if (name == "rewind-weak") return denseExpanderGraph();
   if (name == "rr4096") return rr4096Graph();
   return cliqueGraph();
 }
@@ -130,14 +183,22 @@ Case caseByName(const std::string& name) {
     };
     return c;
   }
-  if (name == "byz") {
+  if (name == "byz" || name == "byz-sparse" || name == "byz-greedy") {
     Case c;
-    c.algo = [](const graph::Graph& g) {
-      const auto pk = compile::cliquePackingKnowledge(g);
+    c.algo = [name](const graph::Graph& g) {
+      std::shared_ptr<const compile::PackingKnowledge> pk;
+      if (name == "byz-greedy")
+        pk = compile::distributePacking(
+            g, graph::greedyLowDepthPacking(g, 12, 0, 6), 6);
+      else
+        pk = compile::cliquePackingKnowledge(g);
       std::vector<std::uint64_t> inputs(
           static_cast<std::size_t>(g.nodeCount()), 5);
       const sim::Algorithm inner = algo::makeGossipHash(g, 1, inputs, 32);
-      return compile::compileByzantineTree(g, inner, pk, 1);
+      compile::ByzOptions opts;
+      if (name == "byz-sparse")
+        opts.correction = compile::CorrectionMode::SparseOneShot;
+      return compile::compileByzantineTree(g, inner, pk, 1, opts);
     };
     c.adversary = [](std::uint64_t s) {
       return std::make_unique<adv::RandomByzantine>(1, 7 + s);
@@ -156,7 +217,21 @@ Case caseByName(const std::string& name) {
     };
     return c;
   }
-  // rewind
+  if (name == "rewind-weak") {
+    Case c;
+    c.algo = [](const graph::Graph& g) {
+      compile::RewindOptions opts;
+      opts.engine.rho = 1;
+      const sim::Algorithm inner =
+          algo::makePingPong(g, 0, 1, 3, 0x111, 0x222, 32);
+      return compile::compileRewind(g, inner, weakPacking(g), 1, opts);
+    };
+    c.adversary = [](std::uint64_t s) {
+      return std::make_unique<adv::RandomByzantine>(1, 4320 + s);
+    };
+    return c;
+  }
+  // rewind, rewind-random
   Case c;
   c.algo = [](const graph::Graph& g) {
     const auto pk = compile::cliquePackingKnowledge(g);
@@ -164,9 +239,14 @@ Case caseByName(const std::string& name) {
         algo::makePingPong(g, 0, 1, 3, 0x111, 0x222, 32);
     return compile::compileRewind(g, inner, pk, 1);
   };
-  c.adversary = [](std::uint64_t s) {
-    return std::make_unique<adv::BurstByzantine>(1, 10, 2, 2, 23 + s);
-  };
+  if (name == "rewind-random")
+    c.adversary = [](std::uint64_t s) {
+      return std::make_unique<adv::RandomByzantine>(1, 4316 + s);
+    };
+  else
+    c.adversary = [](std::uint64_t s) {
+      return std::make_unique<adv::BurstByzantine>(1, 10, 2, 2, 23 + s);
+    };
   return c;
 }
 

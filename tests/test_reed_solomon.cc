@@ -119,8 +119,9 @@ TEST(ReedSolomon, ZeroMessage) {
 TEST(ReedSolomon, SyndromeMatchesBerlekampWelchDifferential) {
   // The syndrome fast path and the Berlekamp-Welch oracle must have the
   // SAME accept/reject set and return the same message on accept -- that
-  // is the contract that lets decode() treat the oracle as a transparent
-  // fallback.  10k randomized trials across code shapes, with error
+  // is the contract that lets decode() run the syndrome path alone.  10k
+  // randomized trials across code shapes (including the (5, 16) shape of
+  // the DmCodec on a k = 16 clique), with error
   // weights sweeping from clean words through the unique decoding radius
   // to well beyond it (where both decoders may accept a *different*
   // codeword than the transmitted one, but must still agree with each
@@ -132,6 +133,7 @@ TEST(ReedSolomon, SyndromeMatchesBerlekampWelchDifferential) {
                                {3, 9},
                                {4, 12},
                                {5, 15},
+                               {5, 16},
                                {8, 20}})
     codes.emplace_back(ell, k);
   int accepted = 0;
@@ -149,7 +151,7 @@ TEST(ReedSolomon, SyndromeMatchesBerlekampWelchDifferential) {
     for (const auto i : hit)
       word[i] =
           word[i] + F16(static_cast<std::uint16_t>(1 + rng.next() % 65535));
-    const auto fast = rs.decodeSyndrome(word);
+    const auto fast = rs.decode(word);
     const auto oracle = rs.decodeBW(word);
     ASSERT_EQ(fast.has_value(), oracle.has_value())
         << "accept/reject split at trial " << trial << " (ell="
