@@ -6,6 +6,7 @@
 // for the averaging bound) across a t sweep, against the bound.
 #include <iostream>
 #include <map>
+#include <string>
 
 #include "adv/strategies.h"
 #include "algo/payloads.h"
@@ -51,9 +52,10 @@ int main(int argc, char** argv) {
       const long badCamp = countBad(camp);
       const long bound = compile::KeyPool::badEdgeBound(f, r, t);
       table.addRow(
-          {"K" + std::to_string(n), util::Table::num(f), util::Table::num(r),
-           util::Table::num(t), util::Table::num(ell), util::Table::num(bound),
-           util::Table::num(badSweep), util::Table::num(badCamp),
+          {std::string("K").append(std::to_string(n)), util::Table::num(f),
+           util::Table::num(r), util::Table::num(t), util::Table::num(ell),
+           util::Table::num(bound), util::Table::num(badSweep),
+           util::Table::num(badCamp),
            util::Table::boolean(badSweep <= bound && badCamp <= bound)});
     }
   }

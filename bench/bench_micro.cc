@@ -178,20 +178,14 @@ BENCHMARK(BM_TreePacking)
 
 static void BM_BfsLayering(benchmark::State& state) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
   util::Rng rng(22);
   const graph::Graph g = graph::randomRegular(n, 4, rng);
-  std::unique_ptr<util::ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::bfsDistances(g, 0, pool.get()));
+    benchmark::DoNotOptimize(graph::bfsDistances(g, 0));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_BfsLayering)
-    ->Args({4096, 0})
-    ->Args({4096, 2})
-    ->Args({65536, 0});
+BENCHMARK(BM_BfsLayering)->Arg(4096)->Arg(65536);
 
 static void BM_L0_Update(benchmark::State& state) {
   sketch::L0Sampler s(42, 60, 14);

@@ -9,8 +9,6 @@ namespace mobile::compile {
 using graph::Graph;
 using graph::NodeId;
 using sim::Inbox;
-using sim::MapInbox;
-using sim::MapOutbox;
 using sim::Msg;
 using sim::MsgView;
 using sim::NodeState;
@@ -27,8 +25,7 @@ class NaiveNode final : public NodeState {
         inner_(std::move(inner)),
         innerRounds_(innerRounds),
         rep_(2 * f + 1),
-        capture_(g, self),
-        inbox_(g, self) {
+        slots_(g, self) {
     // One vote slot per neighbor, in adjacency order, rewritten in place
     // every inner round (capacity kept across reset()).
     votes_.resize(g.degree(self));
@@ -40,14 +37,14 @@ class NaiveNode final : public NodeState {
     if (simRound > innerRounds_) return;
     const int rep = g % rep_;
     if (rep == 0) {
-      // The reused member capture *is* the per-sim-round send cache: its
-      // slots hold the inner round's messages across all 2f+1 repetitions.
-      capture_.begin();
-      inner_->send(simRound, capture_);
+      // The reused member slots *are* the per-sim-round send cache: they
+      // hold the inner round's messages across all 2f+1 repetitions.
+      slots_.begin();
+      inner_->send(simRound, slots_);
     }
     const auto& nbs = g_.neighbors(self_);
     for (std::size_t i = 0; i < nbs.size(); ++i)
-      if (capture_.slot(i).present) out.to(nbs[i].node, capture_.slot(i));
+      if (slots_.slot(i).present) out.to(nbs[i].node, slots_.slot(i));
   }
 
   void receive(int round, const Inbox& in) override {
@@ -64,22 +61,16 @@ class NaiveNode final : public NodeState {
       votes_[i].add(in.from(nbs[i].node));
     }
     if (rep != rep_ - 1) return;
+    // The last repetition's send has read the capture, so the same slots
+    // redeliver the majority copies (the first value to reach the top
+    // count wins -- the tie-break the negative-control experiments pin
+    // down, and the decode rule the byzantine/rewind compilers share).
+    slots_.begin();
     for (std::size_t i = 0; i < nbs.size(); ++i) {
-      // Majority copy (the first value to reach the top count wins -- the
-      // tie-break the negative-control experiments pin down, and the
-      // decode rule the byzantine/rewind compilers share).
       const Msg& maj = votes_[i].winner();
-      // Redeliver through the reused inbox: every slot is rewritten each
-      // inner round, absent included, so no stale message survives.
-      Msg& slot = inbox_.slot(nbs[i].node);
-      if (maj.present) {
-        slot = maj;
-      } else {
-        slot.present = false;
-        slot.words.clear();
-      }
+      if (maj.present) slots_.slot(i) = maj;
     }
-    inner_->receive(simRound, inbox_);
+    inner_->receive(simRound, slots_);
     if (simRound >= innerRounds_) done_ = true;
   }
 
@@ -89,7 +80,7 @@ class NaiveNode final : public NodeState {
   }
 
   /// Network::reset() in-place re-init: re-initializes (or rebuilds) the
-  /// inner node and rewinds the compiler state; capture/vote/inbox slots
+  /// inner node and rewinds the compiler state; neighbor and vote slots
   /// keep their capacity -- each is fully rewritten before its next read.
   void reinit(const sim::Algorithm& inner, NodeId v, const Graph& g,
               util::Rng rng) {
@@ -105,9 +96,8 @@ class NaiveNode final : public NodeState {
   std::unique_ptr<NodeState> inner_;
   int innerRounds_;
   int rep_;
-  sim::FlatCapture capture_;  // inner sends, reused across repetitions
+  sim::NeighborSlots slots_;     // inner sends, then its delivery
   std::vector<VoteSlot> votes_;  // [neighbor slot]
-  MapInbox inbox_;
   bool done_ = false;
 };
 

@@ -15,7 +15,6 @@ namespace mobile::compile {
 using graph::Graph;
 using graph::NodeId;
 using sim::Inbox;
-using sim::MapInbox;
 using sim::Msg;
 using sim::MsgView;
 using sim::NodeState;
@@ -102,15 +101,14 @@ class ByzNode final : public NodeState {
         slots_{pk_->eta, opts.engine.effectiveRho()},
         shared_(std::move(shared)),
         isRoot_(self == pk_->root),
-        exchCapture_(g, self),
+        innerSlots_(g, self),
         votes_(view_.degree(), slots_),
         seeds_(ChildRule::AsListed),
         sparse_(static_cast<std::size_t>(opts.sparseSlack * 4 * f_),
                 static_cast<std::size_t>(opts.sparseRows), pk_->depthBound,
                 ChildRule::AsListed),
         down_(pk_->k, opts.dmCap > 0 ? opts.dmCap : 2 * f_ + 8, opts.cPP,
-              sched.sharesPerHop, pk_->depthBound, ChildRule::AsListed),
-        inbox_(g, self) {
+              sched.sharesPerHop, pk_->depthBound, ChildRule::AsListed) {
     // Exchange-step key tables are adjacency-indexed and fully rewritten
     // by every exchange, so the shape is fixed up front.
     sentKey_.assign(g_.degree(self_), 0);
@@ -215,13 +213,13 @@ class ByzNode final : public NodeState {
   // --- exchange step -------------------------------------------------------
 
   void sendExchange(const Pos& p, Outbox& out) {
-    // Reused member capture + adjacency-indexed key tables + one scratch
+    // Reused member slots + adjacency-indexed key tables + one scratch
     // wire message: the exchange step allocates nothing in steady state.
-    exchCapture_.begin();
-    inner_->send(p.simRound, exchCapture_);
+    innerSlots_.begin();
+    inner_->send(p.simRound, innerSlots_);
     const auto& nbs = g_.neighbors(self_);
     for (std::size_t i = 0; i < nbs.size(); ++i) {
-      const Msg& cm = exchCapture_.slot(i);
+      const Msg& cm = innerSlots_.slot(i);
       const bool present = cm.present;
       const std::uint64_t payload = present ? (cm.atOr(0, 0) & kPayloadMask)
                                             : 0;
@@ -476,21 +474,15 @@ class ByzNode final : public NodeState {
   }
 
   void deliverToInner(const Pos& p) {
-    // Redeliver through the reused member inbox: every neighbor slot is
-    // rewritten (absent included), so no stale message survives between
+    // Redeliver through the member slots the exchange captured into:
+    // begin() marks them all absent, so no stale message survives between
     // sim rounds and nothing is allocated after the first delivery.
-    const auto& nbs = g_.neighbors(self_);
-    for (std::size_t i = 0; i < nbs.size(); ++i) {
-      Msg& slot = inbox_.slot(nbs[i].node);
-      slot.present = false;
-      slot.words.clear();
+    innerSlots_.begin();
+    for (std::size_t i = 0; i < estKey_.size(); ++i) {
       const DecodedKey dec = decodeKey(estKey_[i]);
-      if (dec.chunk == 0) {
-        slot.present = true;
-        slot.words.push_back(dec.payload);
-      }
+      if (dec.chunk == 0) innerSlots_.slot(i).push(dec.payload);
     }
-    inner_->receive(p.simRound, inbox_);
+    inner_->receive(p.simRound, innerSlots_);
     if (p.simRound >= innerRounds_) done_ = true;
   }
 
@@ -513,10 +505,11 @@ class ByzNode final : public NodeState {
   int currentSimRound_ = 1;
 
   /// Exchange-step surfaces, adjacency-indexed and rewritten in place each
-  /// sim round: the member capture collects the inner algorithm's sends,
-  /// the key tables hold my sends / estimated receipts in key form, and
-  /// exchMsg_ is the reused wire buffer.
-  sim::FlatCapture exchCapture_;
+  /// sim round: the neighbor slots capture the inner algorithm's sends and
+  /// later redeliver the corrected receipts, the key tables hold my sends /
+  /// estimated receipts in key form, and exchMsg_ is the reused wire
+  /// buffer.
+  sim::NeighborSlots innerSlots_;
   Msg exchMsg_;
   std::vector<std::uint64_t> sentKey_;  // [nbIndex] my round-i sends
   std::vector<std::uint64_t> estKey_;   // [nbIndex] estimates of receipts
@@ -528,7 +521,6 @@ class ByzNode final : public NodeState {
   SparseConvergecast sparse_;                            // SparseOneShot
   std::map<int, std::vector<sketch::L0Sampler>> accum_;  // L0Iterative
   ShareDowncast down_;
-  MapInbox inbox_;  // reused delivery surface for the inner algorithm
 };
 
 }  // namespace

@@ -25,6 +25,7 @@
 // the log factors it hides.
 #pragma once
 
+#include <map>
 #include <memory>
 
 #include "compile/common.h"

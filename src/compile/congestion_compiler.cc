@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 
 #include "compile/keypool.h"
 #include "compile/secure_broadcast.h"
@@ -12,8 +13,6 @@ namespace mobile::compile {
 using graph::Graph;
 using graph::NodeId;
 using sim::Inbox;
-using sim::MapInbox;
-using sim::MapOutbox;
 using sim::Msg;
 using sim::MsgView;
 using sim::NodeState;
@@ -46,10 +45,7 @@ class CongestionNode final : public NodeState {
         opts_(opts),
         layout_(layout),
         pool_(layout.r, layout.t1, 1),
-        capture_(g, self),
-        deliver_(g, self) {
-    for (const auto& nb : g_.neighbors(self_))
-      (void)deliver_.slot(nb.node);  // fix the delivery slot set up front
+        innerSlots_(g, self) {
     // Root draws the global hash seed; all nodes instantiate a core with
     // the same width (non-roots pass zeros which are ignored).
     std::vector<std::uint64_t> seed(
@@ -77,11 +73,11 @@ class CongestionNode final : public NodeState {
     const int i = b - layout_.broadcastRounds;  // simulated round of A
     if (i > layout_.r) return;
     if (i == 1) finalizeKeys();
-    capture_.begin();
-    inner_->send(i, capture_);
+    innerSlots_.begin();
+    inner_->send(i, innerSlots_);
     const auto& nbs = g_.neighbors(self_);
     for (std::size_t j = 0; j < nbs.size(); ++j) {
-      const Msg& cm = capture_.slot(j);
+      const Msg& cm = innerSlots_.slot(j);
       std::uint64_t wire;
       if (cm.present) {
         const std::uint64_t m = cm.atOr(0, 0);
@@ -110,17 +106,17 @@ class CongestionNode final : public NodeState {
     }
     const int i = b - layout_.broadcastRounds;
     if (i > layout_.r) return;
-    deliver_.clearSlots();
-    for (const auto& nb : g_.neighbors(self_)) {
-      const MsgView m = in.from(nb.node);
+    innerSlots_.begin();
+    const auto& nbs = g_.neighbors(self_);
+    for (std::size_t j = 0; j < nbs.size(); ++j) {
+      const MsgView m = in.from(nbs[j].node);
       if (!m.present()) continue;
-      const std::uint64_t image = m.at(0) ^ keyFor(recvKeys_, nb.node, i);
+      const std::uint64_t image = m.at(0) ^ keyFor(recvKeys_, nbs[j].node, i);
       // The paper's decoding loop: scan the message domain for a preimage.
       const auto hit = preimage_.find(image);
-      if (hit != preimage_.end())
-        sim::resetScratch(deliver_.slot(nb.node)).push(hit->second);
+      if (hit != preimage_.end()) innerSlots_.slot(j).push(hit->second);
     }
-    inner_->receive(i, deliver_);
+    inner_->receive(i, innerSlots_);
     if (i >= layout_.r) done_ = true;
   }
 
@@ -158,9 +154,8 @@ class CongestionNode final : public NodeState {
   CongestionCompilerOptions opts_;
   Layout layout_;
   KeyPool pool_;
-  sim::FlatCapture capture_;  // inner sends, reused every sim round
-  sim::MapInbox deliver_;     // reused delivery surface (slots fixed)
-  Msg wire_;                  // reused wire message
+  sim::NeighborSlots innerSlots_;  // inner sends, then its delivery
+  Msg wire_;                       // reused wire message
   std::unique_ptr<BroadcastCore> bcast_;
   std::unique_ptr<hash::CwiseHash> hash_;
   std::map<std::uint64_t, std::uint64_t> preimage_;

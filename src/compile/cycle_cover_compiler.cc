@@ -9,8 +9,6 @@ namespace mobile::compile {
 using graph::Graph;
 using graph::NodeId;
 using sim::Inbox;
-using sim::MapInbox;
-using sim::MapOutbox;
 using sim::Msg;
 using sim::MsgView;
 using sim::NodeState;
@@ -75,8 +73,8 @@ class CycleNode final : public NodeState {
         inner_(std::move(inner)),
         innerRounds_(innerRounds),
         routing_(std::move(routing)),
-        capture_(g, self),
-        deliver_(g, self) {
+        innerSlots_(g, self),
+        bundle_(g, self) {
     roundsPerSim_ = routing_->colorCount * routing_->window;
   }
 
@@ -87,14 +85,16 @@ class CycleNode final : public NodeState {
     const int o = g % roundsPerSim_;
     if (o == 0) startSimRound(simRound);
     const int color = o / routing_->window;
-    std::map<NodeId, Msg> bundle;
+    bundle_.begin();
     for (const Duty& d : routing_->duties[static_cast<std::size_t>(self_)]) {
       if (d.color != color || d.next < 0) continue;
       const auto it = holding_.find({d.edge, d.path, d.dir});
       if (it == holding_.end()) continue;
-      bundle[d.next] = Msg::of(it->second);
+      bundle_.to(d.next, sim::resetScratch(scratch_).push(it->second));
     }
-    for (const auto& [to, m] : bundle) out.to(to, m);
+    const auto& nbs = g_.neighbors(self_);
+    for (std::size_t i = 0; i < nbs.size(); ++i)
+      if (bundle_.slot(i).present) out.to(nbs[i].node, bundle_.slot(i));
   }
 
   void receive(int round, const Inbox& in) override {
@@ -129,8 +129,8 @@ class CycleNode final : public NodeState {
   void startSimRound(int simRound) {
     holding_.clear();
     votes_.clear();
-    capture_.begin();
-    inner_->send(simRound, capture_);
+    innerSlots_.begin();
+    inner_->send(simRound, innerSlots_);
     // Seed origin duties: for edge (u,v), dir 0 originates at u with
     // m(u,v), dir 1 at v with m(v,u).  Absent messages ride as a sentinel
     // so receivers can distinguish "no message" reliably.
@@ -140,23 +140,16 @@ class CycleNode final : public NodeState {
       const NodeId target = (d.dir == 0) ? ed.v : ed.u;
       if ((d.dir == 0 && ed.u != self_) || (d.dir == 1 && ed.v != self_))
         continue;
-      const std::ptrdiff_t idx = capture_.indexOf(target);
-      const bool present = idx >= 0 &&
-                           capture_.slot(static_cast<std::size_t>(idx)).present;
-      const std::uint64_t value =
-          present
-              ? ((capture_.slot(static_cast<std::size_t>(idx)).atOr(0, 0)
-                  << 1) |
-                 1u)
-              : 0u;
-      holding_[{d.edge, d.path, d.dir}] = value;
+      const MsgView m = innerSlots_.from(target);
+      holding_[{d.edge, d.path, d.dir}] =
+          m.present() ? ((m.atOr(0, 0) << 1) | 1u) : 0u;
     }
   }
 
   void deliver(int simRound) {
-    // Reused member inbox: the sender set recurs (it is fixed by the duty
-    // tables), so after warm-up the slots are rewritten in place.
-    deliver_.clearSlots();
+    // The member slots the sim round captured into redeliver the majority
+    // values; after warm-up they are rewritten in place.
+    innerSlots_.begin();
     for (const auto& [key, tally] : votes_) {
       const auto& [edge, dir] = key;
       const graph::Edge& ed = g_.edge(edge);
@@ -170,9 +163,10 @@ class CycleNode final : public NodeState {
         }
       }
       if (bestCount > 0 && (bestValue & 1u) != 0)
-        sim::resetScratch(deliver_.slot(sender)).push(bestValue >> 1);
+        innerSlots_.to(sender,
+                       sim::resetScratch(scratch_).push(bestValue >> 1));
     }
-    inner_->receive(simRound, deliver_);
+    inner_->receive(simRound, innerSlots_);
     if (simRound >= innerRounds_) done_ = true;
   }
 
@@ -181,8 +175,9 @@ class CycleNode final : public NodeState {
   std::unique_ptr<NodeState> inner_;
   int innerRounds_;
   std::shared_ptr<const Routing> routing_;
-  sim::FlatCapture capture_;  // inner sends, reused every sim round
-  sim::MapInbox deliver_;     // reused delivery surface
+  sim::NeighborSlots innerSlots_;  // inner sends, then its delivery
+  sim::NeighborSlots bundle_;      // this round's relays, one per neighbor
+  Msg scratch_;                    // reused single-word message
   int roundsPerSim_;
   std::map<std::tuple<graph::EdgeId, int, int>, std::uint64_t> holding_;
   std::map<std::pair<graph::EdgeId, int>, std::map<std::uint64_t, long>> votes_;

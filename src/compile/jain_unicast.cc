@@ -46,7 +46,8 @@ struct Duty {
   int instance;
   int path;
   NodeId to;
-  int hop;       // 1-based hop index along the path
+  std::size_t slot;  // adjacency position of `to` among self's neighbors
+  int hop;           // 1-based hop index along the path
   int sendRound;
 };
 
@@ -63,8 +64,12 @@ class MulticastNode final : public NodeState {
  public:
   MulticastNode(NodeId self, const Graph& g, util::Rng rng,
                 std::shared_ptr<const MulticastPlan> plan, bool mobile)
-      : self_(self), g_(g), rng_(std::move(rng)), plan_(std::move(plan)),
-        mobile_(mobile) {
+      : self_(self),
+        g_(g),
+        rng_(std::move(rng)),
+        plan_(std::move(plan)),
+        mobile_(mobile),
+        bundles_(g, self) {
     const int R = plan_->instanceCount();
     for (int j = 0; j < R; ++j) {
       const UnicastPlan& inst = plan_->instances[static_cast<std::size_t>(j)];
@@ -72,7 +77,10 @@ class MulticastNode final : public NodeState {
         const auto& path = inst.paths[static_cast<std::size_t>(p)];
         for (std::size_t h = 0; h + 1 < path.size(); ++h) {
           if (path[h] != self_) continue;
-          duties_.push_back({j, p, path[h + 1], static_cast<int>(h) + 1,
+          const NodeId to = path[h + 1];
+          const auto slot = static_cast<std::size_t>(g.arcFromTo(self_, to) -
+                                                     g.firstOutArc(self_));
+          duties_.push_back({j, p, to, slot, static_cast<int>(h) + 1,
                              /*sendRound=*/j + 1 + static_cast<int>(h) + 1});
           // sendRound: pads at round j+1 (1-based instance j), hop 1 at
           // round j+2 ... hop h at round j+1+h.
@@ -96,15 +104,15 @@ class MulticastNode final : public NodeState {
   }
 
   void send(int round, Outbox& out) override {
-    std::map<NodeId, Msg> bundles;
+    bundles_.begin();
+    const auto& nbs = g_.neighbors(self_);
     // Pad exchange for instance (round-1) (0-based j = round-1): every arc
     // carries one fresh pad word.
     if (mobile_ && round <= plan_->instanceCount()) {
-      for (const auto& nb : g_.neighbors(self_)) {
+      for (std::size_t i = 0; i < nbs.size(); ++i) {
         const std::uint64_t pad = rng_.next();
-        padOut_[{nb.node, round - 1}] = pad;
-        bundles[nb.node].push(kPadMarker);
-        bundles[nb.node].push(pad);
+        padOut_[{nbs[i].node, round - 1}] = pad;
+        bundles_.slot(i).push(kPadMarker).push(pad);
       }
     }
     for (const Duty& d : duties_) {
@@ -113,11 +121,10 @@ class MulticastNode final : public NodeState {
       if (it == haveShare_.end()) continue;  // upstream loss/corruption
       std::uint64_t cipher = it->second;
       if (mobile_) cipher ^= padOut_.at({d.to, d.instance});
-      bundles[d.to].push(shareTag(d.instance, d.path));
-      bundles[d.to].push(cipher);
+      bundles_.slot(d.slot).push(shareTag(d.instance, d.path)).push(cipher);
     }
-    for (auto& [to, msg] : bundles)
-      if (msg.present) out.to(to, msg);
+    for (std::size_t i = 0; i < nbs.size(); ++i)
+      if (bundles_.slot(i).present) out.to(nbs[i].node, bundles_.slot(i));
   }
 
   void receive(int round, const Inbox& in) override {
@@ -175,6 +182,7 @@ class MulticastNode final : public NodeState {
   util::Rng rng_;
   std::shared_ptr<const MulticastPlan> plan_;
   bool mobile_;
+  sim::NeighborSlots bundles_;  // this round's words, one Msg per neighbor
   std::vector<Duty> duties_;
   std::map<std::pair<int, int>, std::uint64_t> haveShare_;  // (inst,path)
   std::map<std::pair<NodeId, int>, std::uint64_t> padOut_;  // (nbr,inst)

@@ -11,8 +11,6 @@ namespace mobile::compile {
 using graph::Graph;
 using graph::NodeId;
 using sim::Inbox;
-using sim::MapInbox;
-using sim::MapOutbox;
 using sim::Msg;
 using sim::NodeState;
 using sim::Outbox;
@@ -75,8 +73,7 @@ class RewindNode final : public NodeState {
         slots_{pk_->eta, opts.engine.effectiveRho()},
         isRoot_(self == pk_->root),
         shared_(std::move(shared)),
-        replayCapture_(g, self),
-        replayInbox_(g, self),
+        replaySlots_(g, self),
         votes_(view_.degree(), slots_),
         seeds_(ChildRule::ParentExcluded),
         sparse_(static_cast<std::size_t>(16 * correctionCap(opts, f)),
@@ -96,8 +93,6 @@ class RewindNode final : public NodeState {
     sendTuple_.resize(deg);
     recvTuple_.resize(deg);
     initVotes_.resize(deg);
-    for (const auto& nb : g_.neighbors(self_))
-      (void)replayInbox_.slot(nb.node);  // fix the replay slot set up front
   }
 
   void send(int round, Outbox& out) override {
@@ -155,20 +150,22 @@ class RewindNode final : public NodeState {
 
   /// A fresh (deterministic) inner node replayed over the first `rounds`
   /// symbols of the estimated incoming transcripts; its sends land in the
-  /// reused capture and are discarded.
+  /// reused slots and are discarded before the same slots redeliver.
   [[nodiscard]] std::unique_ptr<NodeState> replay(int rounds) {
     auto node = inner_.makeNode(self_, g_, util::Rng(0x5e9));
+    const auto& nbs = g_.neighbors(self_);
     for (int i = 1; i <= rounds; ++i) {
-      replayCapture_.begin();
-      node->send(i, replayCapture_);
-      replayInbox_.clearSlots();
-      for (const auto& [u, trans] : inTrans_) {
+      replaySlots_.begin();
+      node->send(i, replaySlots_);
+      replaySlots_.begin();
+      for (std::size_t j = 0; j < nbs.size(); ++j) {
+        const auto& trans = inTrans_.at(nbs[j].node);
         if (static_cast<std::size_t>(i - 1) >= trans.size()) continue;
         const std::uint64_t sym = trans[static_cast<std::size_t>(i - 1)];
         if (sym & kPresentBit)
-          sim::resetScratch(replayInbox_.slot(u)).push(sym & 0xffffffffULL);
+          replaySlots_.slot(j).push(sym & 0xffffffffULL);
       }
-      node->receive(i, replayInbox_);
+      node->receive(i, replaySlots_);
     }
     return node;
   }
@@ -185,11 +182,11 @@ class RewindNode final : public NodeState {
     const int gamma = static_cast<int>(gammaLen());
     const bool running = gamma < inner_.rounds;
     const auto node = replay(std::min(gamma, inner_.rounds));
-    replayCapture_.begin();
-    if (running) node->send(gamma + 1, replayCapture_);
+    replaySlots_.begin();
+    if (running) node->send(gamma + 1, replaySlots_);
     const auto& nbs = g_.neighbors(self_);
     for (std::size_t i = 0; i < nbs.size(); ++i) {
-      const Msg& cm = replayCapture_.slot(i);
+      const Msg& cm = replaySlots_.slot(i);
       Tuple t;
       t.m = running ? symbolOf(cm.present, cm.atOr(0, 0)) : kBottomSym;
       t.r = rng_.next();
@@ -430,10 +427,9 @@ class RewindNode final : public NodeState {
   std::vector<Tuple> sendTuple_, recvTuple_;
   std::vector<VoteSlot> initVotes_;
   Msg scratch_;  // reused init-phase send buffer
-  /// Replay surfaces, reused across global rounds: the capture collects
-  /// the replayed node's sends, the inbox redelivers estimated transcripts.
-  sim::FlatCapture replayCapture_;
-  sim::MapInbox replayInbox_;
+  /// Replay surface, reused across global rounds: it captures the
+  /// replayed node's sends, then redelivers the estimated transcripts.
+  sim::NeighborSlots replaySlots_;
 
   // The tree stages (docs/architecture.md section 7).
   ArcVotes votes_;  // shared by the correction and consensus phases
@@ -493,31 +489,32 @@ void computeGamma(const graph::Graph& g, const sim::Algorithm& inner,
   shared->gamma.clear();
   for (NodeId v = 0; v < g.nodeCount(); ++v)
     for (const auto& nb : g.neighbors(v)) shared->gamma[{v, nb.node}] = {};
+  // Per node: the slots its round-i sends land in, and the slots its
+  // round-i receipts are gathered into from the senders' slots.
+  std::vector<sim::NeighborSlots> sent, received;
+  for (NodeId v = 0; v < g.nodeCount(); ++v) {
+    sent.emplace_back(g, v);
+    received.emplace_back(g, v);
+  }
   for (int i = 1; i <= paddedLength; ++i) {
-    std::map<std::pair<NodeId, NodeId>, Msg> wire;
     for (NodeId v = 0; v < g.nodeCount(); ++v) {
-      MapOutbox out(g, v);
+      auto& out = sent[static_cast<std::size_t>(v)];
+      out.begin();
       if (i <= inner.rounds) nodes[static_cast<std::size_t>(v)]->send(i, out);
-      for (const auto& nb : g.neighbors(v)) {
-        const auto it = out.messages().find(nb.node);
-        const bool present =
-            it != out.messages().end() && it->second.present;
-        std::uint64_t sym;
-        if (i > inner.rounds)
-          sym = kBottomSym;
-        else
-          sym = symbolOf(present, present ? it->second.atOr(0, 0) : 0);
-        shared->gamma[{v, nb.node}].push_back(sym);
-        if (present) wire[{v, nb.node}] = it->second;
+      const auto& nbs = g.neighbors(v);
+      for (std::size_t j = 0; j < nbs.size(); ++j) {
+        const Msg& m = out.slot(j);
+        shared->gamma[{v, nbs[j].node}].push_back(
+            i > inner.rounds ? kBottomSym : symbolOf(m.present, m.atOr(0, 0)));
       }
     }
     if (i <= inner.rounds) {
       for (NodeId v = 0; v < g.nodeCount(); ++v) {
-        MapInbox in(g, v);
-        for (const auto& nb : g.neighbors(v)) {
-          const auto it = wire.find({nb.node, v});
-          if (it != wire.end()) in.put(nb.node, it->second);
-        }
+        auto& in = received[static_cast<std::size_t>(v)];
+        const auto& nbs = g.neighbors(v);
+        for (std::size_t j = 0; j < nbs.size(); ++j)
+          sim::assignMsg(in.slot(j),
+                         sent[static_cast<std::size_t>(nbs[j].node)].from(v));
         nodes[static_cast<std::size_t>(v)]->receive(i, in);
       }
     }

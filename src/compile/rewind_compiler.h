@@ -32,6 +32,7 @@
 // (Lemma 4.10).  The shared instrumentation records Phi per global round.
 #pragma once
 
+#include <map>
 #include <memory>
 
 #include "compile/common.h"

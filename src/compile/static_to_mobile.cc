@@ -11,8 +11,6 @@ namespace mobile::compile {
 using graph::Graph;
 using graph::NodeId;
 using sim::Inbox;
-using sim::MapInbox;
-using sim::MapOutbox;
 using sim::Msg;
 using sim::MsgView;
 using sim::NodeState;
@@ -37,12 +35,10 @@ class MobileSecureNode final : public NodeState {
         pool_(r, t, kWordsPerRound),
         r_(r),
         ell_(r + t),
-        capture_(g, self),
-        deliver_(g, self) {
+        innerSlots_(g, self) {
     for (const auto& nb : g_.neighbors(self_)) {
       sentRandom_[nb.node] = {};
       recvRandom_[nb.node] = {};
-      (void)deliver_.slot(nb.node);  // fix the delivery slot set up front
     }
   }
 
@@ -63,14 +59,14 @@ class MobileSecureNode final : public NodeState {
     const int i = round - ell_;  // simulated round of A
     if (i > r_) return;
     if (i == 1) deriveKeys();
-    // Capture A's round-i sends (reused member capture), mask with K_i,
+    // Capture A's round-i sends (reused member slots), mask with K_i,
     // transmit on every edge so traffic analysis learns nothing from
     // message presence.
-    capture_.begin();
-    inner_->send(i, capture_);
+    innerSlots_.begin();
+    inner_->send(i, innerSlots_);
     const auto& nbs = g_.neighbors(self_);
     for (std::size_t j = 0; j < nbs.size(); ++j) {
-      const Msg& cm = capture_.slot(j);
+      const Msg& cm = innerSlots_.slot(j);
       const bool real = cm.present;
       const std::uint64_t payload = real ? cm.atOr(0, 0) : rng_.next();
       const std::uint64_t pad0 = keyWord(sendKeys_, nbs[j].node, i, 0);
@@ -92,18 +88,20 @@ class MobileSecureNode final : public NodeState {
     }
     const int i = round - ell_;
     if (i > r_) return;
-    // Redeliver through the reused member inbox: every slot is marked
-    // absent first, so only this round's unmasked real messages survive.
-    deliver_.clearSlots();
-    for (const auto& nb : g_.neighbors(self_)) {
-      const MsgView m = in.from(nb.node);
+    // Redeliver through the member slots the send captured into: every
+    // slot is marked absent first, so only this round's unmasked real
+    // messages survive.
+    innerSlots_.begin();
+    const auto& nbs = g_.neighbors(self_);
+    for (std::size_t j = 0; j < nbs.size(); ++j) {
+      const MsgView m = in.from(nbs[j].node);
       if (!m.present()) continue;
-      const std::uint64_t pad0 = keyWord(recvKeys_, nb.node, i, 0);
-      const std::uint64_t pad1 = keyWord(recvKeys_, nb.node, i, 1);
+      const std::uint64_t pad0 = keyWord(recvKeys_, nbs[j].node, i, 0);
+      const std::uint64_t pad1 = keyWord(recvKeys_, nbs[j].node, i, 1);
       const bool real = ((m.atOr(1, 0) ^ pad1) & 1u) != 0;
-      if (real) sim::resetScratch(deliver_.slot(nb.node)).push(m.at(0) ^ pad0);
+      if (real) innerSlots_.slot(j).push(m.at(0) ^ pad0);
     }
-    inner_->receive(i, deliver_);
+    inner_->receive(i, innerSlots_);
   }
 
   [[nodiscard]] std::uint64_t output() const override {
@@ -135,9 +133,8 @@ class MobileSecureNode final : public NodeState {
   KeyPool pool_;
   int r_;
   int ell_;
-  sim::FlatCapture capture_;  // inner sends, reused every sim round
-  sim::MapInbox deliver_;     // reused delivery surface (slots fixed)
-  Msg wire_;                  // reused masked wire message
+  sim::NeighborSlots innerSlots_;  // inner sends, then its delivery
+  Msg wire_;                       // reused masked wire message
   std::map<NodeId, std::vector<std::uint64_t>> sentRandom_;
   std::map<NodeId, std::vector<std::uint64_t>> recvRandom_;
   std::map<NodeId, std::vector<std::uint64_t>> sendKeys_;

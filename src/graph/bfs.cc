@@ -1,10 +1,7 @@
 #include "graph/bfs.h"
 
 #include <algorithm>
-#include <atomic>
 #include <queue>
-
-#include "util/thread_pool.h"
 
 namespace mobile::graph {
 
@@ -23,46 +20,6 @@ std::vector<int> bfsDistances(const Graph& g, NodeId source) {
         q.push(nb.node);
       }
     }
-  }
-  return dist;
-}
-
-std::vector<int> bfsDistances(const Graph& g, NodeId source,
-                              util::ThreadPool* pool) {
-  if (pool == nullptr || pool->size() <= 1) return bfsDistances(g, source);
-  const std::size_t n = static_cast<std::size_t>(g.nodeCount());
-  std::vector<int> dist(n, -1);
-  dist[static_cast<std::size_t>(source)] = 0;
-  std::vector<char> mark(n, 0);
-  const std::size_t grain = std::max<std::size_t>(1, n / 256);
-  for (int level = 0;; ++level) {
-    std::atomic<bool> any{false};
-    // Pass 1 reads only settled distances and writes each node's own mark
-    // slot; pass 2 commits the marks.  No cross-thread write conflicts, so
-    // the result cannot depend on the thread count.
-    pool->parallelFor(
-        n,
-        [&](std::size_t v) {
-          if (dist[v] >= 0) return;
-          for (const auto& nb : g.neighbors(static_cast<NodeId>(v))) {
-            if (dist[static_cast<std::size_t>(nb.node)] == level) {
-              mark[v] = 1;
-              any.store(true, std::memory_order_relaxed);
-              break;
-            }
-          }
-        },
-        grain);
-    if (!any.load(std::memory_order_relaxed)) break;
-    pool->parallelFor(
-        n,
-        [&](std::size_t v) {
-          if (mark[v]) {
-            dist[v] = level + 1;
-            mark[v] = 0;
-          }
-        },
-        grain);
   }
   return dist;
 }

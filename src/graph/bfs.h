@@ -5,23 +5,10 @@
 
 #include "graph/graph.h"
 
-namespace mobile::util {
-class ThreadPool;
-}
-
 namespace mobile::graph {
 
 /// Distances from `source` (-1 for unreachable).
 [[nodiscard]] std::vector<int> bfsDistances(const Graph& g, NodeId source);
-
-/// Level-synchronous parallel BFS distances.  Each level runs two node
-/// sweeps over `pool` (mark then commit), reading only distances settled in
-/// earlier levels, so the returned vector is identical to the sequential
-/// overload at every thread count.  Falls back to the queue-based walk when
-/// `pool` is null or single-threaded.  Cost is O(n * eccentricity) node
-/// scans -- intended for the low-diameter graphs the compiler targets.
-[[nodiscard]] std::vector<int> bfsDistances(const Graph& g, NodeId source,
-                                            util::ThreadPool* pool);
 
 /// BFS spanning tree rooted at `source` (partial if disconnected).
 [[nodiscard]] RootedTree bfsTree(const Graph& g, NodeId source);

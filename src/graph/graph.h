@@ -120,6 +120,8 @@ class Graph {
   }
   /// Out-arc from -> to.  O(log degree(from)); asserts the edge exists.
   [[nodiscard]] ArcId arcFromTo(NodeId from, NodeId to) const;
+  /// Out-arc from -> to, or -1 when `to` is not a neighbor of `from`.
+  [[nodiscard]] ArcId findArc(NodeId from, NodeId to) const;
   /// Source of arc `a`: the node whose CSR row contains offset `a`
   /// (O(log n) offset search; arcTarget/arcEdge/reverseArc are O(1)).
   [[nodiscard]] NodeId arcSource(ArcId a) const;
@@ -161,9 +163,6 @@ class Graph {
     return static_cast<std::size_t>(
         offsets_[static_cast<std::size_t>(v) + 1]);
   }
-  /// Position (global arc id) of `to` in `from`'s sorted row, or -1.
-  [[nodiscard]] ArcId findArc(NodeId from, NodeId to) const;
-
   NodeId n_ = 0;
   std::vector<Edge> edges_;
 

@@ -172,7 +172,7 @@ class ArcBuffer {
 ///   * arena: (buffer, arc) resolved on every access -- stable across slab
 ///     growth within the round; never dereference after the next
 ///     beginRound() (the words are gone by then);
-///   * owned Msg: wraps a Msg that outlives the view (MapInbox, tests).
+///   * owned Msg: wraps a Msg that outlives the view (NeighborSlots, tests).
 class MsgView {
  public:
   /// Absent message.
@@ -205,16 +205,6 @@ class MsgView {
   }
   [[nodiscard]] std::uint64_t atOr(std::size_t i, std::uint64_t dflt) const {
     return i < size() ? data()[i] : dflt;
-  }
-
-  /// Owning copy (stash / view-log path).
-  [[nodiscard]] Msg toMsg() const {
-    Msg m;
-    if (!present()) return m;
-    m.present = true;
-    const std::uint64_t* w = data();
-    m.words.assign(w, w + size());
-    return m;
   }
 
   /// Bit-identical to Msg::digest(): both delegate to sim::digestWords.

@@ -44,13 +44,6 @@ struct Msg {
     return m;
   }
 
-  static Msg ofWords(std::vector<std::uint64_t> ws) {
-    Msg m;
-    m.present = true;
-    m.words = std::move(ws);
-    return m;
-  }
-
   Msg& push(std::uint64_t w) {
     present = true;
     words.push_back(w);

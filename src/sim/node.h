@@ -7,17 +7,17 @@
 // paper grants it (supported-CONGEST / preprocessing outputs).
 //
 // Outbox/Inbox are interfaces: the Network binds them to the arena message
-// plane (sim/arc_buffer.h), while compilers bind them to capture/injection
-// maps so an inner algorithm's rounds can be simulated, corrected and
+// plane (sim/arc_buffer.h), while compilers bind both to one NeighborSlots
+// per node so an inner algorithm's rounds can be captured, corrected and
 // re-delivered -- the round-by-round simulation pattern every compiler in
 // the paper uses.  Reads hand out MsgView (zero-copy); writes still accept
 // owning Msg values, which the arena plane copies into its sender slab.
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -109,95 +109,61 @@ class ArcInbox final : public Inbox {
   const ShardedPlane& plane_;
 };
 
-/// Capture outbox: collects an inner algorithm's sends into a map
-/// (neighbor -> Msg) so a compiler can mask / sketch / correct them.
-class MapOutbox final : public Outbox {
+/// The compiler-side surface of the round-by-round simulation: one
+/// reusable Msg slot per neighbor of `self`, indexed by adjacency position
+/// (the CSR offset g.findArc(self, nb) - g.firstOutArc(self)).  It is both
+/// an Outbox that captures an inner algorithm's sends, so a compiler can
+/// mask / sketch / correct them, and an Inbox that redelivers the
+/// corrected messages.  Keep one as a member and call begin() before each
+/// use: it marks every slot absent and keeps the word capacity, so one
+/// instance serves every sim round -- capture and delivery alike --
+/// without allocating in steady state.
+class NeighborSlots final : public Outbox, public Inbox {
  public:
-  MapOutbox(const Graph& g, NodeId self) : Outbox(g, self) {}
-  void to(NodeId to, const Msg& m) override { msgs_[to] = m; }
-  [[nodiscard]] const std::map<NodeId, Msg>& messages() const { return msgs_; }
+  NeighborSlots(const Graph& g, NodeId self)
+      : Outbox(g, self), Inbox(g, self), slots_(g.degree(self)) {}
 
- private:
-  std::map<NodeId, Msg> msgs_;
-};
-
-/// Adjacency-indexed capture outbox: one reusable Msg slot per neighbor,
-/// fixed shape from construction.  The zero-allocation replacement for the
-/// per-sim-round `MapOutbox capture(g_, self_)` exchange-step idiom: keep
-/// one FlatCapture as a member, call begin() before handing it to the
-/// inner algorithm's send (marks every slot absent, keeps word capacity),
-/// then read the capture back by adjacency position or neighbor id.  In
-/// steady state nothing is allocated -- slot Msg words reuse their
-/// capacity, and the neighbor index is built once.
-class FlatCapture final : public Outbox {
- public:
-  FlatCapture(const Graph& g, NodeId self)
-      : Outbox(g, self), slots_(g.degree(self)) {
-    const auto& nbs = g.neighbors(self);
-    for (std::size_t i = 0; i < nbs.size(); ++i)
-      index_.emplace(nbs[i].node, i);
-  }
-
-  /// Marks every slot absent (keeping capacity); call before each capture.
+  /// Marks every slot absent (keeping capacity); call before each use.
   void begin() {
-    for (auto& s : slots_) {
-      s.present = false;
-      s.words.clear();
-    }
+    for (auto& s : slots_) clear(s);
   }
 
-  /// Sends to non-neighbors are dropped (asserting in debug builds),
-  /// matching MapOutbox, which accepted the entry and never read it.
+  /// Overwrites the slot of neighbor `to`; an absent `m` erases it.  Sends
+  /// to non-neighbors assert in debug builds and are dropped otherwise.
   void to(NodeId to, const Msg& m) override {
     const std::ptrdiff_t i = indexOf(to);
-    assert(i >= 0 && "FlatCapture::to: target is not a neighbor of self");
+    assert(i >= 0 && "NeighborSlots::to: target is not a neighbor of self");
     if (i < 0) return;
-    slots_[static_cast<std::size_t>(i)] = m;
+    Msg& s = slots_[static_cast<std::size_t>(i)];
+    if (m.present)
+      s = m;
+    else
+      clear(s);
   }
 
-  [[nodiscard]] std::size_t slotCount() const { return slots_.size(); }
-  /// Slot of the i-th neighbor in g.neighbors(self) order.
-  [[nodiscard]] const Msg& slot(std::size_t i) const { return slots_[i]; }
-  [[nodiscard]] const Msg& forNeighbor(NodeId to) const {
-    return slots_[index_.at(to)];
-  }
-  /// Adjacency position of `to`, or -1 when not a neighbor of self.
-  [[nodiscard]] std::ptrdiff_t indexOf(NodeId to) const {
-    const auto it = index_.find(to);
-    return it == index_.end() ? -1 : static_cast<std::ptrdiff_t>(it->second);
-  }
-
- private:
-  std::vector<Msg> slots_;
-  std::map<NodeId, std::size_t> index_;
-};
-
-/// Injection inbox: delivers compiler-reconstructed messages to the inner
-/// algorithm.
-class MapInbox final : public Inbox {
- public:
-  MapInbox(const Graph& g, NodeId self) : Inbox(g, self) {}
-  void put(NodeId from, Msg m) { msgs_[from] = std::move(m); }
-  /// Mutable slot for in-place reuse: compilers that redeliver every round
-  /// assign into the same slots (Msg assignment keeps the words capacity)
-  /// instead of re-inserting -- remember to mark unused slots absent.
-  [[nodiscard]] Msg& slot(NodeId from) { return msgs_[from]; }
-  /// Marks every existing slot absent (capacity kept): the delivery-reuse
-  /// idiom for compilers whose sender set recurs round over round --
-  /// clearSlots(), rewrite the present ones via slot(), deliver.
-  void clearSlots() {
-    for (auto& [from, m] : msgs_) {
-      m.present = false;
-      m.words.clear();
-    }
-  }
+  /// Slot of neighbor `from`; absent when `from` is not a neighbor.
   [[nodiscard]] MsgView from(NodeId from) const override {
-    const auto it = msgs_.find(from);
-    return it != msgs_.end() ? MsgView(it->second) : MsgView();
+    const std::ptrdiff_t i = indexOf(from);
+    return i < 0 ? MsgView() : MsgView(slots_[static_cast<std::size_t>(i)]);
   }
 
+  /// Slot of the i-th neighbor in g.neighbors(self) order; the mutable
+  /// form lets a compiler write a delivery in place.
+  [[nodiscard]] const Msg& slot(std::size_t i) const { return slots_[i]; }
+  [[nodiscard]] Msg& slot(std::size_t i) { return slots_[i]; }
+
  private:
-  std::map<NodeId, Msg> msgs_;
+  static void clear(Msg& s) {
+    s.present = false;
+    s.words.clear();
+  }
+  /// Adjacency position of `nb`, or -1 when not a neighbor of self.
+  [[nodiscard]] std::ptrdiff_t indexOf(NodeId nb) const {
+    const ArcId a = Outbox::g_.findArc(Outbox::self_, nb);
+    return a < 0 ? -1 : a - Outbox::g_.firstOutArc(Outbox::self_);
+  }
+
+  std::vector<Msg> slots_;
 };
 
 /// A node-local protocol instance.

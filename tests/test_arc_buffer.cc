@@ -37,13 +37,13 @@ TEST(ArcBuffer, AbsentByDefaultAndAfterErase) {
 TEST(ArcBuffer, PutReadRoundtripAndOverwrite) {
   const graph::Graph g = graph::cycle(4);
   ArcBuffer buf(g);
-  buf.putMsg(0, 2, Msg::ofWords({1, 2, 3}));
+  buf.putMsg(0, 2, Msg::of(1).push(2).push(3));
   EXPECT_TRUE(buf.present(2));
   EXPECT_EQ(buf.size(2), 3u);
   EXPECT_EQ(buf.view(2).at(1), 2u);
   EXPECT_EQ(buf.view(2).atOr(7, 42), 42u);
   // Later put on the same arc wins.
-  buf.putMsg(0, 2, Msg::ofWords({9}));
+  buf.putMsg(0, 2, Msg::of(9));
   EXPECT_EQ(buf.size(2), 1u);
   EXPECT_EQ(buf.view(2).at(0), 9u);
   // Materialized Msg matches, and digests agree bit-for-bit.
@@ -59,7 +59,7 @@ TEST(ArcBuffer, BeginRoundClearsEverythingWithoutFreeing) {
   ArcBuffer buf(g);
   for (ArcId a = 0; a < g.arcCount(); ++a)
     buf.putMsg(static_cast<std::uint32_t>(g.arcSource(a)), a,
-               Msg::ofWords({1, 2, 3, 4}));
+               Msg::of(1).push(2).push(3).push(4));
   const std::size_t warmCapacity = buf.capacityWords();
   EXPECT_GT(warmCapacity, 0u);
   buf.beginRound();
@@ -67,7 +67,7 @@ TEST(ArcBuffer, BeginRoundClearsEverythingWithoutFreeing) {
   // Refilling after the reset reuses the slab capacity.
   for (ArcId a = 0; a < g.arcCount(); ++a)
     buf.putMsg(static_cast<std::uint32_t>(g.arcSource(a)), a,
-               Msg::ofWords({5, 6, 7, 8}));
+               Msg::of(5).push(6).push(7).push(8));
   EXPECT_EQ(buf.capacityWords(), warmCapacity);
   EXPECT_EQ(buf.view(0).at(0), 5u);
 }
@@ -77,7 +77,7 @@ TEST(ArcBuffer, MsgViewStaysValidAcrossSlabGrowth) {
   ArcBuffer buf(g);
   // First message from node 0, then keep appending from the same sender
   // until its slab must reallocate several times.
-  buf.putMsg(0, g.arcFromTo(0, 1), Msg::ofWords({11, 22}));
+  buf.putMsg(0, g.arcFromTo(0, 1), Msg::of(11).push(22));
   const MsgView early = buf.view(g.arcFromTo(0, 1));
   const std::uint64_t* beforeGrowth = early.data();
   std::vector<std::uint64_t> big(4096, 0xabcdef);
@@ -99,7 +99,7 @@ TEST(ArcBuffer, AdversarySlabIsSeparate) {
   const graph::Graph g = graph::cycle(4);
   ArcBuffer buf(g);
   buf.putMsg(0, 0, Msg::of(1));
-  buf.putMsg(buf.adversarySlab(), 0, Msg::ofWords({7, 7}));
+  buf.putMsg(buf.adversarySlab(), 0, Msg::of(7).push(7));
   EXPECT_EQ(buf.size(0), 2u);
   EXPECT_EQ(buf.view(0).at(0), 7u);
 }
@@ -107,7 +107,7 @@ TEST(ArcBuffer, AdversarySlabIsSeparate) {
 TEST(ArcBuffer, WordsAppendedIsMonotonicAcrossRounds) {
   const graph::Graph g = graph::cycle(4);
   ArcBuffer buf(g);
-  buf.putMsg(0, 0, Msg::ofWords({1, 2}));
+  buf.putMsg(0, 0, Msg::of(1).push(2));
   const std::uint64_t after1 = buf.wordsAppended();
   EXPECT_EQ(after1, 2u);
   buf.beginRound();
@@ -116,13 +116,14 @@ TEST(ArcBuffer, WordsAppendedIsMonotonicAcrossRounds) {
 }
 
 TEST(MsgViewMsgBacked, WrapsAndCopies) {
-  const Msg m = Msg::ofWords({5, 6});
+  const Msg m = Msg::of(5).push(6);
   const MsgView v(m);
   EXPECT_TRUE(v.present());
   EXPECT_EQ(v.size(), 2u);
   EXPECT_EQ(v.at(1), 6u);
   EXPECT_EQ(v.digest(), m.digest());
-  const Msg copy = v.toMsg();
+  Msg copy;
+  sim::assignMsg(copy, v);
   EXPECT_EQ(copy, m);
   EXPECT_TRUE(sameContent(v, m));
   EXPECT_FALSE(sameContent(MsgView(), m));
@@ -130,8 +131,8 @@ TEST(MsgViewMsgBacked, WrapsAndCopies) {
 }
 
 TEST(MsgViewMsgBacked, AssignMsgReusesCapacity) {
-  const Msg src = Msg::ofWords({1, 2, 3});
-  Msg dst = Msg::ofWords({9, 9, 9, 9});
+  const Msg src = Msg::of(1).push(2).push(3);
+  Msg dst = Msg::of(9).push(9).push(9).push(9);
   const auto capacity = dst.words.capacity();
   sim::assignMsg(dst, MsgView(src));
   EXPECT_EQ(dst, src);

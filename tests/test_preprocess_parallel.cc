@@ -1,9 +1,9 @@
 // The preprocessing-parallelism contract (docs/architecture.md section 11):
-// the pooled compile-time kernels -- greedy tree packing and BFS layering --
-// must be *bit-identical* to their sequential oracles at every thread
-// count, and a compiled trial's fingerprint must be invariant across every
-// (threads, shards) engine setting.  Differential coverage over random
-// graphs plus a golden-fingerprint sweep for a packing-heavy compiled case.
+// the pooled compile-time kernel -- greedy tree packing -- must be
+// *bit-identical* to its sequential oracle at every thread count, and a
+// compiled trial's fingerprint must be invariant across every (threads,
+// shards) engine setting.  Differential coverage over random graphs plus a
+// golden-fingerprint sweep for a packing-heavy compiled case.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "exp/experiment.h"
-#include "graph/bfs.h"
 #include "graph/generators.h"
 #include "graph/tree_packing.h"
 #include "scn/params.h"
@@ -71,20 +70,6 @@ TEST(PreprocessParallel, PackingMatchesSequentialOracle) {
                       i);
     expectSamePacking(seq, graph::greedyLowDepthPacking(g, k, 0, cap, &pool8),
                       i);
-  }
-}
-
-TEST(PreprocessParallel, BfsLayeringMatchesSequentialOracle) {
-  util::ThreadPool pool2(2);
-  util::ThreadPool pool8(8);
-  util::Rng rng(0xbead);
-  for (int i = 0; i < 200; ++i) {
-    const graph::Graph g = randomGraph(i, rng);
-    const graph::NodeId src =
-        static_cast<graph::NodeId>(i) % g.nodeCount();
-    const std::vector<int> seq = graph::bfsDistances(g, src);
-    EXPECT_EQ(graph::bfsDistances(g, src, &pool2), seq) << "graph " << i;
-    EXPECT_EQ(graph::bfsDistances(g, src, &pool8), seq) << "graph " << i;
   }
 }
 

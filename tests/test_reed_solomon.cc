@@ -162,7 +162,9 @@ TEST(ReedSolomon, SyndromeMatchesBerlekampWelchDifferential) {
           << "decoded messages diverge at trial " << trial << " (ell="
           << rs.messageLength() << ", k=" << rs.blockLength() << ", e=" << e
           << ")";
-      if (e <= rs.maxErrors()) EXPECT_EQ(*fast, msg);
+      if (e <= rs.maxErrors()) {
+        EXPECT_EQ(*fast, msg);
+      }
       ++accepted;
     } else {
       EXPECT_GT(e, rs.maxErrors());

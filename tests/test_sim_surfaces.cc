@@ -1,7 +1,9 @@
 // Unit coverage for the simulator's value types and I/O surfaces: Msg
-// semantics, capture outboxes/inboxes (the compiler-composition seam), and
-// the table formatter used by every benchmark.
+// semantics, NeighborSlots (the compiler-composition seam: one surface that
+// captures an inner round's sends and redelivers its receipts), and the
+// table formatter used by every benchmark.
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -43,33 +45,103 @@ TEST(Msg, EqualitySemantics) {
 TEST(Msg, DigestSeparates) {
   EXPECT_NE(sim::Msg().digest(), sim::Msg::of(0).digest());
   EXPECT_NE(sim::Msg::of(1).digest(), sim::Msg::of(2).digest());
-  sim::Msg a = sim::Msg::ofWords({1, 2});
-  sim::Msg b = sim::Msg::ofWords({2, 1});
+  sim::Msg a = sim::Msg::of(1).push(2);
+  sim::Msg b = sim::Msg::of(2).push(1);
   EXPECT_NE(a.digest(), b.digest());  // order-sensitive
 }
 
-TEST(MapSurfaces, OutboxCapturesAndInboxDelivers) {
-  const graph::Graph g = graph::cycle(4);
-  sim::MapOutbox out(g, 0);
-  out.to(1, sim::Msg::of(11));
-  out.to(3, sim::Msg::of(33));
-  EXPECT_EQ(out.messages().size(), 2u);
-  EXPECT_EQ(out.messages().at(1).at(0), 11u);
-
-  sim::MapInbox in(g, 0);
-  EXPECT_FALSE(in.from(1).present());  // empty until put
-  in.put(1, sim::Msg::of(99));
-  EXPECT_TRUE(in.from(1).present());
-  EXPECT_EQ(in.from(1).at(0), 99u);
-  EXPECT_FALSE(in.from(3).present());
+/// Adjacency position of `nb` among v's neighbors (the slot index).
+std::size_t slotOf(const graph::Graph& g, graph::NodeId v, graph::NodeId nb) {
+  const auto& nbs = g.neighbors(v);
+  for (std::size_t i = 0; i < nbs.size(); ++i)
+    if (nbs[i].node == nb) return i;
+  ADD_FAILURE() << nb << " is not a neighbor of " << v;
+  return 0;
 }
 
-TEST(MapSurfaces, ToAllReachesEveryNeighbor) {
+TEST(NeighborSlots, CapturesThenOverwrites) {
+  const graph::Graph g = graph::cycle(4);
+  sim::NeighborSlots slots(g, 0);
+  slots.to(1, sim::Msg::of(11));
+  slots.to(3, sim::Msg::of(33));
+  EXPECT_EQ(slots.slot(slotOf(g, 0, 1)), sim::Msg::of(11));
+  EXPECT_EQ(slots.slot(slotOf(g, 0, 3)), sim::Msg::of(33));
+  slots.to(1, sim::Msg::of(12).push(13));  // a later send overwrites
+  EXPECT_EQ(slots.slot(slotOf(g, 0, 1)), sim::Msg::of(12).push(13));
+  EXPECT_EQ(slots.from(1).size(), 2u);
+  EXPECT_EQ(slots.from(3).at(0), 33u);
+}
+
+TEST(NeighborSlots, AbsentOverwriteErasesTheSlot) {
+  const graph::Graph g = graph::cycle(4);
+  sim::NeighborSlots slots(g, 0);
+  slots.to(1, sim::Msg::of(11));
+  slots.to(1, sim::Msg());
+  EXPECT_FALSE(slots.slot(slotOf(g, 0, 1)).present);
+  EXPECT_TRUE(slots.slot(slotOf(g, 0, 1)).words.empty());
+  EXPECT_FALSE(slots.from(1).present());
+}
+
+TEST(NeighborSlots, BeginMarksAbsentAndKeepsCapacity) {
   const graph::Graph g = graph::clique(5);
-  sim::MapOutbox out(g, 2);
-  out.toAll(sim::Msg::of(1));
-  EXPECT_EQ(out.messages().size(), 4u);  // every neighbor of node 2
-  EXPECT_EQ(out.messages().count(2), 0u);  // not itself
+  sim::NeighborSlots slots(g, 2);
+  sim::Msg wide;
+  for (std::uint64_t w = 0; w < 16; ++w) wide.push(w);
+  slots.toAll(wide);
+  std::vector<std::size_t> capacity;
+  for (std::size_t i = 0; i < g.degree(2); ++i)
+    capacity.push_back(slots.slot(i).words.capacity());
+  slots.begin();
+  for (std::size_t i = 0; i < g.degree(2); ++i) {
+    EXPECT_FALSE(slots.slot(i).present);
+    EXPECT_EQ(slots.slot(i).size(), 0u);
+    EXPECT_EQ(slots.slot(i).words.capacity(), capacity[i]);
+    EXPECT_GE(capacity[i], 16u);
+  }
+}
+
+TEST(NeighborSlots, ToAllFillsEverySlot) {
+  const graph::Graph g = graph::clique(5);
+  sim::NeighborSlots slots(g, 2);
+  slots.toAll(sim::Msg::of(1));
+  for (std::size_t i = 0; i < g.degree(2); ++i)
+    EXPECT_EQ(slots.slot(i), sim::Msg::of(1));
+  for (const auto& nb : g.neighbors(2))
+    EXPECT_EQ(slots.from(nb.node).at(0), 1u);
+}
+
+TEST(NeighborSlots, FromNonNeighborIsAbsent) {
+  const graph::Graph g = graph::cycle(4);
+  sim::NeighborSlots slots(g, 0);
+  slots.toAll(sim::Msg::of(5));
+  EXPECT_FALSE(slots.from(2).present());   // opposite corner of the cycle
+  EXPECT_FALSE(slots.from(0).present());   // itself
+  EXPECT_FALSE(slots.from(17).present());  // not a node at all
+}
+
+TEST(NeighborSlotsDeathTest, NonNeighborSendAssertsInDebug) {
+  const graph::Graph g = graph::cycle(4);
+  sim::NeighborSlots slots(g, 0);
+  EXPECT_DEBUG_DEATH(slots.to(2, sim::Msg::of(7)), "not a neighbor");
+  // Release builds drop the send: no slot changed.
+  for (std::size_t i = 0; i < g.degree(0); ++i)
+    EXPECT_FALSE(slots.slot(i).present);
+}
+
+TEST(NeighborSlots, OneInstanceCapturesThenDelivers) {
+  const graph::Graph g = graph::cycle(4);
+  sim::NeighborSlots slots(g, 0);
+  sim::Outbox& out = slots;
+  out.to(1, sim::Msg::of(11));
+  EXPECT_EQ(slots.slot(slotOf(g, 0, 1)).at(0), 11u);
+  // Reused as the delivery inbox: begin() forgets the capture, then the
+  // compiler writes the corrected receipt in place.
+  slots.begin();
+  slots.slot(slotOf(g, 0, 3)).push(33);
+  const sim::Inbox& in = slots;
+  EXPECT_FALSE(in.from(1).present());
+  EXPECT_TRUE(in.from(3).present());
+  EXPECT_EQ(in.from(3).at(0), 33u);
 }
 
 TEST(Table, FormatsAlignedMarkdown) {
