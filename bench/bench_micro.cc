@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <new>
 #include <string_view>
 
@@ -34,7 +33,6 @@
 #include "sketch/l0sampler.h"
 #include "sketch/sparse_recovery.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 using namespace mobile;
 
@@ -151,30 +149,19 @@ BENCHMARK(BM_RsDecode)
 
 // --- compile-time preprocessing kernels --------------------------------------
 // The n = 10^6 notch's precompute hot path (graph/tree_packing.cc,
-// graph/bfs.cc).  Args: {n, pool threads}; threads == 0 is the strictly
-// sequential oracle, threads > 0 the pooled path (per-iteration weight
-// refresh + sharded load tally for the packing, level-synchronous sweeps
-// for BFS).  Both produce bit-identical results, so the probe pair guards
-// the deterministic-merge overhead alongside the kernel itself.
+// graph/bfs.cc), both sequential.  Arg: n.
 
 static void BM_TreePacking(benchmark::State& state) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
   util::Rng rng(21);
   const graph::Graph g = graph::randomRegular(n, 4, rng);
-  std::unique_ptr<util::ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        graph::greedyLowDepthPacking(g, 2, 0, 32, pool.get()));
+    benchmark::DoNotOptimize(graph::greedyLowDepthPacking(g, 2, 0, 32));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(g.edgeCount()));
 }
-BENCHMARK(BM_TreePacking)
-    ->Args({256, 0})
-    ->Args({1024, 0})
-    ->Args({1024, 2});
+BENCHMARK(BM_TreePacking)->Arg(256)->Arg(1024);
 
 static void BM_BfsLayering(benchmark::State& state) {
   const auto n = static_cast<graph::NodeId>(state.range(0));

@@ -2,16 +2,13 @@
 
 #include <cassert>
 
-#include "util/thread_pool.h"
-
 namespace mobile::compile {
 
 namespace {
 
 /// Exclusive prefix sum over `counts`, in place, returning the total.
 /// counts[i] becomes the offset of slot i; the caller appends a final
-/// total entry.  Sequential on purpose: the scan is O(n) over u32s and a
-/// fixed reduction order keeps the layout identical at any thread count.
+/// total entry.
 std::uint32_t exclusiveScan(std::vector<std::uint32_t>& counts) {
   std::uint32_t total = 0;
   for (auto& c : counts) {
@@ -22,30 +19,55 @@ std::uint32_t exclusiveScan(std::vector<std::uint32_t>& counts) {
   return total;
 }
 
-void runOverNodes(util::ThreadPool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr && pool->size() > 1 && n > 1) {
-    pool->parallelFor(n, fn, std::max<std::size_t>(1, n / 256));
-  } else {
-    for (std::size_t v = 0; v < n; ++v) fn(v);
+/// One node's belief about one tree, as either source stores it.
+struct Belief {
+  NodeId parent;
+  int depth;
+  const std::vector<NodeId>& children;
+};
+
+/// Fills pk's per-(node, tree) arrays -- parentFlat, depthFlat and the
+/// childOff/childList CSR -- from `beliefOf(v, t)`, node-major with trees
+/// ascending.  pk.n and pk.k must be set.
+template <typename BeliefOf>
+void fillBeliefs(PackingKnowledge& pk, const BeliefOf& beliefOf) {
+  const std::size_t n = static_cast<std::size_t>(pk.n);
+  const std::size_t k = static_cast<std::size_t>(pk.k);
+  pk.parentFlat.resize(n * k);
+  pk.depthFlat.resize(n * k);
+  pk.childOff.assign(n * k + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::size_t t = 0; t < k; ++t) {
+      const Belief b = beliefOf(v, t);
+      pk.parentFlat[v * k + t] = b.parent;
+      assert(b.depth <= 32767 && "tree depths are int16_t");
+      pk.depthFlat[v * k + t] = static_cast<std::int16_t>(b.depth);
+      pk.childOff[v * k + t] = static_cast<std::uint32_t>(b.children.size());
+    }
+  }
+  pk.childList.resize(exclusiveScan(pk.childOff));
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::size_t t = 0; t < k; ++t) {
+      std::uint32_t w = pk.childOff[v * k + t];
+      for (const NodeId c : beliefOf(v, t).children) pk.childList[w++] = c;
+    }
   }
 }
 
 /// Fills pk's arc CSR (arcOff/arcNbr) from the graph adjacency.  The arc
 /// numbering deliberately mirrors Graph's own CSR (firstOutArc(v) + i for
 /// the i-th neighbor), so arcFromTo lookups translate directly.
-void fillArcs(PackingKnowledge& pk, const Graph& g, util::ThreadPool* pool) {
+void fillArcs(PackingKnowledge& pk, const Graph& g) {
   const std::size_t n = static_cast<std::size_t>(g.nodeCount());
   pk.arcOff.assign(n + 1, 0);
   for (std::size_t v = 0; v < n; ++v)
     pk.arcOff[v] = static_cast<std::uint32_t>(g.degree(static_cast<NodeId>(v)));
-  const std::uint32_t arcs = exclusiveScan(pk.arcOff);
-  pk.arcNbr.resize(arcs);
-  runOverNodes(pool, n, [&](std::size_t v) {
+  pk.arcNbr.resize(exclusiveScan(pk.arcOff));
+  for (std::size_t v = 0; v < n; ++v) {
     std::uint32_t a = pk.arcOff[v];
     for (const auto& nb : g.neighbors(static_cast<NodeId>(v)))
       pk.arcNbr[a++] = nb.node;
-  });
+  }
 }
 
 /// Derives the per-arc slot lists from the flat parent/children arrays:
@@ -54,61 +76,44 @@ void fillArcs(PackingKnowledge& pk, const Graph& g, util::ThreadPool* pool) {
 /// construction produced (own belief on both endpoints).  Each (node,
 /// tree) contributes one parent arc plus its child arcs, so the build is
 /// O((nk + children) log d) via arcFromTo, not O(arcs * k).
-void fillArcTrees(PackingKnowledge& pk, const Graph& g,
-                  util::ThreadPool* pool) {
+void fillArcTrees(PackingKnowledge& pk, const Graph& g) {
   const std::size_t n = static_cast<std::size_t>(pk.n);
   const std::size_t k = static_cast<std::size_t>(pk.k);
   const std::uint32_t arcs = pk.arcOff[n];
   pk.arcTreeOff.assign(static_cast<std::size_t>(arcs) + 1, 0);
-  // Every (v, t) touches a disjoint set of v's out-arcs, so the two
-  // passes write distinct slots and parallelize over nodes race-free.
+  // Calls emit(arc, t) for every tree t on each of v's out-arcs; t
+  // ascends, so each arc's list lands ascending.
   auto forEachArcEntry = [&](std::size_t v, const auto& emit) {
     const NodeId vid = static_cast<NodeId>(v);
     for (std::size_t t = 0; t < k; ++t) {
       const std::size_t i = v * k + t;
       const NodeId p = pk.parentFlat[i];
-      if (p >= 0) emit(g.arcFromTo(vid, p));
+      if (p >= 0) emit(g.arcFromTo(vid, p), t);
       for (std::uint32_t c = pk.childOff[i]; c < pk.childOff[i + 1]; ++c) {
         const NodeId ch = pk.childList[c];
         if (ch == p) continue;  // inconsistent belief: count the arc once
-        emit(g.arcFromTo(vid, ch));
+        emit(g.arcFromTo(vid, ch), t);
       }
     }
   };
-  runOverNodes(pool, n, [&](std::size_t v) {
-    forEachArcEntry(v, [&](graph::ArcId a) {
+  for (std::size_t v = 0; v < n; ++v)
+    forEachArcEntry(v, [&](graph::ArcId a, std::size_t) {
       ++pk.arcTreeOff[static_cast<std::size_t>(a)];
     });
-  });
-  const std::uint32_t total = exclusiveScan(pk.arcTreeOff);
-  (void)total;
-  pk.arcTreeList.resize(pk.arcTreeOff[arcs]);
+  pk.arcTreeList.resize(exclusiveScan(pk.arcTreeOff));
   std::vector<std::uint32_t> cursor(pk.arcTreeOff.begin(),
                                     pk.arcTreeOff.end() - 1);
-  runOverNodes(pool, n, [&](std::size_t v) {
-    // t ascends within the node loop, so each arc's list lands ascending.
-    const NodeId vid = static_cast<NodeId>(v);
-    for (std::size_t t = 0; t < k; ++t) {
-      const std::size_t i = v * k + t;
-      const NodeId p = pk.parentFlat[i];
-      if (p >= 0)
-        pk.arcTreeList[cursor[static_cast<std::size_t>(
-            g.arcFromTo(vid, p))]++] = static_cast<std::int16_t>(t);
-      for (std::uint32_t c = pk.childOff[i]; c < pk.childOff[i + 1]; ++c) {
-        const NodeId ch = pk.childList[c];
-        if (ch == p) continue;
-        pk.arcTreeList[cursor[static_cast<std::size_t>(
-            g.arcFromTo(vid, ch))]++] = static_cast<std::int16_t>(t);
-      }
-    }
-  });
+  for (std::size_t v = 0; v < n; ++v)
+    forEachArcEntry(v, [&](graph::ArcId a, std::size_t t) {
+      pk.arcTreeList[cursor[static_cast<std::size_t>(a)]++] =
+          static_cast<std::int16_t>(t);
+    });
 }
 
 }  // namespace
 
 std::shared_ptr<PackingKnowledge> distributePacking(
-    const Graph& g, const graph::TreePacking& packing, int depthBound,
-    util::ThreadPool* pool) {
+    const Graph& g, const graph::TreePacking& packing, int depthBound) {
   auto pkPtr = std::make_shared<PackingKnowledge>();
   PackingKnowledge& pk = *pkPtr;
   pk.root = packing.commonRoot;
@@ -116,46 +121,18 @@ std::shared_ptr<PackingKnowledge> distributePacking(
   pk.depthBound = depthBound;
   pk.n = g.nodeCount();
   assert(pk.k <= 32767 && "tree ids are int16_t");
-  const std::size_t n = static_cast<std::size_t>(pk.n);
-  const std::size_t k = static_cast<std::size_t>(pk.k);
-
-  pk.parentFlat.resize(n * k);
-  pk.depthFlat.resize(n * k);
-  pk.childOff.assign(n * k + 1, 0);
-  runOverNodes(pool, n, [&](std::size_t v) {
-    for (std::size_t t = 0; t < k; ++t) {
-      const auto& tree = packing.trees[t];
-      pk.parentFlat[v * k + t] = tree.parent[v];
-      assert(tree.depth[v] <= 32767 && "tree depths are int16_t");
-      pk.depthFlat[v * k + t] = static_cast<std::int16_t>(tree.depth[v]);
-      pk.childOff[v * k + t] =
-          static_cast<std::uint32_t>(tree.children[v].size());
-    }
-  });
-  const std::uint32_t children = exclusiveScan(pk.childOff);
-  pk.childList.resize(children);
-  runOverNodes(pool, n, [&](std::size_t v) {
-    for (std::size_t t = 0; t < k; ++t) {
-      std::uint32_t w = pk.childOff[v * k + t];
-      for (const NodeId c : packing.trees[t].children[v])
-        pk.childList[w++] = c;
-    }
-  });
-
-  fillArcs(pk, g, pool);
-  fillArcTrees(pk, g, pool);
-
-  // eta = max edge load over the packing's parent edges.  Each tree edge
-  // is owned by its child endpoint, so the parallel tally writes distinct
-  // counters per (edge) via a plain per-edge array filled tree-by-tree.
-  std::vector<std::uint16_t> load(static_cast<std::size_t>(g.edgeCount()), 0);
-  for (std::size_t t = 0; t < k; ++t) {
+  fillBeliefs(pk, [&](std::size_t v, std::size_t t) {
     const auto& tree = packing.trees[t];
-    runOverNodes(pool, n, [&](std::size_t v) {
-      const graph::EdgeId e = tree.parentEdge[v];
+    return Belief{tree.parent[v], tree.depth[v], tree.children[v]};
+  });
+  fillArcs(pk, g);
+  fillArcTrees(pk, g);
+
+  // eta = max edge load over the packing's parent edges.
+  std::vector<std::uint16_t> load(static_cast<std::size_t>(g.edgeCount()), 0);
+  for (const auto& tree : packing.trees)
+    for (const graph::EdgeId e : tree.parentEdge)
       if (e >= 0) ++load[static_cast<std::size_t>(e)];
-    });
-  }
   std::uint16_t eta = 1;
   for (const std::uint16_t l : load) eta = std::max(eta, l);
   pk.eta = static_cast<int>(eta);
@@ -167,34 +144,15 @@ void freezePackingViews(PackingKnowledge& pk, const Graph& g,
   pk.n = g.nodeCount();
   assert(pk.k <= 32767 && "tree ids are int16_t");
   assert(staged.size() == static_cast<std::size_t>(pk.n));
-  const std::size_t n = static_cast<std::size_t>(pk.n);
-  const std::size_t k = static_cast<std::size_t>(pk.k);
-
-  pk.parentFlat.resize(n * k);
-  pk.depthFlat.resize(n * k);
-  pk.childOff.assign(n * k + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
+  fillBeliefs(pk, [&](std::size_t v, std::size_t t) {
     const StagedNodeView& sv = staged[v];
-    for (std::size_t t = 0; t < k; ++t) {
-      pk.parentFlat[v * k + t] = sv.parent[t];
-      assert(sv.depth[t] <= 32767 && "tree depths are int16_t");
-      pk.depthFlat[v * k + t] = static_cast<std::int16_t>(sv.depth[t]);
-      pk.childOff[v * k + t] = static_cast<std::uint32_t>(sv.children[t].size());
-    }
-  }
-  const std::uint32_t children = exclusiveScan(pk.childOff);
-  pk.childList.resize(children);
-  for (std::size_t v = 0; v < n; ++v) {
-    for (std::size_t t = 0; t < k; ++t) {
-      std::uint32_t w = pk.childOff[v * k + t];
-      for (const NodeId c : staged[v].children[t]) pk.childList[w++] = c;
-    }
-  }
+    return Belief{sv.parent[t], sv.depth[t], sv.children[t]};
+  });
+  // Free the staging memory before the arc tables are built.
   staged.clear();
   staged.shrink_to_fit();
-
-  fillArcs(pk, g, nullptr);
-  fillArcTrees(pk, g, nullptr);
+  fillArcs(pk, g);
+  fillArcTrees(pk, g);
 }
 
 }  // namespace mobile::compile

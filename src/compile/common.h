@@ -36,10 +36,6 @@
 #include "sim/arc_buffer.h"
 #include "sim/message.h"
 
-namespace mobile::util {
-class ThreadPool;
-}
-
 namespace mobile::compile {
 
 using graph::EdgeId;
@@ -252,10 +248,9 @@ void freezePackingViews(PackingKnowledge& pk, const Graph& g,
 
 /// Builds consistent distributed knowledge from a (centralized) packing --
 /// the trusted-preprocessing path of Theorem 1.4(ii) / Corollary 3.9.
-/// `pool` (optional) parallelizes the per-node fill; the output is
-/// identical at any thread count.
+/// Fills the same arrays as freezePackingViews would from staged views
+/// holding each tree's parent/depth/children.
 [[nodiscard]] std::shared_ptr<PackingKnowledge> distributePacking(
-    const Graph& g, const graph::TreePacking& packing, int depthBound,
-    util::ThreadPool* pool = nullptr);
+    const Graph& g, const graph::TreePacking& packing, int depthBound);
 
 }  // namespace mobile::compile

@@ -1,7 +1,6 @@
 #include "exp/precompute_cache.h"
 
 #include "obs/obs.h"
-#include "util/thread_pool.h"
 
 namespace mobile::exp {
 
@@ -41,16 +40,6 @@ PrecomputeCache& PrecomputeCache::global() {
   return cache;
 }
 
-void PrecomputeCache::setComputePool(util::ThreadPool* pool) {
-  std::lock_guard<std::mutex> lock(poolMu_);
-  pool_ = pool;
-}
-
-util::ThreadPool* PrecomputeCache::computePool() const {
-  std::lock_guard<std::mutex> lock(poolMu_);
-  return pool_;
-}
-
 PrecomputeCache::Key PrecomputeCache::key(Kind kind, const graph::Graph& g,
                                           int k, graph::NodeId root,
                                           int depth) {
@@ -85,16 +74,29 @@ std::shared_ptr<const graph::TreePacking> PrecomputeCache::greedyTreePacking(
   recordMiss();
   const obs::TraceArg spanArgs[] = {{"n", g.nodeCount()}, {"k", k}};
   const obs::Span span("compile", "preprocess.greedy_tree", spanArgs, 2);
-  std::lock_guard<std::mutex> plock(poolMu_);
   auto p = std::make_shared<const graph::TreePacking>(
-      graph::greedyLowDepthPacking(g, k, root, depthCap, pool_));
+      graph::greedyLowDepthPacking(g, k, root, depthCap));
   entries_[id] = p;
   return p;
 }
 
 std::shared_ptr<const compile::PackingKnowledge> PrecomputeCache::starPacking(
     const graph::Graph& g, int depthBound) {
-  const Key id = key(Kind::StarKnowledge, g, 0, 0, depthBound);
+  return knowledge(key(Kind::StarKnowledge, g, 0, 0, depthBound), g,
+                   depthBound, [&] { return starTreePacking(g); });
+}
+
+std::shared_ptr<const compile::PackingKnowledge> PrecomputeCache::greedyPacking(
+    const graph::Graph& g, int k, graph::NodeId root, int depthCap) {
+  return knowledge(key(Kind::GreedyKnowledge, g, k, root, depthCap), g,
+                   depthCap,
+                   [&] { return greedyTreePacking(g, k, root, depthCap); });
+}
+
+std::shared_ptr<const compile::PackingKnowledge> PrecomputeCache::knowledge(
+    const Key& id, const graph::Graph& g, int depthBound,
+    const std::function<std::shared_ptr<const graph::TreePacking>()>&
+        treePacking) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (const auto it = entries_.find(id); it != entries_.end()) {
@@ -105,42 +107,12 @@ std::shared_ptr<const compile::PackingKnowledge> PrecomputeCache::starPacking(
   }
   // Compute outside the lock so the nested tree-packing lookup can take it;
   // a racing lane at worst recomputes once and first-in wins below.
-  const auto tree = starTreePacking(g);
+  const auto tree = treePacking();
   auto pk = [&] {
     const obs::TraceArg spanArgs[] = {{"n", g.nodeCount()},
                                       {"k", static_cast<int>(tree->size())}};
     const obs::Span span("compile", "preprocess.distribute", spanArgs, 2);
-    std::lock_guard<std::mutex> plock(poolMu_);
-    return compile::distributePacking(g, *tree, depthBound, pool_);
-  }();
-  recordKnowledgeSize(*pk);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (const auto it = entries_.find(id); it != entries_.end())
-    return std::static_pointer_cast<const compile::PackingKnowledge>(
-        it->second);
-  ++misses_;
-  recordMiss();
-  entries_[id] = std::shared_ptr<const compile::PackingKnowledge>(pk);
-  return pk;
-}
-
-std::shared_ptr<const compile::PackingKnowledge> PrecomputeCache::greedyPacking(
-    const graph::Graph& g, int k, graph::NodeId root, int depthCap) {
-  const Key id = key(Kind::GreedyKnowledge, g, k, root, depthCap);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (const auto it = entries_.find(id); it != entries_.end()) {
-      ++hits_;
-      return std::static_pointer_cast<const compile::PackingKnowledge>(
-          it->second);
-    }
-  }
-  const auto tree = greedyTreePacking(g, k, root, depthCap);
-  auto pk = [&] {
-    const obs::TraceArg spanArgs[] = {{"n", g.nodeCount()}, {"k", k}};
-    const obs::Span span("compile", "preprocess.distribute", spanArgs, 2);
-    std::lock_guard<std::mutex> plock(poolMu_);
-    return compile::distributePacking(g, *tree, depthCap, pool_);
+    return compile::distributePacking(g, *tree, depthBound);
   }();
   recordKnowledgeSize(*pk);
   std::lock_guard<std::mutex> lock(mu_);

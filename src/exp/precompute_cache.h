@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -25,10 +26,6 @@
 #include "compile/common.h"
 #include "graph/graph.h"
 #include "graph/tree_packing.h"
-
-namespace mobile::util {
-class ThreadPool;
-}
 
 namespace mobile::exp {
 
@@ -40,16 +37,6 @@ class PrecomputeCache {
 
   /// Process-wide instance benches and examples share.
   [[nodiscard]] static PrecomputeCache& global();
-
-  /// Lends `pool` to cache-miss computations (tree packings, packing
-  /// distribution) until reset.  Results are bit-identical with and without
-  /// a pool -- the parallel builders merge in a fixed order -- so warming
-  /// the cache through a pool and reading it from driver lanes is safe.
-  /// The pool must outlive its registration; pooled sections are serialized
-  /// internally because util::ThreadPool forbids concurrent parallelFor
-  /// calls.  Pass nullptr to go back to sequential computation.
-  void setComputePool(util::ThreadPool* pool);
-  [[nodiscard]] util::ThreadPool* computePool() const;
 
   /// Star packing of the clique (Theorem 1.6): k = n, DTP = 2, eta = 2.
   [[nodiscard]] std::shared_ptr<const graph::TreePacking> starTreePacking(
@@ -79,12 +66,14 @@ class PrecomputeCache {
 
   [[nodiscard]] static Key key(Kind kind, const graph::Graph& g, int k,
                                graph::NodeId root, int depth);
+  /// The PackingKnowledge entry `id`: distributePacking(treePacking(),
+  /// depthBound), computed on a miss only.
+  [[nodiscard]] std::shared_ptr<const compile::PackingKnowledge> knowledge(
+      const Key& id, const graph::Graph& g, int depthBound,
+      const std::function<std::shared_ptr<const graph::TreePacking>()>&
+          treePacking);
 
   mutable std::mutex mu_;
-  // Serializes pooled compute sections (ThreadPool::parallelFor is not
-  // reentrant across callers).  Ordered after mu_: holders never take mu_.
-  mutable std::mutex poolMu_;
-  util::ThreadPool* pool_ = nullptr;
   std::map<Key, std::shared_ptr<const void>> entries_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;

@@ -1,32 +1,11 @@
 #include "graph/tree_packing.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <functional>
-#include <limits>
 #include <queue>
 #include <tuple>
 
-#include "graph/bfs.h"
-#include "util/thread_pool.h"
-
 namespace mobile::graph {
-
-namespace {
-
-/// Pool fan-out helper: inline sequential loop when no pool (or a 1-thread
-/// pool) is supplied, so the `pool == nullptr` path stays byte-identical.
-void runOverRange(util::ThreadPool* pool, std::size_t count,
-                  const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr && pool->size() > 1 && count > 1) {
-    pool->parallelFor(count, fn, std::max<std::size_t>(1, count / 256));
-  } else {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-  }
-}
-
-}  // namespace
 
 PackingStats analyzePacking(const TreePacking& p, const Graph& g) {
   PackingStats s;
@@ -109,9 +88,8 @@ RootedTree shallowLightTree(const Graph& g, NodeId root,
 }  // namespace
 
 TreePacking greedyLowDepthPacking(const Graph& g, int k, NodeId root,
-                                  int depthCap, util::ThreadPool* pool) {
+                                  int depthCap) {
   const std::size_t m = static_cast<std::size_t>(g.edgeCount());
-  const std::size_t nNodes = static_cast<std::size_t>(g.nodeCount());
   const double n = static_cast<double>(g.nodeCount());
   // Theorem C.2 parameters: eta target O(log n), a = (alpha+2)/(alpha+1)
   // with alpha = O(log n) the shallow-tree approximation factor.
@@ -130,58 +108,16 @@ TreePacking greedyLowDepthPacking(const Graph& g, int k, NodeId root,
 
   std::vector<int> load(m, 0);
   std::vector<double> weight(m);
-  auto refreshWeights = [&] {
-    runOverRange(pool, m, [&](std::size_t e) {
-      const std::size_t h = static_cast<std::size_t>(load[e]);
-      weight[e] = powTable[h + 1] - powTable[h];
-    });
-  };
-
-  // Edge-load tally, sharded: the node range is cut into a fixed number of
-  // shards (independent of thread count), each tallying its own counter
-  // array; shards then reduce in ascending order.  Integer sums make any
-  // order bit-identical, but the fixed shape keeps the layout auditable.
-  // Each tree edge is owned by its child endpoint (parentEdge), so a
-  // node-range shard touches a well-defined edge multiset.
-  constexpr std::size_t kLoadShards = 8;
-  std::vector<std::vector<int>> shardLoad;
-  auto tallyLoads = [&](const RootedTree& t) {
-    if (pool == nullptr || pool->size() <= 1 || nNodes < 2 * kLoadShards) {
-      for (const EdgeId e : t.edges()) ++load[static_cast<std::size_t>(e)];
-      return;
-    }
-    if (shardLoad.empty())
-      shardLoad.assign(kLoadShards, std::vector<int>(m, 0));
-    const std::size_t chunk = (nNodes + kLoadShards - 1) / kLoadShards;
-    pool->parallelFor(
-        kLoadShards,
-        [&](std::size_t s) {
-          auto& mine = shardLoad[s];
-          const std::size_t lo = s * chunk;
-          const std::size_t hi = std::min(nNodes, lo + chunk);
-          for (std::size_t v = lo; v < hi; ++v) {
-            const EdgeId e = t.parentEdge[v];
-            if (e >= 0) ++mine[static_cast<std::size_t>(e)];
-          }
-        },
-        1);
-    runOverRange(pool, m, [&](std::size_t e) {
-      int sum = 0;
-      for (std::size_t s = 0; s < kLoadShards; ++s) {
-        sum += shardLoad[s][e];
-        shardLoad[s][e] = 0;
-      }
-      load[e] += sum;
-    });
-  };
-
   TreePacking p;
   p.commonRoot = root;
   p.trees.reserve(static_cast<std::size_t>(k));
   for (int i = 0; i < k; ++i) {
-    refreshWeights();
+    for (std::size_t e = 0; e < m; ++e) {
+      const std::size_t h = static_cast<std::size_t>(load[e]);
+      weight[e] = powTable[h + 1] - powTable[h];
+    }
     RootedTree t = shallowLightTree(g, root, weight, depthCap);
-    tallyLoads(t);
+    for (const EdgeId e : t.edges()) ++load[static_cast<std::size_t>(e)];
     p.trees.push_back(std::move(t));
   }
   return p;

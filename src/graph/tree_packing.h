@@ -18,10 +18,6 @@
 #include "graph/graph.h"
 #include "util/rng.h"
 
-namespace mobile::util {
-class ThreadPool;
-}
-
 namespace mobile::graph {
 
 struct TreePacking {
@@ -54,15 +50,10 @@ struct PackingStats {
 /// min-cost depth-bounded spanning tree under the exponential load weights
 /// w(e) = a^{(h_e+1)/eta} - a^{h_e/eta}.  Depth-capped trees are built by a
 /// depth-capped Prim growth (our stand-in for Lemma C.1's shallow-tree
-/// oracle; DESIGN.md records this substitution).  The Prim growth itself is
-/// sequential by definition -- it IS the determinism oracle -- while the
-/// per-iteration weight refresh and edge-load tally fan out over `pool`
-/// (sharded counters, fixed reduction order), so the result is bit-identical
-/// at every thread count, `pool == nullptr` included.
+/// oracle; DESIGN.md records this substitution).  Each iteration grows one
+/// tree from the loads the previous trees left, so the packing is sequential.
 [[nodiscard]] TreePacking greedyLowDepthPacking(const Graph& g, int k,
-                                                NodeId root, int depthCap,
-                                                util::ThreadPool* pool =
-                                                    nullptr);
+                                                NodeId root, int depthCap);
 
 /// Karger-style baseline: uniformly color edges with k colors; tree i is a
 /// BFS tree of color class i if that class is spanning+connected, otherwise

@@ -2,29 +2,11 @@
 
 #include <cstdlib>
 
-#include "exp/precompute_cache.h"
 #include "net/transport.h"
 #include "net/udp_plane.h"
 #include "sim/network.h"
-#include "util/thread_pool.h"
 
 namespace mobile::scn {
-
-TrialBuilder::TrialBuilder() = default;
-
-TrialBuilder::~TrialBuilder() {
-  if (compilePool_ != nullptr)
-    exp::PrecomputeCache::global().setComputePool(nullptr);
-}
-
-void TrialBuilder::ensureCompilePool(int threads) {
-  if (threads <= 1) return;
-  if (compilePool_ == nullptr || compilePool_->size() < threads) {
-    exp::PrecomputeCache::global().setComputePool(nullptr);
-    compilePool_ = std::make_unique<util::ThreadPool>(threads);
-    exp::PrecomputeCache::global().setComputePool(compilePool_.get());
-  }
-}
 
 std::vector<std::string> expandValue(const std::string& value) {
   std::vector<std::string> out;
@@ -125,16 +107,13 @@ exp::TrialSpec TrialBuilder::build(const Params& point,
   // shards.  Scenario values win over the CLI defaults; 0 keeps the
   // default.  Fingerprints are bit-identical at every setting, so these
   // are pure throughput knobs and safe to sweep.  Consumed after the
-  // expect key above (they must not split the fault-free fingerprint
-  // cache) and before the compile factory below (whose preprocessing
-  // borrows a matching pool through the PrecomputeCache).
+  // expect key above: they must not split the fault-free fingerprint
+  // cache.
   const int engineThreads = static_cast<int>(p.integer("threads", 0));
   const int engineShards = static_cast<int>(p.integer("shards", 0));
   if (engineThreads < 0 || engineShards < 0)
     throw ScnError("threads=/shards= must be >= 0 in scenario '" + group +
                    "'");
-  ensureCompilePool(engineThreads > 0 ? engineThreads
-                                      : defaultEngineThreads_);
 
   const std::string compileName = p.str("compile", "none");
   const sim::Algorithm compiled =

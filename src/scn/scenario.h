@@ -25,17 +25,12 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "exp/experiment.h"
 #include "scn/params.h"
 #include "scn/registry.h"
-
-namespace mobile::util {
-class ThreadPool;
-}
 
 namespace mobile::scn {
 
@@ -66,10 +61,7 @@ struct Scenario {
 /// fingerprint cache shared across the points of one expansion.
 class TrialBuilder {
  public:
-  TrialBuilder();
-  /// Unregisters the compile pool from the PrecomputeCache (if one was
-  /// lent) before tearing it down.
-  ~TrialBuilder();
+  TrialBuilder() = default;
   TrialBuilder(const TrialBuilder&) = delete;
   TrialBuilder& operator=(const TrialBuilder&) = delete;
 
@@ -97,17 +89,10 @@ class TrialBuilder {
   [[nodiscard]] std::size_t expectCacheHits() const { return hits_; }
 
  private:
-  /// Lends a pool of (at least) `threads` lanes to the PrecomputeCache, so
-  /// the compile-phase preprocessing a point triggers during build() --
-  /// the cache warm-up; trial workers then hit the warm entries -- fans
-  /// out like the trial's engine will.  No-op for threads <= 1.
-  void ensureCompilePool(int threads);
-
   std::map<std::string, std::uint64_t> expectCache_;
   std::size_t hits_ = 0;
   int defaultEngineThreads_ = 1;
   int defaultEngineShards_ = 0;
-  std::unique_ptr<util::ThreadPool> compilePool_;
 };
 
 }  // namespace mobile::scn

@@ -1,12 +1,13 @@
 // The CSR graph's differential gate (ISSUE 6).
 //
-// The legacy adjacency-vector Graph (preserved as graph::LegacyGraph) is
-// the reference: 200 random graphs spanning n = 0..60, four density bands,
-// and shuffled edge-insertion orders are built through BOTH layouts from
-// the same edge sequence, and every observable surface must agree --
-// adjacency iteration order (the contract that keeps every algorithm
-// fingerprint bit-identical), degrees, edgeBetween / arcFromTo lookups,
-// arc endpoint/edge resolution, and structuralFingerprint.  The CSR arc
+// The legacy adjacency-vector Graph (preserved as graph::LegacyGraph in
+// tests/legacy_graph.h) is the reference: 200 random graphs spanning
+// n = 0..60, four density bands, and shuffled edge-insertion orders are
+// built through BOTH layouts from the same edge sequence, and every
+// observable surface must agree -- adjacency iteration order (the contract
+// that keeps every algorithm fingerprint bit-identical), degrees,
+// edgeBetween / arcFromTo lookups, arc endpoint/edge resolution, and
+// structuralFingerprint.  The CSR arc
 // convention (ids are adjacency offsets) is checked for internal
 // consistency against the legacy 2e/2e+1 convention's *semantics*: ids
 // differ, but source, target, owning edge, and reversal must describe the
@@ -18,7 +19,7 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/legacy_graph.h"
+#include "legacy_graph.h"
 #include "util/rng.h"
 
 namespace mobile::graph {
