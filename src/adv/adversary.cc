@@ -91,26 +91,23 @@ void TamperView::corruptArc(ArcId a, const Msg& replacement) {
   // Copy-on-touch: the first corruption of an edge materializes both arcs'
   // pre-images into the scratch arena for the ledger diff -- O(touched)
   // total, never O(arcs).  Only corruptArc charges byzantine edges, so
-  // "first charge" and "no snapshot yet" coincide.
+  // "first charge" and "no snapshot yet" coincide.  Both views are copied
+  // out before the write below, which may grow the adversary slab.
   if (charge(e)) {
     TamperScratch::PreImage p;
     p.edge = e;
     const sim::MsgView uv = plane_.view(g_.arcOfEdge(e, 0));
     p.uvPresent = uv.present();
     p.uvOff = scratch_.words.size();
-    if (p.uvPresent) {
-      p.uvLen = uv.size();
-      scratch_.words.insert(scratch_.words.end(), uv.data(),
-                            uv.data() + p.uvLen);
-    }
+    p.uvLen = uv.size();
+    scratch_.words.insert(scratch_.words.end(), uv.words().begin(),
+                          uv.words().end());
     const sim::MsgView vu = plane_.view(g_.arcOfEdge(e, 1));
     p.vuPresent = vu.present();
     p.vuOff = scratch_.words.size();
-    if (p.vuPresent) {
-      p.vuLen = vu.size();
-      scratch_.words.insert(scratch_.words.end(), vu.data(),
-                            vu.data() + p.vuLen);
-    }
+    p.vuLen = vu.size();
+    scratch_.words.insert(scratch_.words.end(), vu.words().begin(),
+                          vu.words().end());
     scratch_.pre.push_back(p);
     snapshotWords_ += p.uvLen + p.vuLen;
   }
@@ -129,8 +126,8 @@ ViewRecord TamperView::observe(EdgeId e) {
   ViewRecord r;
   r.round = round_;
   r.edge = e;
-  r.uv = plane_.msg(g_.arcOfEdge(e, 0));
-  r.vu = plane_.msg(g_.arcOfEdge(e, 1));
+  sim::assignMsg(r.uv, plane_.view(g_.arcOfEdge(e, 0)));
+  sim::assignMsg(r.vu, plane_.view(g_.arcOfEdge(e, 1)));
   return r;
 }
 

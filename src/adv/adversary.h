@@ -174,6 +174,8 @@ class TamperView {
 
   // --- byzantine surface -------------------------------------------------
   /// Read any arc's current message (byzantine adversaries see everything).
+  /// The view is valid until the next corruptArc, whose write may grow the
+  /// adversary slab: copy what you need before writing, and re-peek after.
   [[nodiscard]] sim::MsgView peek(ArcId a) const;
   /// Rewrite (or inject / drop) the message on arc `a`.  Charges the edge
   /// and snapshots its pre-image on first touch.

@@ -229,6 +229,7 @@ void BitflipByzantine::act(TamperView& view) {
     const EdgeId e = static_cast<EdgeId>(ei);
     for (int dir = 0; dir < 2; ++dir) {
       const ArcId a = view.graph().arcOfEdge(e, dir);
+      // Copied into work_ before corruptArc writes (and may move) the slab.
       const sim::MsgView cur = view.peek(a);
       if (cur.present() && cur.size() > 0) {
         sim::assignMsg(work_, cur);

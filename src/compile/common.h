@@ -33,7 +33,6 @@
 
 #include "graph/graph.h"
 #include "graph/tree_packing.h"
-#include "sim/arc_buffer.h"
 #include "sim/message.h"
 
 namespace mobile::compile {
@@ -55,7 +54,7 @@ class VoteSlot {
   void reset() { used_ = 0; }
   void add(const sim::MsgView& m) {
     for (std::size_t j = 0; j < used_; ++j) {
-      if (sim::sameContent(m, vals_[j])) {
+      if (m == vals_[j]) {
         ++cnt_[j];
         return;
       }

@@ -209,13 +209,12 @@ void UdpPlane::exchange(int round) {
     const std::size_t countPos = sendBuf_.size();
     appendU32(sendBuf_, 0);  // patched below
     for (const graph::ArcId a : arcs) {
-      if (!storage.present(a)) continue;
+      const sim::MsgView v = storage.view(a);
+      if (!v.present()) continue;
       ++count;
       appendU32(sendBuf_, static_cast<std::uint32_t>(a));
-      const sim::MsgView v = storage.view(a);
       appendU32(sendBuf_, static_cast<std::uint32_t>(v.size()));
-      for (std::size_t w = 0; w < v.size(); ++w)
-        appendU64(sendBuf_, v.at(w));
+      for (const std::uint64_t w : v.words()) appendU64(sendBuf_, w);
     }
     putU32(sendBuf_.data() + countPos, count);
     link.send(peer, sendBuf_.data(), sendBuf_.size());

@@ -13,11 +13,14 @@
 //     whole plane is one epoch bump plus rewinding each slab cursor; no
 //     memory is freed between rounds, and after warm-up no memory is
 //     allocated either;
-//   * MsgView, a lightweight read surface with the Msg API (present / size /
-//     at / atOr / digest).  Arena-backed views resolve the header on every
-//     access, so a view taken before a slab grows still reads the right
-//     words afterwards (slabs may reallocate while their sender keeps
-//     appending in the same round).
+//   * ArcBuffer::view(a) resolves arc a's header once and hands out a
+//     MsgView (sim/message.h) over the slab words.  Like every view it
+//     stays valid only until its storage is next written: here, until the
+//     owning slab's next append (a sender may keep appending in the same
+//     round, reallocating its slab) or the end of the round.  Only the
+//     adversary phase (and a net plane's exchange) reads and writes the
+//     plane in one phase, and both copy what they read before they write:
+//     re-take a view after writing the plane.
 //
 // Writers go through ArcOutbox (sender slab = sender id) or the adversary's
 // TamperView (the dedicated adversary slab); readers through ArcInbox /
@@ -25,7 +28,6 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -33,8 +35,6 @@
 #include "sim/message.h"
 
 namespace mobile::sim {
-
-class MsgView;
 
 class ArcBuffer {
  public:
@@ -107,6 +107,7 @@ class ArcBuffer {
 
   // --- reader surface -------------------------------------------------------
 
+  /// Header-only reads for the engine's per-arc traffic accounting.
   [[nodiscard]] bool present(graph::ArcId a) const {
     return headers_[static_cast<std::size_t>(a)].epoch == epoch_;
   }
@@ -114,28 +115,14 @@ class ArcBuffer {
     const Header& h = headers_[static_cast<std::size_t>(a)];
     return h.epoch == epoch_ ? h.len : 0u;
   }
-  /// Pointer to the message words (nullptr when absent or empty).  Valid
-  /// until the owning slab is next written; prefer MsgView, which
-  /// re-resolves and therefore survives slab growth.
-  [[nodiscard]] const std::uint64_t* data(graph::ArcId a) const {
+  /// Arc `a`'s message (absent unless written this round); valid until the
+  /// owning slab is next written.
+  [[nodiscard]] MsgView view(graph::ArcId a) const {
     const Header& h = headers_[static_cast<std::size_t>(a)];
-    if (h.epoch != epoch_ || h.len == 0) return nullptr;
-    return slabs_[static_cast<std::size_t>(h.slab)].data() + h.offset;
-  }
-
-  [[nodiscard]] MsgView view(graph::ArcId a) const;
-
-  /// Materializes arc `a` as an owning Msg (the copy-on-touch snapshot and
-  /// eavesdropper-observation path).
-  [[nodiscard]] Msg msg(graph::ArcId a) const {
-    Msg m;
-    const Header& h = headers_[static_cast<std::size_t>(a)];
-    if (h.epoch != epoch_) return m;
-    m.present = true;
-    const std::uint64_t* w =
-        slabs_[static_cast<std::size_t>(h.slab)].data() + h.offset;
-    m.words.assign(w, w + h.len);
-    return m;
+    if (h.epoch != epoch_) return {};
+    return {true,
+            {slabs_[static_cast<std::size_t>(h.slab)].data() + h.offset,
+             h.len}};
   }
 
   // --- introspection --------------------------------------------------------
@@ -167,113 +154,5 @@ class ArcBuffer {
   std::uint64_t epoch_ = 1;
   std::atomic<std::uint64_t> wordsAppended_{0};
 };
-
-/// Read-only message handle with the Msg API.  Two backings:
-///   * arena: (buffer, arc) resolved on every access -- stable across slab
-///     growth within the round; never dereference after the next
-///     beginRound() (the words are gone by then);
-///   * owned Msg: wraps a Msg that outlives the view (NeighborSlots, tests).
-class MsgView {
- public:
-  /// Absent message.
-  MsgView() = default;
-  /// View of an owning Msg (must outlive the view).
-  explicit MsgView(const Msg& m) : msg_(&m) {}
-  /// Arena-backed view of arc `a`.
-  MsgView(const ArcBuffer& buf, graph::ArcId a) : buf_(&buf), arc_(a) {}
-
-  [[nodiscard]] bool present() const {
-    if (buf_ != nullptr) return buf_->present(arc_);
-    return msg_ != nullptr && msg_->present;
-  }
-  [[nodiscard]] std::size_t size() const {
-    if (buf_ != nullptr) return buf_->size(arc_);
-    return msg_ != nullptr && msg_->present ? msg_->words.size() : 0u;
-  }
-  /// Contiguous words (nullptr when absent or empty); for arena views the
-  /// pointer is transient -- re-taken from the view after any write.
-  [[nodiscard]] const std::uint64_t* data() const {
-    if (buf_ != nullptr) return buf_->data(arc_);
-    if (msg_ == nullptr || !msg_->present || msg_->words.empty())
-      return nullptr;
-    return msg_->words.data();
-  }
-
-  [[nodiscard]] std::uint64_t at(std::size_t i) const {
-    assert(i < size());
-    return data()[i];
-  }
-  [[nodiscard]] std::uint64_t atOr(std::size_t i, std::uint64_t dflt) const {
-    return i < size() ? data()[i] : dflt;
-  }
-
-  /// Bit-identical to Msg::digest(): both delegate to sim::digestWords.
-  [[nodiscard]] std::uint64_t digest() const {
-    return digestWords(present(), data(), size());
-  }
-
-  friend bool operator==(const MsgView& a, const MsgView& b) {
-    if (a.present() != b.present()) return false;
-    if (!a.present()) return true;
-    if (a.size() != b.size()) return false;
-    const std::uint64_t* wa = a.data();
-    const std::uint64_t* wb = b.data();
-    for (std::size_t i = 0; i < a.size(); ++i)
-      if (wa[i] != wb[i]) return false;
-    return true;
-  }
-  friend bool operator!=(const MsgView& a, const MsgView& b) {
-    return !(a == b);
-  }
-
- private:
-  const ArcBuffer* buf_ = nullptr;
-  graph::ArcId arc_ = 0;
-  const Msg* msg_ = nullptr;
-};
-
-inline MsgView ArcBuffer::view(graph::ArcId a) const {
-  return MsgView(*this, a);
-}
-
-/// Copies a view into an owning Msg in place, reusing the destination's
-/// words capacity -- the allocation-free stash idiom for compilers that
-/// buffer inbox messages across rounds.
-inline void assignMsg(Msg& dst, const MsgView& src) {
-  if (!src.present()) {
-    dst.present = false;
-    dst.words.clear();
-    return;
-  }
-  dst.present = true;
-  const std::uint64_t* w = src.data();
-  dst.words.assign(w, w + src.size());
-}
-
-/// Content equality between a view and an owning Msg (the ledger diff).
-[[nodiscard]] inline bool sameContent(const MsgView& v, const Msg& m) {
-  if (v.present() != m.present) return false;
-  if (!m.present) return true;
-  if (v.size() != m.words.size()) return false;
-  const std::uint64_t* w = v.data();
-  for (std::size_t i = 0; i < m.words.size(); ++i)
-    if (w[i] != m.words[i]) return false;
-  return true;
-}
-
-/// Content equality between a view and a raw (present, words, len) slice --
-/// the arena-backed form of sameContent used by the copy-on-touch ledger
-/// diff against TamperScratch snapshots.
-[[nodiscard]] inline bool sameContent(const MsgView& v, bool present,
-                                      const std::uint64_t* words,
-                                      std::size_t len) {
-  if (v.present() != present) return false;
-  if (!present) return true;
-  if (v.size() != len) return false;
-  const std::uint64_t* w = v.data();
-  for (std::size_t i = 0; i < len; ++i)
-    if (w[i] != words[i]) return false;
-  return true;
-}
 
 }  // namespace mobile::sim

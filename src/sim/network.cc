@@ -269,10 +269,10 @@ void Network::adversaryPhase() {
   const bool obsTracing = obs::tracing();
   std::uint64_t corrupted = 0;
   for (const auto& p : view.preImages()) {
-    if (!sameContent(storage.view(g_.arcOfEdge(p.edge, 0)), p.uvPresent,
-                     arena + p.uvOff, p.uvLen) ||
-        !sameContent(storage.view(g_.arcOfEdge(p.edge, 1)), p.vuPresent,
-                     arena + p.vuOff, p.vuLen)) {
+    if (storage.view(g_.arcOfEdge(p.edge, 0)) !=
+            MsgView(p.uvPresent, {arena + p.uvOff, p.uvLen}) ||
+        storage.view(g_.arcOfEdge(p.edge, 1)) !=
+            MsgView(p.vuPresent, {arena + p.vuOff, p.vuLen})) {
       ledger_->record(p.edge);
       ++corrupted;
       if (obsTracing) {

@@ -10,8 +10,11 @@
 // plane (sim/arc_buffer.h), while compilers bind both to one NeighborSlots
 // per node so an inner algorithm's rounds can be captured, corrected and
 // re-delivered -- the round-by-round simulation pattern every compiler in
-// the paper uses.  Reads hand out MsgView (zero-copy); writes still accept
+// the paper uses.  Reads hand out MsgView (zero-copy, sim/message.h),
+// valid until the viewed slot or slab is next written; writes accept
 // owning Msg values, which the arena plane copies into its sender slab.
+// Both bindings treat a non-neighbor alike: a send to one asserts in
+// debug builds and is dropped otherwise, and a read from one is absent.
 #pragma once
 
 #include <cassert>
@@ -84,7 +87,10 @@ class ArcOutbox final : public Outbox {
     slab_ = static_cast<std::uint32_t>(self - plane.nodeBase(shard_));
   }
   void to(NodeId to, const Msg& m) override {
-    buf_->putMsg(slab_, g_.arcFromTo(self_, to) - arcBase_, m);
+    const ArcId a = g_.findArc(self_, to);
+    assert(a >= 0 && "ArcOutbox::to: target is not a neighbor of self");
+    if (a < 0) return;
+    buf_->putMsg(slab_, a - arcBase_, m);
   }
 
  private:
@@ -102,7 +108,8 @@ class ArcInbox final : public Inbox {
   ArcInbox(const Graph& g, NodeId self, const ShardedPlane& plane)
       : Inbox(g, self), plane_(plane) {}
   [[nodiscard]] MsgView from(NodeId from) const override {
-    return plane_.view(g_.arcFromTo(from, self_));
+    const ArcId a = g_.findArc(self_, from);
+    return a < 0 ? MsgView() : plane_.view(g_.reverseArc(a));
   }
 
  private:
@@ -144,7 +151,7 @@ class NeighborSlots final : public Outbox, public Inbox {
   /// Slot of neighbor `from`; absent when `from` is not a neighbor.
   [[nodiscard]] MsgView from(NodeId from) const override {
     const std::ptrdiff_t i = indexOf(from);
-    return i < 0 ? MsgView() : MsgView(slots_[static_cast<std::size_t>(i)]);
+    return i < 0 ? MsgView() : slots_[static_cast<std::size_t>(i)];
   }
 
   /// Slot of the i-th neighbor in g.neighbors(self) order; the mutable

@@ -101,21 +101,9 @@ class ShardedPlane {
   }
 
   // --- routed reader surface (global arc ids) -----------------------------
-  [[nodiscard]] bool present(graph::ArcId a) const {
-    const std::size_t s = shardOfArc(a);
-    return shards_[s]->present(a - arcLo_[s]);
-  }
-  [[nodiscard]] std::size_t size(graph::ArcId a) const {
-    const std::size_t s = shardOfArc(a);
-    return shards_[s]->size(a - arcLo_[s]);
-  }
   [[nodiscard]] MsgView view(graph::ArcId a) const {
     const std::size_t s = shardOfArc(a);
     return shards_[s]->view(a - arcLo_[s]);
-  }
-  [[nodiscard]] Msg msg(graph::ArcId a) const {
-    const std::size_t s = shardOfArc(a);
-    return shards_[s]->msg(a - arcLo_[s]);
   }
 
   // --- routed writer surface (adversary phase, sequential) ----------------

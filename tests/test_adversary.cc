@@ -95,6 +95,43 @@ TEST(Adversary, EavesdropperCannotPeek) {
   EXPECT_THROW(net.run(1), std::logic_error);
 }
 
+TEST(Adversary, PeekAfterRewriteSeesReplacementAcrossSlabGrowth) {
+  // A view is valid until its storage is next written, so a strategy
+  // re-peeks after writing.  The fresh peek returns the replacement, also
+  // once further rewrites have grown (and moved) the adversary slab.
+  const graph::Graph g = graph::clique(8);
+  const Algorithm a = algo::makeFloodMax(g, 1);
+  class Rewriter final : public Adversary {
+   public:
+    explicit Rewriter(int f)
+        : Adversary({Kind::Byzantine, Mobility::Mobile, f, 0, {}}) {}
+    void act(TamperView& view) override {
+      const sim::Msg replacement = sim::Msg::of(0xa1).push(0xa2).push(0xa3);
+      view.corruptArc(0, replacement);
+      afterRewrite = view.peek(0) == replacement;
+      capacityBefore = net->arcs().capacityWords();
+      sim::Msg wide;
+      for (std::uint64_t w = 0; w < 512; ++w) wide.push(w);
+      for (graph::ArcId b = 1; b < view.graph().arcCount(); ++b)
+        view.corruptArc(b, wide);
+      capacityAfter = net->arcs().capacityWords();
+      afterGrowth = view.peek(0) == replacement;
+      lastIsWide = view.peek(view.graph().arcCount() - 1) == wide;
+    }
+    const Network* net = nullptr;
+    bool afterRewrite = false, afterGrowth = false, lastIsWide = false;
+    std::size_t capacityBefore = 0, capacityAfter = 0;
+  } adv(static_cast<int>(g.edgeCount()));
+  Network net(g, a, 1, &adv);
+  adv.net = &net;
+  net.run(1);
+  EXPECT_TRUE(adv.afterRewrite);
+  EXPECT_GT(adv.capacityAfter, adv.capacityBefore);  // the slab grew
+  EXPECT_TRUE(adv.afterGrowth);
+  EXPECT_TRUE(adv.lastIsWide);
+  EXPECT_EQ(net.ledger().total(), g.edgeCount());
+}
+
 TEST(Adversary, ByzantineCorruptionChangesOutputs) {
   const graph::Graph g = graph::cycle(8);
   std::vector<std::uint64_t> inputs(8, 3);

@@ -10,6 +10,11 @@
 // every (numThreads, numShards) pair in {1, 2, 8} x {1, 2, 8} -- the shard
 // count has to be observably invisible.
 //
+// A second table pins what eavesdroppers see: a digest of the full
+// viewLog() a CampingEavesdropper records on three secure compilers,
+// captured from the engine of commit 700f9d6, before MsgView became a
+// single word-span view.
+//
 // Also pinned here: the copy-on-touch contract (adversaryPhase cost is
 // O(touched edges), asserted via the snapshot word counter on a large
 // graph), the zero-allocation steady state (slab capacity goes flat after
@@ -25,9 +30,11 @@
 #include "algo/mst.h"
 #include "algo/payloads.h"
 #include "compile/byz_tree_compiler.h"
+#include "compile/congestion_compiler.h"
 #include "compile/expander_packing.h"
 #include "compile/rewind_compiler.h"
 #include "compile/secure_broadcast.h"
+#include "compile/static_to_mobile.h"
 #include "graph/generators.h"
 #include "graph/tree_packing.h"
 #include "sim/network.h"
@@ -276,6 +283,72 @@ TEST(ArenaDeterminism, MatchesPreRefactorEngineAtEveryThreadAndShardCount) {
         EXPECT_EQ(net.roundsExecuted(), want.rounds) << where;
       }
     }
+  }
+}
+
+struct TranscriptGolden {
+  const char* name;
+  std::uint64_t seed;
+  std::uint64_t digest;
+};
+
+// Eavesdropper transcript digests (see header comment).
+constexpr TranscriptGolden kTranscripts[] = {
+    {"sbc", 1ull, 0xf357ecfb6442baffull},
+    {"sbc", 2ull, 0xac81170e86b771ddull},
+    {"sbc", 3ull, 0x87c74a2b1a68b537ull},
+    {"s2m", 1ull, 0xbfce60bc0414f658ull},
+    {"s2m", 2ull, 0x83a117004abaa307ull},
+    {"s2m", 3ull, 0xb62372c4ff8fa5d6ull},
+    {"congestion", 1ull, 0x09a22797d5a9eeecull},
+    {"congestion", 2ull, 0x080253847ca43ad9ull},
+    {"congestion", 3ull, 0xfbda79674eb8b0dfull},
+};
+
+/// Order-sensitive digest of every (round, edge, uv, vu) record.
+std::uint64_t transcriptDigest(const std::vector<adv::ViewRecord>& log) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 0x100000001b3ull;
+    h ^= h >> 31;
+  };
+  for (const adv::ViewRecord& r : log) {
+    mix(static_cast<std::uint64_t>(r.round));
+    mix(static_cast<std::uint64_t>(r.edge));
+    mix(r.uv.digest());
+    mix(r.vu.digest());
+  }
+  mix(log.size());
+  return h;
+}
+
+TEST(ArenaDeterminism, EavesdropperTranscriptsMatchPinnedDigests) {
+  const graph::Graph clique8 = graph::clique(8);
+  const graph::Graph torus = graph::torus(4, 4);
+  const graph::Graph clique6 = graph::clique(6);
+  for (const TranscriptGolden& want : kTranscripts) {
+    const std::string name = want.name;
+    const graph::Graph& g =
+        name == "sbc" ? clique8 : name == "s2m" ? torus : clique6;
+    sim::Algorithm a;
+    if (name == "s2m") {
+      a = compile::compileStaticToMobile(g, algo::makeFloodMax(g, 5), 6);
+    } else {
+      const auto pk =
+          compile::distributePacking(g, graph::cliqueStarPacking(g), 2);
+      a = name == "sbc"
+              ? compile::makeMobileSecureBroadcast(g, pk, {0xbeef}, 1)
+              : compile::compileCongestionSensitive(
+                    g, algo::makeBfsTree(g, 0, 2), pk, 1);
+    }
+    adv::CampingEavesdropper eve({0, 1}, 2);
+    sim::Network net(g, a, want.seed, &eve);
+    net.run(a.rounds);
+    EXPECT_FALSE(eve.viewLog().empty()) << name;
+    EXPECT_EQ(transcriptDigest(eve.viewLog()), want.digest)
+        << name << " seed=" << want.seed << std::hex << " got 0x"
+        << transcriptDigest(eve.viewLog());
   }
 }
 

@@ -1,8 +1,10 @@
 // Unit coverage for the simulator's value types and I/O surfaces: Msg
 // semantics, NeighborSlots (the compiler-composition seam: one surface that
-// captures an inner round's sends and redelivers its receipts), and the
+// captures an inner round's sends and redelivers its receipts), the
+// non-neighbor rules both Outbox/Inbox bindings share, and the
 // table formatter used by every benchmark.
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -110,23 +112,92 @@ TEST(NeighborSlots, ToAllFillsEverySlot) {
     EXPECT_EQ(slots.from(nb.node).at(0), 1u);
 }
 
-TEST(NeighborSlots, FromNonNeighborIsAbsent) {
+/// The two bindings a node's Outbox/Inbox can have: the compilers'
+/// NeighborSlots, or the Network's arena plane (ArcOutbox / ArcInbox).
+enum class Binding { kSlots, kArena };
+
+/// Node `self`'s send and receive surfaces under one binding.
+class Bound {
+ public:
+  Bound(const graph::Graph& g, graph::NodeId self, Binding b)
+      : g_(g),
+        self_(self),
+        b_(b),
+        slots_(g, self),
+        plane_(g, 1),
+        arcOut_(g, self, plane_),
+        arcIn_(g, self, plane_) {}
+
+  sim::Outbox& out() {
+    if (b_ == Binding::kSlots) return slots_;
+    return arcOut_;
+  }
+  [[nodiscard]] const sim::Inbox& in() const {
+    if (b_ == Binding::kSlots) return slots_;
+    return arcIn_;
+  }
+  /// Fills self's inbox from every neighbor: NeighborSlots' inbox is its
+  /// own slots, the arena's is every other node's sends.
+  void fillAll(const sim::Msg& m) {
+    if (b_ == Binding::kSlots) {
+      slots_.toAll(m);
+      return;
+    }
+    for (graph::NodeId v = 0; v < g_.nodeCount(); ++v)
+      sim::ArcOutbox(g_, v, plane_).toAll(m);
+  }
+  /// True when no message is stored anywhere.
+  [[nodiscard]] bool empty() const {
+    if (b_ == Binding::kSlots) {
+      for (std::size_t i = 0; i < g_.degree(self_); ++i)
+        if (slots_.slot(i).present) return false;
+      return true;
+    }
+    for (graph::ArcId a = 0; a < g_.arcCount(); ++a)
+      if (plane_.view(a).present()) return false;
+    return true;
+  }
+
+ private:
+  const graph::Graph& g_;
+  graph::NodeId self_;
+  Binding b_;
+  sim::NeighborSlots slots_;
+  sim::ShardedPlane plane_;
+  sim::ArcOutbox arcOut_;
+  sim::ArcInbox arcIn_;
+};
+
+class NonNeighbor : public ::testing::TestWithParam<Binding> {};
+class NonNeighborDeathTest : public NonNeighbor {};
+
+TEST_P(NonNeighbor, FromIsAbsent) {
   const graph::Graph g = graph::cycle(4);
-  sim::NeighborSlots slots(g, 0);
-  slots.toAll(sim::Msg::of(5));
-  EXPECT_FALSE(slots.from(2).present());   // opposite corner of the cycle
-  EXPECT_FALSE(slots.from(0).present());   // itself
-  EXPECT_FALSE(slots.from(17).present());  // not a node at all
+  Bound s(g, 0, GetParam());
+  s.fillAll(sim::Msg::of(5));
+  EXPECT_EQ(s.in().from(1).at(0), 5u);       // a neighbor's message
+  EXPECT_FALSE(s.in().from(2).present());   // opposite corner of the cycle
+  EXPECT_FALSE(s.in().from(0).present());   // itself
+  EXPECT_FALSE(s.in().from(17).present());  // not a node at all
 }
 
-TEST(NeighborSlotsDeathTest, NonNeighborSendAssertsInDebug) {
+TEST_P(NonNeighborDeathTest, SendAssertsInDebug) {
   const graph::Graph g = graph::cycle(4);
-  sim::NeighborSlots slots(g, 0);
-  EXPECT_DEBUG_DEATH(slots.to(2, sim::Msg::of(7)), "not a neighbor");
-  // Release builds drop the send: no slot changed.
-  for (std::size_t i = 0; i < g.degree(0); ++i)
-    EXPECT_FALSE(slots.slot(i).present);
+  Bound s(g, 0, GetParam());
+  EXPECT_DEBUG_DEATH(s.out().to(2, sim::Msg::of(7)), "not a neighbor");
+  // Release builds drop the send: nothing was stored.
+  EXPECT_TRUE(s.empty());
 }
+
+std::string bindingName(const ::testing::TestParamInfo<Binding>& info) {
+  return info.param == Binding::kSlots ? "NeighborSlots" : "Arena";
+}
+INSTANTIATE_TEST_SUITE_P(Bindings, NonNeighbor,
+                         ::testing::Values(Binding::kSlots, Binding::kArena),
+                         bindingName);
+INSTANTIATE_TEST_SUITE_P(Bindings, NonNeighborDeathTest,
+                         ::testing::Values(Binding::kSlots, Binding::kArena),
+                         bindingName);
 
 TEST(NeighborSlots, OneInstanceCapturesThenDelivers) {
   const graph::Graph g = graph::cycle(4);
