@@ -70,12 +70,16 @@ done
 echo "wrote $OUT_JSON"
 
 # Kernel probes: the gf/ slab kernels and their RS / Vandermonde consumers,
-# re-run into a dedicated gbench-shaped artifact so PRs can cite kernel
-# deltas mechanically (scripts/perf_delta.py diffs two of these files).
+# the packing/BFS preprocessing, and the sketch ingest that dominates the
+# compilers' send time (BM_L0_Update, BM_SparseRecovery), re-run into a
+# dedicated gbench-shaped artifact so PRs can cite kernel deltas
+# mechanically (scripts/perf_delta.py diffs two of these files).  Keep the
+# list in sync with the refresh command in bench/README.md.
 KERNELS_JSON="${3:-$BUILD_DIR/BENCH_kernels.json}"
 KERNEL_PROBES='BM_GF16_Mul|BM_GfSlabAxpy|BM_RsEncode|BM_RsDecode'
 KERNEL_PROBES="$KERNEL_PROBES|BM_VandermondeExtract"
 KERNEL_PROBES="$KERNEL_PROBES|BM_TreePacking|BM_BfsLayering"
+KERNEL_PROBES="$KERNEL_PROBES|BM_L0_Update|BM_SparseRecovery"
 if [ -x "$BUILD_DIR/bench_micro" ]; then
   echo "=== bench_micro kernel probes"
   "$BUILD_DIR/bench_micro" --smoke --json "$KERNELS_JSON" \

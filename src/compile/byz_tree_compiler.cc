@@ -270,6 +270,8 @@ class ByzNode final : public NodeState {
     seeds_.start(pk_->k);
     sparse_.start();
     accum_.clear();
+    l0Sent_.clear();
+    l0SentStep_ = 0;
     down_.start();
     down_.forget();
     buildEntries();
@@ -344,12 +346,20 @@ class ByzNode final : public NodeState {
   }
 
   /// Up-wave step `step` of 1..D+1: depth d >= 1 sends its t merged
-  /// sketches to its parent at step D + 1 - d.
+  /// sketches to its parent at step D + 1 - d.  The bundle is built at the
+  /// step's first repetition and memoized for the others (see l0Sent_).
   [[nodiscard]] const Msg* l0Message(int tree, NodeId to, int step) {
+    if (step != l0SentStep_) {
+      l0Sent_.clear();
+      l0SentStep_ = step;
+    }
     const int d = view_.depth(tree);
     if (d <= 0 || step != pk_->depthBound + 1 - d ||
         to != view_.parent(tree))
       return nullptr;
+    const auto [memo, fresh] = l0Sent_.try_emplace(tree);
+    Msg& m = memo->second;
+    if (!fresh) return &m;
     std::vector<sketch::L0Sampler>& mine = localSketches(seeds_.word(tree));
     const auto acc = accum_.find(tree);
     if (acc != accum_.end()) {
@@ -357,7 +367,7 @@ class ByzNode final : public NodeState {
         mine[static_cast<std::size_t>(h)].merge(
             acc->second[static_cast<std::size_t>(h)]);
     }
-    Msg& m = sim::resetScratch(hopScratch());
+    sim::resetScratch(m).words.reserve(mine.size() * mine[0].serializedWords());
     std::vector<std::uint64_t>& tmp = l0Scratch().tmp;
     for (const auto& s : mine) {
       s.serializeInto(tmp);
@@ -366,13 +376,15 @@ class ByzNode final : public NodeState {
     return &m;
   }
 
-  /// Merges a child's bundle of t sketches; malformed bundles are dropped.
+  /// Merges a child's bundle of t sketches, invalidating the tree's
+  /// memoized bundle; malformed bundles are dropped.
   void receiveL0(int tree, NodeId from, const Msg& m) {
     if (view_.depth(tree) < 0 || !view_.hasChild(tree, from)) return;
-    const std::uint64_t ts = seeds_.word(tree);
     const std::size_t per =
-        recvL0(deriveSketchSeed(ts, 0)).serializedWords();
+        sketch::L0Sampler::serializedWords(kUniverseBits, opts_.sketchLevels);
     if (m.size() != per * static_cast<std::size_t>(opts_.tSketches)) return;
+    l0Sent_.erase(tree);
+    const std::uint64_t ts = seeds_.word(tree);
     auto acc = accum_.find(tree);
     const bool firstBundle = acc == accum_.end();
     if (firstBundle)
@@ -520,6 +532,12 @@ class ByzNode final : public NodeState {
   TreeFlood seeds_;  // sketch seed R(T) per tree
   SparseConvergecast sparse_;                            // SparseOneShot
   std::map<int, std::vector<sketch::L0Sampler>> accum_;  // L0Iterative
+  /// L0Iterative: tree -> the bundle sent up it in up-wave step
+  /// l0SentStep_, so the rho repetitions of a hop build it once.  Dropped
+  /// when a child bundle merges into the tree, when the step advances and
+  /// at iteration start: only the senders of one step hold one.
+  std::map<int, Msg> l0Sent_;
+  int l0SentStep_ = 0;
   ShareDowncast down_;
 };
 

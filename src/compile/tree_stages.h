@@ -8,8 +8,10 @@
 // decoded hop.  Wave steps are 1-based and local to the stage.  Sends
 // build into one thread-local buffer (hopScratch), valid until the next
 // stage send on the same thread; the arc loop hands it to the outbox at
-// once, so engine lanes never share it and no node holds sketch-sized
-// buffers.
+// once, so engine lanes never share it.  These stages rebuild every
+// repetition of a hop.  The byzantine compiler's l0 up-wave is the one
+// sender that returns a node-held message instead: its per-tree bundle
+// memo, which lives for one up-wave step (byz_tree_compiler.cc).
 #pragma once
 
 #include <algorithm>

@@ -46,6 +46,11 @@ class L0Sampler {
 
   /// Number of 64-bit words in the serialized form.
   [[nodiscard]] std::size_t serializedWords() const;
+  /// The same, for a sampler constructed with these dimensions.
+  [[nodiscard]] static std::size_t serializedWords(unsigned universeBits,
+                                                   unsigned levels) {
+    return (levels == 0 ? universeBits + 1 : levels) * kBucketsPerLevel * 3;
+  }
   [[nodiscard]] std::vector<std::uint64_t> serialize() const;
   static L0Sampler deserialize(std::uint64_t seed, unsigned universeBits,
                                unsigned levels,

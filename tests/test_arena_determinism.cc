@@ -35,6 +35,7 @@
 #include "compile/rewind_compiler.h"
 #include "compile/secure_broadcast.h"
 #include "compile/static_to_mobile.h"
+#include "gf/fp61.h"
 #include "graph/generators.h"
 #include "graph/tree_packing.h"
 #include "sim/network.h"
@@ -99,6 +100,11 @@ constexpr Golden kGoldens[] = {
     // the same engine as the two rows above.
     {"rewind-random", 5ull, 0x3b61d5cd09e255cull, 19302, 1920, 1290, 690, 1290},
     {"rewind-weak", 1ull, 0x80b402431aa1556cull, 218611, 1920, 1590, 660, 1590},
+    // L0 byz over the byz-greedy packing under MidStepBundleForger: forged
+    // child bundles merge between two of the parent's sends of one hop.
+    // Captured from the engine of commit 9389b95, which rebuilt every
+    // repetition of an up-wave hop from scratch.
+    {"byz-midstep", 1ull, 0x9530f1e14db5ef1bull, 43418, 630, 210, 821, 5671},
 };
 
 struct Case {
@@ -164,9 +170,110 @@ std::shared_ptr<const compile::PackingKnowledge> weakPacking(
   return result->knowledge;
 }
 
+/// The byz-greedy packing of expanderGraph(): slot load eta > 1.
+std::shared_ptr<const compile::PackingKnowledge> greedyPacking(
+    const graph::Graph& g) {
+  return compile::distributePacking(
+      g, graph::greedyLowDepthPacking(g, 12, 0, 6), 6);
+}
+
+/// A mobile byzantine budget of f edges per round.
+adv::Spec mobileByzantine(int f) {
+  adv::Spec spec;
+  spec.f = f;
+  return spec;
+}
+
+/// Forges well-formed t-sketch bundles (tSketches x sketchLevels x 9
+/// words) on child -> parent arcs of the L0 up-wave.  A target is a
+/// (parent, tree, child) whose child arc carries the tree in an earlier
+/// schedule slot than the parent's own up arc.  The forgery goes out in
+/// the last ceil(rho/2) repetitions of the parent's send step, wins the
+/// parent's hop vote, and so merges between two of the parent's sends of
+/// that hop.  The forger then watches the parent's copies of the hop and
+/// restores the first one whenever a later copy differs: whether the
+/// merge reached the parent's remaining sends shows in the corruption
+/// count.
+class MidStepBundleForger final : public adv::Adversary {
+ public:
+  MidStepBundleForger(const graph::Graph& g,
+                      const compile::PackingKnowledge& pk, std::uint64_t seed)
+      : adv::Adversary(mobileByzantine(2)),
+        sched_(compile::ByzSchedule::compute(pk, 1, 1, opts_)),
+        slots_{pk.eta, opts_.engine.effectiveRho()},
+        firstForgedRep_(slots_.rho - (slots_.rho + 1) / 2) {
+    for (graph::NodeId v = 0; v < g.nodeCount(); ++v) {
+      const compile::NodeTreeView tv = pk.view(v);
+      for (int tree = 0; tree < pk.k; ++tree) {
+        const int d = tv.depth(tree);
+        if (d <= 0) continue;
+        const int step = sched_.sketchSteps - d;
+        const int upSlot = tv.slotOf(tv.arcIndexOf(tv.parent(tree)), tree);
+        const graph::ArcId up = g.findArc(v, tv.parent(tree));
+        for (const graph::NodeId c : tv.children(tree)) {
+          const int childSlot = tv.slotOf(tv.arcIndexOf(c), tree);
+          if (childSlot < 0 || childSlot >= upSlot) continue;
+          const graph::ArcId forge = g.findArc(c, v);
+          targets_.push_back({step, childSlot, upSlot, forge, up, {}});
+        }
+      }
+    }
+    util::Rng rng(seed);
+    const unsigned cells =
+        3 * opts_.sketchLevels * static_cast<unsigned>(opts_.tSketches);
+    for (unsigned i = 0; i < cells; ++i)
+      bundle_.push(1).push(rng.next() % gf::kP61).push(rng.next() % gf::kP61);
+  }
+
+  void act(adv::TamperView& view) override {
+    const int offset = (view.round() - 1) % sched_.roundsPerSimRound;
+    if (offset == 0) return;  // exchange step
+    const int r = (offset - 1) % sched_.roundsPerIteration;
+    if (r >= slots_.blockRounds(sched_.sketchSteps)) return;  // ECC block
+    const compile::SlotPos hop = slots_.at(r);
+    bool forged = false;
+    for (Target& t : targets_) {
+      if (t.step != hop.step) continue;
+      if (hop.slot == t.upSlot && hop.rep == 0) {
+        sim::assignMsg(t.firstCopy, view.peek(t.up));
+      } else if (hop.slot == t.upSlot && view.remaining() > 0 &&
+                 view.peek(t.up) != sim::MsgView(t.firstCopy)) {
+        view.corruptArc(t.up, t.firstCopy);
+        ++restored_;
+      }
+      if (!forged && hop.slot == t.childSlot && hop.rep >= firstForgedRep_ &&
+          view.remaining() > 0) {
+        view.corruptArc(t.forge, bundle_);
+        forged = true;
+      }
+    }
+  }
+
+  /// Parent copies restored because they changed within their hop.
+  [[nodiscard]] long restored() const { return restored_; }
+
+ private:
+  struct Target {
+    int step = 0;  // the parent's send step, within the sketch block
+    int childSlot = 0;
+    int upSlot = 0;
+    graph::ArcId forge = -1;  // child -> parent
+    graph::ArcId up = -1;     // parent -> its own parent
+    sim::Msg firstCopy;       // the parent's copy at repetition 0
+  };
+
+  compile::ByzOptions opts_;
+  compile::ByzSchedule sched_;
+  compile::SlotSchedule slots_;
+  int firstForgedRep_;  // the last ceil(rho/2) repetitions carry forgeries
+  std::vector<Target> targets_;
+  sim::Msg bundle_;
+  long restored_ = 0;
+};
+
 const graph::Graph& graphByName(const std::string& name) {
   if (name == "mst-sparse") return sparseGraph();
-  if (name == "byz-greedy") return expanderGraph();
+  if (name == "byz-greedy" || name == "byz-midstep") return expanderGraph();
   if (name == "rewind-weak") return denseExpanderGraph();
   if (name == "rr4096") return rr4096Graph();
   return cliqueGraph();
@@ -190,15 +297,13 @@ Case caseByName(const std::string& name) {
     };
     return c;
   }
-  if (name == "byz" || name == "byz-sparse" || name == "byz-greedy") {
+  if (name == "byz" || name == "byz-sparse" || name == "byz-greedy" ||
+      name == "byz-midstep") {
     Case c;
     c.algo = [name](const graph::Graph& g) {
-      std::shared_ptr<const compile::PackingKnowledge> pk;
-      if (name == "byz-greedy")
-        pk = compile::distributePacking(
-            g, graph::greedyLowDepthPacking(g, 12, 0, 6), 6);
-      else
-        pk = compile::cliquePackingKnowledge(g);
+      const bool greedy = name == "byz-greedy" || name == "byz-midstep";
+      const auto pk =
+          greedy ? greedyPacking(g) : compile::cliquePackingKnowledge(g);
       std::vector<std::uint64_t> inputs(
           static_cast<std::size_t>(g.nodeCount()), 5);
       const sim::Algorithm inner = algo::makeGossipHash(g, 1, inputs, 32);
@@ -207,9 +312,16 @@ Case caseByName(const std::string& name) {
         opts.correction = compile::CorrectionMode::SparseOneShot;
       return compile::compileByzantineTree(g, inner, pk, 1, opts);
     };
-    c.adversary = [](std::uint64_t s) {
-      return std::make_unique<adv::RandomByzantine>(1, 7 + s);
-    };
+    if (name == "byz-midstep")
+      c.adversary = [](std::uint64_t s) {
+        const graph::Graph& g = expanderGraph();
+        return std::make_unique<MidStepBundleForger>(g, *greedyPacking(g),
+                                                     41 + s);
+      };
+    else
+      c.adversary = [](std::uint64_t s) {
+        return std::make_unique<adv::RandomByzantine>(1, 7 + s);
+      };
     return c;
   }
   if (name == "sbc") {
@@ -284,6 +396,18 @@ TEST(ArenaDeterminism, MatchesPreRefactorEngineAtEveryThreadAndShardCount) {
       }
     }
   }
+}
+
+TEST(ArenaDeterminism, ForgedBundlesMergeBetweenTwoSendsOfTheParentsHop) {
+  // The byz-midstep golden is only a pin if the forger's merges land
+  // mid-hop and change the parent's later copies; check that they do.
+  const graph::Graph& g = graphByName("byz-midstep");
+  const sim::Algorithm a = caseByName("byz-midstep").algo(g);
+  MidStepBundleForger forger(g, *greedyPacking(g), 42);
+  sim::Network net(g, a, 1, &forger);
+  net.run(a.rounds);
+  EXPECT_GT(net.ledger().total(), 0);
+  EXPECT_GT(forger.restored(), 0);
 }
 
 struct TranscriptGolden {
