@@ -1,8 +1,9 @@
 // Experiment T5 -- Theorem A.4 (mobile-secure broadcast).
 // Claim (paper): ~O(D + sqrt(f b n) + b) rounds via fragments/landmarks.
-// Our dispersal substitution costs ~O((D + W) * eta * f) (DESIGN.md #3);
-// this bench measures the actual scaling in f and the secret width W and
-// verifies delivery plus eavesdropper view independence.  The delivery
+// Our dispersal substitution costs ~O((D + W) * eta * f)
+// (docs/architecture.md section 12, substitution 3); this bench measures
+// the actual scaling in f and the secret width W and verifies delivery
+// plus eavesdropper view independence.  The delivery
 // grid (n x f x W under a mobile eavesdropper) is a scn campaign line;
 // the scaling-shape probe and the 160-run view-independence sweep stay
 // hand-rolled (they read compiler internals / observe hooks).

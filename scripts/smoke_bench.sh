@@ -70,14 +70,15 @@ done
 echo "wrote $OUT_JSON"
 
 # Kernel probes: the gf/ slab kernels and their RS / Vandermonde consumers,
-# the packing/BFS preprocessing, and the sketch ingest that dominates the
-# compilers' send time (BM_L0_Update, BM_SparseRecovery), re-run into a
-# dedicated gbench-shaped artifact so PRs can cite kernel deltas
-# mechanically (scripts/perf_delta.py diffs two of these files).  Keep the
-# list in sync with the refresh command in bench/README.md.
+# the key-pool extraction every eavesdropper compiler's pads derive through
+# (BM_KeyPoolExtract), the packing/BFS preprocessing, and the sketch ingest
+# that dominates the compilers' send time (BM_L0_Update, BM_SparseRecovery),
+# re-run into a dedicated gbench-shaped artifact so PRs can cite kernel
+# deltas mechanically (scripts/perf_delta.py diffs two of these files).  Keep
+# the list in sync with the refresh command in bench/README.md.
 KERNELS_JSON="${3:-$BUILD_DIR/BENCH_kernels.json}"
 KERNEL_PROBES='BM_GF16_Mul|BM_GfSlabAxpy|BM_RsEncode|BM_RsDecode'
-KERNEL_PROBES="$KERNEL_PROBES|BM_VandermondeExtract"
+KERNEL_PROBES="$KERNEL_PROBES|BM_VandermondeExtract|BM_KeyPoolExtract"
 KERNEL_PROBES="$KERNEL_PROBES|BM_TreePacking|BM_BfsLayering"
 KERNEL_PROBES="$KERNEL_PROBES|BM_L0_Update|BM_SparseRecovery"
 if [ -x "$BUILD_DIR/bench_micro" ]; then

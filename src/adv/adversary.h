@@ -22,11 +22,11 @@
 // steady state allocates nothing: touched edges are a sorted flat vector,
 // and pre-image snapshots are (offset, len) slices of one shared word
 // arena.  The CorruptionLedger stays the ground truth used by accounting,
-// tests, and the ContractEngine ideal functionality (see DESIGN.md); it
-// stores its history sparsely (edges tagged with their round) so a
-// fault-free round costs nothing and recording a corruption never
-// allocates after warm-up.  docs/architecture.md section 2 describes the
-// contract.
+// tests, and the Contract engine's ideal functionality (docs/architecture.md
+// section 12, substitution 1); it stores its history sparsely (edges tagged
+// with their round) so a fault-free round costs nothing and recording a
+// corruption never allocates after warm-up.  docs/architecture.md section 2
+// describes the contract.
 #pragma once
 
 #include <algorithm>

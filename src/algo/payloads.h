@@ -44,7 +44,8 @@ using graph::NodeId;
 /// avalanche-changes outputs, making this the canary payload for the
 /// resilience experiments.  `maskBits` truncates the mixed state to fit a
 /// compiler's payload domain (the byzantine machinery carries 32-bit
-/// payloads, the congestion compiler as few as 8; see DESIGN.md).
+/// payloads, the congestion compiler as few as 8; see docs/architecture.md
+/// section 12, substitution 6).
 [[nodiscard]] sim::Algorithm makeGossipHash(const Graph& g, int rounds,
                                             std::vector<std::uint64_t> inputs,
                                             unsigned maskBits = 64);

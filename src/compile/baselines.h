@@ -1,5 +1,5 @@
-// Baseline comparators for the negative-control experiments (DESIGN.md
-// section 1.4).
+// Baseline comparators for the negative-control experiments (the paper's
+// section 1.4; see the end of docs/architecture.md section 12).
 //
 // NaiveRepetition: every inner round is repeated 2f+1 times on every edge
 // with per-edge majority decoding.  This defeats an adversary that *moves*

@@ -193,9 +193,6 @@ class NodeTreeView {
     return {pk_->arcTreeList.data() + pk_->arcTreeOff[a],
             pk_->arcTreeList.data() + pk_->arcTreeOff[a + 1]};
   }
-  [[nodiscard]] int slotCount(int i) const {
-    return static_cast<int>(trees(i).size());
-  }
   /// Tree scheduled at (arc i, slot); -1 when the slot is unused.
   [[nodiscard]] int treeAt(int i, int slot) const {
     const auto ts = trees(i);

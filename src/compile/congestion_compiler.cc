@@ -4,7 +4,6 @@
 #include <cassert>
 #include <map>
 
-#include "compile/keypool.h"
 #include "compile/secure_broadcast.h"
 #include "hash/cwise.h"
 
@@ -44,7 +43,8 @@ class CongestionNode final : public NodeState {
         pk_(std::move(pk)),
         opts_(opts),
         layout_(layout),
-        pool_(layout.r, layout.t1, 1),
+        hashMask_((1ULL << opts.hashBits) - 1),
+        pads_(g, self, KeyPool(layout.r, layout.t1)),
         innerSlots_(g, self) {
     // Root draws the global hash seed; all nodes instantiate a core with
     // the same width (non-roots pass zeros which are ignored).
@@ -58,11 +58,7 @@ class CongestionNode final : public NodeState {
 
   void send(int round, Outbox& out) override {
     if (round <= layout_.poolRounds) {
-      for (const auto& nb : g_.neighbors(self_)) {
-        const std::uint64_t x = rng_.next();
-        sentRandom_[nb.node].push_back(x);
-        out.to(nb.node, Msg::of(x));
-      }
+      pads_.send(rng_, out);
       return;
     }
     const int b = round - layout_.poolRounds;
@@ -83,9 +79,9 @@ class CongestionNode final : public NodeState {
         const std::uint64_t m = cm.atOr(0, 0);
         assert(m < (1ULL << opts_.payloadBits) &&
                "payload exceeds the declared domain");
-        wire = (*hash_)(m) ^ keyFor(sendKeys_, nbs[j].node, i);
+        wire = (*hash_)(m) ^ (pads_.sendPad(j, i - 1, 0) & hashMask_);
       } else {
-        wire = rng_.next() & ((1ULL << opts_.hashBits) - 1);
+        wire = rng_.next() & hashMask_;
       }
       out.to(nbs[j].node, sim::resetScratch(wire_).push(wire));
     }
@@ -93,10 +89,7 @@ class CongestionNode final : public NodeState {
 
   void receive(int round, const Inbox& in) override {
     if (round <= layout_.poolRounds) {
-      for (const auto& nb : g_.neighbors(self_)) {
-        const MsgView m = in.from(nb.node);
-        recvRandom_[nb.node].push_back(m.present() ? m.at(0) : 0);
-      }
+      pads_.receive(in);
       return;
     }
     const int b = round - layout_.poolRounds;
@@ -111,7 +104,8 @@ class CongestionNode final : public NodeState {
     for (std::size_t j = 0; j < nbs.size(); ++j) {
       const MsgView m = in.from(nbs[j].node);
       if (!m.present()) continue;
-      const std::uint64_t image = m.at(0) ^ keyFor(recvKeys_, nbs[j].node, i);
+      const std::uint64_t image =
+          m.at(0) ^ (pads_.recvPad(j, i - 1, 0) & hashMask_);
       // The paper's decoding loop: scan the message domain for a preimage.
       const auto hit = preimage_.find(image);
       if (hit != preimage_.end()) innerSlots_.slot(j).push(hit->second);
@@ -127,23 +121,13 @@ class CongestionNode final : public NodeState {
 
  private:
   void finalizeKeys() {
-    for (const auto& nb : g_.neighbors(self_)) {
-      sendKeys_[nb.node] = pool_.extract(sentRandom_[nb.node]);
-      recvKeys_[nb.node] = pool_.extract(recvRandom_[nb.node]);
-    }
+    pads_.derive();
     // Install h* from the broadcast seed and precompute the decoding table
     // (one scan of the domain, reused every round).
     hash_ = std::make_unique<hash::CwiseHash>(bcast_->result(),
                                               opts_.hashBits);
     for (std::uint64_t m = 0; m < (1ULL << opts_.payloadBits); ++m)
       preimage_[(*hash_)(m)] = m;
-  }
-
-  [[nodiscard]] std::uint64_t keyFor(
-      const std::map<NodeId, std::vector<std::uint64_t>>& keys, NodeId nb,
-      int i) const {
-    return keys.at(nb)[static_cast<std::size_t>(i - 1)] &
-           ((1ULL << opts_.hashBits) - 1);
   }
 
   NodeId self_;
@@ -153,14 +137,13 @@ class CongestionNode final : public NodeState {
   std::shared_ptr<const PackingKnowledge> pk_;
   CongestionCompilerOptions opts_;
   Layout layout_;
-  KeyPool pool_;
+  std::uint64_t hashMask_;         // the hash image domain [0, 2^hashBits)
+  PadExchange pads_;               // K_i(u, v) is pad i - 1 of arc (u, v)
   sim::NeighborSlots innerSlots_;  // inner sends, then its delivery
   Msg wire_;                       // reused wire message
   std::unique_ptr<BroadcastCore> bcast_;
   std::unique_ptr<hash::CwiseHash> hash_;
   std::map<std::uint64_t, std::uint64_t> preimage_;
-  std::map<NodeId, std::vector<std::uint64_t>> sentRandom_, recvRandom_;
-  std::map<NodeId, std::vector<std::uint64_t>> sendKeys_, recvKeys_;
   bool done_ = false;
 };
 

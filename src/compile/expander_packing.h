@@ -62,9 +62,6 @@ struct WeakPackingQuality {
   int k = 0;
   int goodTrees = 0;
   int maxDepthSeen = 0;
-  [[nodiscard]] double goodFraction() const {
-    return k == 0 ? 0.0 : static_cast<double>(goodTrees) / k;
-  }
 };
 [[nodiscard]] WeakPackingQuality assessWeakPacking(
     const graph::Graph& g, const PackingKnowledge& pk);

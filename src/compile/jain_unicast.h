@@ -5,7 +5,7 @@
 // perfect security whenever the adversary's (first-round) edge set fails to
 // disconnect s from t.  We realize the same contract with the classic
 // secret-sharing-over-edge-disjoint-paths transmission (Dolev et al. SMT
-// style; DESIGN.md records the substitution):
+// style; docs/architecture.md section 12, substitution 4):
 //   * s splits the secret into k additive shares (XOR), one per path of a
 //     k-edge-disjoint s-t path family;
 //   * share i travels path i, one hop per round -- paths are edge-disjoint,
@@ -23,7 +23,7 @@
 // round j and its share pipeline starts at round j+1, giving O(dilation+R)
 // rounds; colliding shares on one edge bundle into a wider message (the
 // random-delay scheduling of Theorem 1.9 is replaced by bandwidth
-// normalization, see DESIGN.md).
+// normalization, docs/architecture.md section 12, substitution 5).
 #pragma once
 
 #include <cstdint>

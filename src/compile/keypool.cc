@@ -14,7 +14,7 @@ KeyPool::KeyPool(int r, int t, int wordsPerRound)
 }
 
 std::vector<std::uint64_t> KeyPool::extract(
-    const std::vector<std::uint64_t>& symbols) const {
+    std::span<const std::uint64_t> symbols) const {
   assert(static_cast<int>(symbols.size()) == (r_ + t_) * w_);
   // An adversary that observed a round saw all w_ of its words, so the
   // extractor works on w_*(r+t) symbols of which w_*t are adversary-known.
@@ -35,6 +35,49 @@ std::vector<std::uint64_t> KeyPool::extract(
 
 long KeyPool::badEdgeBound(int f, int r, int t) {
   return (static_cast<long>(f) * (r + t)) / (t + 1);
+}
+
+PadExchange::PadExchange(const graph::Graph& g, graph::NodeId self,
+                         KeyPool pool)
+    : g_(g),
+      self_(self),
+      pool_(pool),
+      sent_(g.degree(self)),
+      recv_(g.degree(self)),
+      sendPads_(g.degree(self)),
+      recvPads_(g.degree(self)) {}
+
+void PadExchange::start() {
+  for (auto& words : sent_) words.clear();
+  for (auto& words : recv_) words.clear();
+}
+
+void PadExchange::send(util::Rng& rng, sim::Outbox& out) {
+  const auto& nbs = g_.neighbors(self_);
+  for (std::size_t i = 0; i < nbs.size(); ++i) {
+    sim::Msg& m = sim::resetScratch(wire_);
+    for (int w = 0; w < pool_.wordsPerRound(); ++w) {
+      m.push(rng.next());
+      sent_[i].push_back(m.words.back());
+    }
+    out.to(nbs[i].node, m);
+  }
+}
+
+void PadExchange::receive(const sim::Inbox& in) {
+  const auto& nbs = g_.neighbors(self_);
+  for (std::size_t i = 0; i < nbs.size(); ++i) {
+    const sim::MsgView m = in.from(nbs[i].node);
+    for (int w = 0; w < pool_.wordsPerRound(); ++w)
+      recv_[i].push_back(m.atOr(static_cast<std::size_t>(w), 0));
+  }
+}
+
+void PadExchange::derive() {
+  for (std::size_t i = 0; i < sent_.size(); ++i) {
+    sendPads_[i] = pool_.extract(sent_[i]);
+    recvPads_[i] = pool_.extract(recv_[i]);
+  }
 }
 
 }  // namespace mobile::compile

@@ -14,8 +14,12 @@
 // one-time pad over F_q exactly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
+
+#include "sim/node.h"
 
 namespace mobile::compile {
 
@@ -26,14 +30,13 @@ class KeyPool {
   KeyPool(int r, int t, int wordsPerRound = 1);
 
   [[nodiscard]] int exchangeRounds() const { return r_ + t_; }
-  [[nodiscard]] int keyCount() const { return r_; }
   [[nodiscard]] int wordsPerRound() const { return w_; }
 
   /// Lane-wise Vandermonde extraction: `symbols` are the (r+t) *
   /// wordsPerRound exchanged words for one directed channel (round-major);
   /// returns r * wordsPerRound pad words (round-major).
   [[nodiscard]] std::vector<std::uint64_t> extract(
-      const std::vector<std::uint64_t>& symbols) const;
+      std::span<const std::uint64_t> symbols) const;
 
   /// Paper bound on bad edges: floor(f * (r+t) / (t+1)).
   [[nodiscard]] static long badEdgeBound(int f, int r, int t);
@@ -42,6 +45,55 @@ class KeyPool {
   int r_;
   int t_;
   int w_;
+};
+
+/// One node's side of the Lemma A.1 exchange with every neighbor -- the
+/// one implementation behind secure broadcast, static-to-mobile and the
+/// congestion compiler.  Arcs are indexed by position in g.neighbors(self),
+/// as sim::NeighborSlots indexes them.  An exchange is one send() and
+/// receive() per exchange round, then derive(): the pads toward neighbor i
+/// extract from the words self sent to i, the pads from i from the words i
+/// sent, so both endpoints of an arc hold the same pads (the eavesdropper
+/// is passive).  start() readies the next exchange.
+class PadExchange {
+ public:
+  PadExchange(const graph::Graph& g, graph::NodeId self, KeyPool pool);
+
+  [[nodiscard]] const KeyPool& pool() const { return pool_; }
+
+  /// Drops the recorded words, keeping their capacity (a new instance
+  /// needs no start()).
+  void start();
+  /// One exchange round: wordsPerRound fresh words to every neighbor,
+  /// drawn from `rng` in neighbor order.
+  void send(util::Rng& rng, sim::Outbox& out);
+  /// Records one round's received words; an absent message or a missing
+  /// word reads as 0.
+  void receive(const sim::Inbox& in);
+  /// Extracts both directions' pads from the recorded words.
+  void derive();
+
+  /// Word `word` of pad `key` toward / from the i-th neighbor.
+  [[nodiscard]] std::uint64_t sendPad(std::size_t i, int key,
+                                      int word) const {
+    return sendPads_[i][padIndex(key, word)];
+  }
+  [[nodiscard]] std::uint64_t recvPad(std::size_t i, int key,
+                                      int word) const {
+    return recvPads_[i][padIndex(key, word)];
+  }
+
+ private:
+  [[nodiscard]] std::size_t padIndex(int key, int word) const {
+    return static_cast<std::size_t>(key * pool_.wordsPerRound() + word);
+  }
+
+  const graph::Graph& g_;
+  graph::NodeId self_;
+  KeyPool pool_;
+  std::vector<std::vector<std::uint64_t>> sent_, recv_;  // [arc] round-major
+  std::vector<std::vector<std::uint64_t>> sendPads_, recvPads_;  // [arc]
+  sim::Msg wire_;  // reused exchange message
 };
 
 }  // namespace mobile::compile

@@ -4,8 +4,8 @@
 // The byzantine compiler only consumes one property of the RS-compiler:
 // a tree protocol "ends correctly" whenever the adversary corrupts less
 // than a Theta(1/m_T) fraction of its total communication.  Tree codes have
-// no practical implementation, so we provide two backends (DESIGN.md,
-// substitution 1):
+// no practical implementation, so we provide two backends
+// (docs/architecture.md section 12, substitution 1):
 //
 //  * HopRepetition (default; fully distributed): every logical hop message
 //    is transmitted rho times and majority-decoded.  Flipping one logical

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "compile/keypool.h"
-
 namespace mobile::compile {
 
 using graph::Graph;
@@ -30,12 +28,10 @@ BroadcastCore::BroadcastCore(NodeId self, const Graph& g, util::Rng rng,
       pk_(std::move(pk)),
       secret_(std::move(secret)),
       w_(static_cast<int>(secret_.size())),
-      f_(std::max(1, f)) {
+      floodRounds_(pk_->depthBound * pk_->eta),
+      // Per chunk: eta pads per arc (one per slot), threshold t = 2 f eta.
+      pads_(g, self, KeyPool(pk_->eta, 2 * std::max(1, f) * pk_->eta)) {
   assert(w_ >= 1);
-  // Per chunk: eta pads per arc (one per slot), threshold t = 2 f eta.
-  poolT_ = 2 * f_ * pk_->eta;
-  exchangeRounds_ = pk_->eta + poolT_;              // per chunk
-  floodRounds_ = pk_->depthBound * pk_->eta;        // per chunk
   haveShare_.assign(static_cast<std::size_t>(pk_->k), 0);
   shares_.assign(static_cast<std::size_t>(pk_->k), {});
   result_.assign(static_cast<std::size_t>(w_), 0);
@@ -62,44 +58,19 @@ BroadcastCore::BroadcastCore(NodeId self, const Graph& g, util::Rng rng,
   }
 }
 
-int BroadcastCore::keysPerArc() const { return pk_->eta; }
-
-int BroadcastCore::slotIndex(NodeId nbr, int tree) const {
-  const NodeTreeView view = pk_->view(self_);
-  const int i = view.arcIndexOf(nbr);
-  if (i < 0) return -1;
-  return view.slotOf(i, tree);
-}
-
 void BroadcastCore::send(int localRound, Outbox& out) {
-  const int perChunk = exchangeRounds_ + floodRounds_;
+  const int perChunk = exchangeRounds() + floodRounds_;
   const int chunk = (localRound - 1) / perChunk;
   const int cr = (localRound - 1) % perChunk + 1;
   if (chunk >= w_) return;
-  if (cr == 1) {
-    // Fresh pools per chunk.
-    sentRandom_.clear();
-    recvRandom_.clear();
-    sendPads_.clear();
-    recvPads_.clear();
-  }
-  if (cr <= exchangeRounds_) {
-    for (const auto& nb : g_.neighbors(self_)) {
-      const std::uint64_t x = rng_.next();
-      sentRandom_[nb.node].push_back(x);
-      out.to(nb.node, Msg::of(x));
-    }
+  if (cr == 1) pads_.start();  // fresh pools per chunk
+  if (cr <= exchangeRounds()) {
+    pads_.send(rng_, out);
     return;
   }
-  if (cr == exchangeRounds_ + 1) {
-    const KeyPool pool(keysPerArc(), poolT_, 1);
-    for (const auto& nb : g_.neighbors(self_)) {
-      sendPads_[nb.node] = pool.extract(sentRandom_[nb.node]);
-      recvPads_[nb.node] = pool.extract(recvRandom_[nb.node]);
-    }
-  }
-  const int fr = cr - exchangeRounds_ - 1;  // 0-based flood round
-  const int step = fr / pk_->eta + 1;       // 1-based depth step
+  if (cr == exchangeRounds() + 1) pads_.derive();
+  const int fr = cr - exchangeRounds() - 1;  // 0-based flood round
+  const int step = fr / pk_->eta + 1;        // 1-based depth step
   const int slot = fr % pk_->eta;
   const NodeTreeView view = pk_->view(self_);
   const auto& nbs = g_.neighbors(self_);
@@ -113,25 +84,20 @@ void BroadcastCore::send(int localRound, Outbox& out) {
     const std::uint64_t word =
         shares_[static_cast<std::size_t>(tree)]
                [static_cast<std::size_t>(chunk)];
-    out.to(nbs[i].node,
-           Msg::of(word ^
-                   sendPads_.at(nbs[i].node)[static_cast<std::size_t>(slot)]));
+    out.to(nbs[i].node, Msg::of(word ^ pads_.sendPad(i, slot, 0)));
   }
 }
 
 void BroadcastCore::receive(int localRound, const Inbox& in) {
-  const int perChunk = exchangeRounds_ + floodRounds_;
+  const int perChunk = exchangeRounds() + floodRounds_;
   const int chunk = (localRound - 1) / perChunk;
   const int cr = (localRound - 1) % perChunk + 1;
   if (chunk >= w_) return;
-  if (cr <= exchangeRounds_) {
-    for (const auto& nb : g_.neighbors(self_)) {
-      const MsgView m = in.from(nb.node);
-      recvRandom_[nb.node].push_back(m.present() ? m.at(0) : 0);
-    }
+  if (cr <= exchangeRounds()) {
+    pads_.receive(in);
     return;
   }
-  const int fr = cr - exchangeRounds_ - 1;
+  const int fr = cr - exchangeRounds() - 1;
   const int step = fr / pk_->eta + 1;
   const int slot = fr % pk_->eta;
   const NodeTreeView view = pk_->view(self_);
@@ -144,7 +110,7 @@ void BroadcastCore::receive(int localRound, const Inbox& in) {
     const MsgView m = in.from(nbs[i].node);
     if (!m.present()) continue;
     shares_[static_cast<std::size_t>(tree)][static_cast<std::size_t>(chunk)] =
-        m.at(0) ^ recvPads_.at(nbs[i].node)[static_cast<std::size_t>(slot)];
+        m.at(0) ^ pads_.recvPad(i, slot, 0);
     haveShare_[static_cast<std::size_t>(tree)] = 1;
   }
   if (localRound == totalRounds()) {

@@ -12,15 +12,16 @@
 // This realizes the paper's dispersal architecture; the fragment/landmark
 // machinery that sharpens the round bound to ~O(D + sqrt(f b n) + b) is
 // replaced by whole-tree dispersal at ~O((D + W) * eta * f) rounds
-// (DESIGN.md substitution 3); the benchmark reports the measured shape.
+// (docs/architecture.md section 12, substitution 3); the benchmark
+// reports the measured shape.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "compile/common.h"
+#include "compile/keypool.h"
 #include "sim/node.h"
 
 namespace mobile::compile {
@@ -38,10 +39,12 @@ class BroadcastCore {
   /// Rounds this component occupies: W chunks, each an exchange phase plus
   /// a dispersal phase (word-at-a-time dispersal; see the .cc header).
   [[nodiscard]] int totalRounds() const {
-    return w_ * (exchangeRounds_ + floodRounds_);
+    return w_ * (exchangeRounds() + floodRounds_);
   }
   /// Exchange rounds of one chunk.
-  [[nodiscard]] int exchangeRounds() const { return exchangeRounds_; }
+  [[nodiscard]] int exchangeRounds() const {
+    return pads_.pool().exchangeRounds();
+  }
 
   /// Drive with localRound = 1..totalRounds().
   void send(int localRound, sim::Outbox& out);
@@ -53,24 +56,14 @@ class BroadcastCore {
   }
 
  private:
-  [[nodiscard]] int keysPerArc() const;
-  [[nodiscard]] int slotIndex(graph::NodeId nbr, int tree) const;
-
   graph::NodeId self_;
   const graph::Graph& g_;
   util::Rng rng_;
   std::shared_ptr<const PackingKnowledge> pk_;
   std::vector<std::uint64_t> secret_;
   int w_;
-  int f_;
-  int exchangeRounds_ = 0;
-  int floodRounds_ = 0;
-  int poolT_ = 0;
-
-  std::map<graph::NodeId, std::vector<std::uint64_t>> sentRandom_;
-  std::map<graph::NodeId, std::vector<std::uint64_t>> recvRandom_;
-  std::map<graph::NodeId, std::vector<std::uint64_t>> sendPads_;
-  std::map<graph::NodeId, std::vector<std::uint64_t>> recvPads_;
+  int floodRounds_;
+  PadExchange pads_;  // one exchange per chunk, pads indexed by slot
   std::vector<std::vector<std::uint64_t>> shares_;  // [tree][word]
   std::vector<char> haveShare_;                     // root-seeded / received
   std::vector<std::uint64_t> result_;

@@ -1,8 +1,6 @@
 #include "compile/static_to_mobile.h"
 
 #include <algorithm>
-#include <map>
-#include <vector>
 
 #include "compile/keypool.h"
 
@@ -32,33 +30,20 @@ class MobileSecureNode final : public NodeState {
         g_(g),
         rng_(std::move(rng)),
         inner_(std::move(inner)),
-        pool_(r, t, kWordsPerRound),
         r_(r),
         ell_(r + t),
-        innerSlots_(g, self) {
-    for (const auto& nb : g_.neighbors(self_)) {
-      sentRandom_[nb.node] = {};
-      recvRandom_[nb.node] = {};
-    }
-  }
+        pads_(g, self, KeyPool(r, t, kWordsPerRound)),
+        innerSlots_(g, self) {}
 
   void send(int round, Outbox& out) override {
     if (round <= ell_) {
       // Phase 1: fresh uniform words to every neighbor.
-      for (const auto& nb : g_.neighbors(self_)) {
-        Msg m;
-        for (int w = 0; w < kWordsPerRound; ++w) {
-          const std::uint64_t rw = rng_.next();
-          sentRandom_[nb.node].push_back(rw);
-          m.push(rw);
-        }
-        out.to(nb.node, m);
-      }
+      pads_.send(rng_, out);
       return;
     }
     const int i = round - ell_;  // simulated round of A
     if (i > r_) return;
-    if (i == 1) deriveKeys();
+    if (i == 1) pads_.derive();
     // Capture A's round-i sends (reused member slots), mask with K_i,
     // transmit on every edge so traffic analysis learns nothing from
     // message presence.
@@ -69,21 +54,16 @@ class MobileSecureNode final : public NodeState {
       const Msg& cm = innerSlots_.slot(j);
       const bool real = cm.present;
       const std::uint64_t payload = real ? cm.atOr(0, 0) : rng_.next();
-      const std::uint64_t pad0 = keyWord(sendKeys_, nbs[j].node, i, 0);
-      const std::uint64_t pad1 = keyWord(sendKeys_, nbs[j].node, i, 1);
-      out.to(nbs[j].node, sim::resetScratch(wire_).push(payload ^ pad0).push(
-                              (real ? 1u : 0u) ^ pad1));
+      out.to(nbs[j].node,
+             sim::resetScratch(wire_)
+                 .push(payload ^ pads_.sendPad(j, i - 1, 0))
+                 .push((real ? 1u : 0u) ^ pads_.sendPad(j, i - 1, 1)));
     }
   }
 
   void receive(int round, const Inbox& in) override {
     if (round <= ell_) {
-      for (const auto& nb : g_.neighbors(self_)) {
-        const MsgView m = in.from(nb.node);
-        for (int w = 0; w < kWordsPerRound; ++w)
-          recvRandom_[nb.node].push_back(
-              m.present() ? m.atOr(static_cast<std::size_t>(w), 0) : 0);
-      }
+      pads_.receive(in);
       return;
     }
     const int i = round - ell_;
@@ -96,10 +76,9 @@ class MobileSecureNode final : public NodeState {
     for (std::size_t j = 0; j < nbs.size(); ++j) {
       const MsgView m = in.from(nbs[j].node);
       if (!m.present()) continue;
-      const std::uint64_t pad0 = keyWord(recvKeys_, nbs[j].node, i, 0);
-      const std::uint64_t pad1 = keyWord(recvKeys_, nbs[j].node, i, 1);
-      const bool real = ((m.atOr(1, 0) ^ pad1) & 1u) != 0;
-      if (real) innerSlots_.slot(j).push(m.at(0) ^ pad0);
+      const std::uint64_t flag = m.atOr(1, 0) ^ pads_.recvPad(j, i - 1, 1);
+      if ((flag & 1u) != 0)
+        innerSlots_.slot(j).push(m.at(0) ^ pads_.recvPad(j, i - 1, 0));
     }
     inner_->receive(i, innerSlots_);
   }
@@ -109,36 +88,15 @@ class MobileSecureNode final : public NodeState {
   }
 
  private:
-  void deriveKeys() {
-    // K_i(u,v) derives from the words u *sent* to v; both endpoints know
-    // them (u chose them, v received them -- the eavesdropper is passive).
-    for (const auto& nb : g_.neighbors(self_)) {
-      sendKeys_[nb.node] = pool_.extract(sentRandom_[nb.node]);
-      recvKeys_[nb.node] = pool_.extract(recvRandom_[nb.node]);
-    }
-  }
-
-  [[nodiscard]] std::uint64_t keyWord(
-      const std::map<NodeId, std::vector<std::uint64_t>>& keys, NodeId nb,
-      int simRound, int word) const {
-    return keys.at(nb)[static_cast<std::size_t>((simRound - 1) *
-                                                    kWordsPerRound +
-                                                word)];
-  }
-
   NodeId self_;
   const Graph& g_;
   util::Rng rng_;
   std::unique_ptr<NodeState> inner_;
-  KeyPool pool_;
   int r_;
   int ell_;
+  PadExchange pads_;               // K_i(u, v) is pad i - 1 of arc (u, v)
   sim::NeighborSlots innerSlots_;  // inner sends, then its delivery
   Msg wire_;                       // reused masked wire message
-  std::map<NodeId, std::vector<std::uint64_t>> sentRandom_;
-  std::map<NodeId, std::vector<std::uint64_t>> recvRandom_;
-  std::map<NodeId, std::vector<std::uint64_t>> sendKeys_;
-  std::map<NodeId, std::vector<std::uint64_t>> recvKeys_;
 };
 
 }  // namespace

@@ -50,8 +50,9 @@ struct PackingStats {
 /// min-cost depth-bounded spanning tree under the exponential load weights
 /// w(e) = a^{(h_e+1)/eta} - a^{h_e/eta}.  Depth-capped trees are built by a
 /// depth-capped Prim growth (our stand-in for Lemma C.1's shallow-tree
-/// oracle; DESIGN.md records this substitution).  Each iteration grows one
-/// tree from the loads the previous trees left, so the packing is sequential.
+/// oracle; docs/architecture.md section 12, substitution 2).  Each
+/// iteration grows one tree from the loads the previous trees left, so the
+/// packing is sequential.
 [[nodiscard]] TreePacking greedyLowDepthPacking(const Graph& g, int k,
                                                 NodeId root, int depthCap);
 

@@ -1,6 +1,7 @@
 #include "scn/registry.h"
 
 #include <ostream>
+#include <string>
 
 #include "adv/strategies.h"
 #include "algo/mst.h"
@@ -273,10 +274,18 @@ void registerCompilers(Registry<CompileFactory>& r) {
         "(f, packing, payloadbits, hashbits; payloads must fit payloadbits)",
         [](const Graph& g, const sim::Algorithm& inner, const Params& p) {
           compile::CongestionCompilerOptions opts;
-          opts.payloadBits = static_cast<unsigned>(
-              p.integer("payloadbits", opts.payloadBits));
-          opts.hashBits =
-              static_cast<unsigned>(p.integer("hashbits", opts.hashBits));
+          // Decoding tabulates all 2^payloadbits preimages, and the hash
+          // image domain is [0, 2^hashbits) with a 64-bit mask.
+          const long payloadBits = p.integer("payloadbits", opts.payloadBits);
+          const long hashBits = p.integer("hashbits", opts.hashBits);
+          if (payloadBits < 1 || payloadBits > 16)
+            throw ScnError("congestion payloadbits=" +
+                           std::to_string(payloadBits) + " (1..16)");
+          if (hashBits < payloadBits || hashBits > 63)
+            throw ScnError("congestion hashbits=" + std::to_string(hashBits) +
+                           " (payloadbits..63)");
+          opts.payloadBits = static_cast<unsigned>(payloadBits);
+          opts.hashBits = static_cast<unsigned>(hashBits);
           opts.poolThreshold =
               static_cast<int>(p.integer("pool", opts.poolThreshold));
           return compile::compileCongestionSensitive(

@@ -105,19 +105,10 @@ class OneSparseCell {
       default: return z_;
     }
   }
-  static OneSparseCell fromWords(std::uint64_t w0, std::uint64_t w1,
-                                 std::uint64_t w2, std::uint64_t w3) {
-    OneSparseCell c;
-    c.count_ = static_cast<std::int64_t>(w0);
-    c.keySum_ = w1;
-    c.fp_ = w2;
-    c.z_ = w3;
-    return c;
-  }
 
   /// In-place deserialization: overwrite the accumulators, keep the
-  /// seed-derived fingerprint point z -- the scratch-reuse counterpart of
-  /// fromWords for a cell already constructed with the right randomness.
+  /// seed-derived fingerprint point z of a cell already constructed with
+  /// the right randomness.
   void loadWords(std::uint64_t w0, std::uint64_t w1, std::uint64_t w2) {
     count_ = static_cast<std::int64_t>(w0);
     keySum_ = w1;

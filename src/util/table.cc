@@ -69,11 +69,4 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-void printSection(std::ostream& os, const std::string& title,
-                  const Table& table) {
-  os << "\n## " << title << "\n\n";
-  table.print(os);
-  os << "\n";
-}
-
 }  // namespace mobile::util

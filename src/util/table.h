@@ -1,7 +1,8 @@
 // Aligned markdown table printer used by the benchmark harness.
 //
-// Every bench binary regenerates one experiment table (see DESIGN.md's
-// experiment index) by streaming rows into a Table and printing it.
+// Every bench binary regenerates one experiment table (see the end of
+// docs/architecture.md section 12) by streaming rows into a Table and
+// printing it.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +33,5 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-/// Prints "## <title>" followed by the table, benchmarks' standard layout.
-void printSection(std::ostream& os, const std::string& title,
-                  const Table& table);
 
 }  // namespace mobile::util

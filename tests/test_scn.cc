@@ -197,6 +197,42 @@ TEST(TrialBuilder, TypodAxisIsRejectedNotIgnored) {
   }
 }
 
+TEST(TrialBuilder, CongestionBitWidthsOutOfRangeAreRejected) {
+  // payloadbits sizes a 2^payloadbits decoding table and hashbits a 64-bit
+  // mask: outside 1 <= payloadbits <= 16 and payloadbits <= hashbits <= 63
+  // a trial would hang or shift by 64, so the build names the key instead.
+  scn::TrialBuilder builder;
+  const auto point = [](const std::string& tail) {
+    return scn::Params::fromTokens(
+        "graph=clique n=6 algo=gossip rounds=1 mask=8 compile=congestion "
+        "f=1 adv=random_eaves " +
+        tail);
+  };
+  const std::pair<const char*, const char*> rejected[] = {
+      {"payloadbits=40", "payloadbits"},
+      {"payloadbits=64", "payloadbits"},
+      {"payloadbits=0", "payloadbits"},
+      {"payloadbits=17", "payloadbits"},
+      {"payloadbits=8 hashbits=64", "hashbits"},
+      {"payloadbits=8 hashbits=0", "hashbits"},
+      {"payloadbits=8 hashbits=7", "hashbits"},
+  };
+  for (const auto& [tail, key] : rejected) {
+    try {
+      (void)builder.build(point(tail), "bits");
+      ADD_FAILURE() << tail << ": expected ScnError";
+    } catch (const scn::ScnError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << tail << ": " << e.what();
+    }
+  }
+  for (const char* tail : {"payloadbits=8", "payloadbits=8 hashbits=24",
+                           "payloadbits=8 hashbits=30",
+                           "payloadbits=16 hashbits=16",
+                           "payloadbits=1 hashbits=63"})
+    EXPECT_NO_THROW((void)builder.build(point(tail), "bits")) << tail;
+}
+
 TEST(TrialBuilder, ExpectCacheSharedAcrossAdversaryAndFAxes) {
   scn::TrialBuilder builder;
   const auto point = [](const char* tail) {
