@@ -188,9 +188,12 @@ static void BM_L0_MergeSerialized(benchmark::State& state) {
     a.update(rng.next() % (1ULL << 59), 1);
     b.update(rng.next() % (1ULL << 59), -1);
   }
+  std::vector<std::uint64_t> words;
+  sketch::L0Sampler c(42, 60, 14);
   for (auto _ : state) {
-    auto words = b.serialize();
-    auto c = sketch::L0Sampler::deserialize(42, 60, 14, words);
+    words.clear();
+    b.appendTo(words);
+    c.loadWords(words.data(), words.size());
     c.merge(a);
     benchmark::DoNotOptimize(c.query());
   }
@@ -214,18 +217,19 @@ BENCHMARK(BM_SparseRecovery);
 
 static void BM_SketchSerializeSteadyState(benchmark::State& state) {
   // L0Sampler round trip exactly as the byzantine tree compiler drives it:
-  // serializeInto a retained word buffer, loadWords into a persistent
+  // appendTo a cleared, retained word buffer, loadWords into a persistent
   // receive sketch, merge.
   sketch::L0Sampler a(42, 60, 14), b(42, 60, 14);
   util::Rng rng(9);
   for (int i = 0; i < 64; ++i) a.update(rng.next() % (1ULL << 59), 1);
   std::vector<std::uint64_t> words;
-  a.serializeInto(words);  // warm-up: buffer capacity settles here
+  a.appendTo(words);  // warm-up: buffer capacity settles here
   std::uint64_t ops = 0;
   const std::uint64_t bytes0 =
       g_bytesAllocated.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    a.serializeInto(words);
+    words.clear();
+    a.appendTo(words);
     b.loadWords(words.data(), words.size());
     b.merge(a);
     benchmark::DoNotOptimize(words.data());
@@ -246,12 +250,13 @@ static void BM_SparseReseedSteadyState(benchmark::State& state) {
   util::Rng rng(10);
   for (int i = 0; i < 12; ++i) a.update(rng.next() % (1ULL << 59), 1);
   std::vector<std::uint64_t> words;
-  a.serializeInto(words);
+  a.appendTo(words);
   std::uint64_t ops = 0;
   const std::uint64_t bytes0 =
       g_bytesAllocated.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    a.serializeInto(words);
+    words.clear();
+    a.appendTo(words);
     b.reseed(42);
     b.loadWords(words.data(), words.size());
     b.merge(a);

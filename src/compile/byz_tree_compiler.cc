@@ -7,7 +7,6 @@
 #include <optional>
 
 #include "compile/tree_stages.h"
-#include "sketch/l0sampler.h"
 #include "util/rng.h"
 
 namespace mobile::compile {
@@ -22,30 +21,7 @@ using sim::Outbox;
 
 namespace {
 
-constexpr unsigned kUniverseBits = 60;
 constexpr std::uint64_t kAbsentChunk = 1;  // chunk=1 encodes "no message"
-
-std::uint64_t deriveSketchSeed(std::uint64_t treeSeed, int h) {
-  std::uint64_t st = treeSeed ^ (std::uint64_t{0xabcdef12345678u} *
-                                 static_cast<std::uint64_t>(h + 1));
-  return util::splitmix64(st);
-}
-
-/// Per-thread l0-sketch scratch, for the reason given at SparseCell in
-/// tree_stages.cc; the shape is remembered so cells are rebuilt
-/// only when a node of another trial asks for different levels.
-struct L0Scratch {
-  std::vector<sketch::L0Sampler> sketches;
-  unsigned levels = 0;
-  std::optional<sketch::L0Sampler> recv;
-  unsigned recvLevels = 0;
-  std::vector<std::uint64_t> tmp;
-};
-
-L0Scratch& l0Scratch() {
-  static thread_local L0Scratch s;
-  return s;
-}
 
 }  // namespace
 
@@ -104,9 +80,11 @@ class ByzNode final : public NodeState {
         innerSlots_(g, self),
         votes_(view_.degree(), slots_),
         seeds_(ChildRule::AsListed),
-        sparse_(static_cast<std::size_t>(opts.sparseSlack * 4 * f_),
-                static_cast<std::size_t>(opts.sparseRows), pk_->depthBound,
-                ChildRule::AsListed),
+        sparse_({static_cast<std::size_t>(opts.sparseSlack * 4 * f_),
+                 static_cast<std::size_t>(opts.sparseRows)},
+                pk_->depthBound, ChildRule::AsListed),
+        l0_({static_cast<std::size_t>(opts.tSketches), opts.sketchLevels},
+            pk_->depthBound, ChildRule::AsListed),
         down_(pk_->k, opts.dmCap > 0 ? opts.dmCap : 2 * f_ + 8, opts.cPP,
               sched.sharesPerHop, pk_->depthBound, ChildRule::AsListed) {
     // Exchange-step key tables are adjacency-indexed and fully rewritten
@@ -160,8 +138,9 @@ class ByzNode final : public NodeState {
                      else if (sparseMode())
                        sparse_.receive(view_, tree, from, seeds_.word(tree),
                                        m);
-                     else
-                       receiveL0(tree, from, m);
+                     else if (l0_.receive(view_, tree, from,
+                                          seeds_.word(tree), m))
+                       l0Sent_.erase(tree);
                    });
     if (!p.inSketch && p.hop.step == sched_.eccSteps &&
         p.hop.rep == slots_.rho - 1 && p.hop.slot == pk_->eta - 1) {
@@ -269,7 +248,7 @@ class ByzNode final : public NodeState {
     currentSimRound_ = p.simRound;
     seeds_.start(pk_->k);
     sparse_.start();
-    accum_.clear();
+    l0_.start();
     l0Sent_.clear();
     l0SentStep_ = 0;
     down_.start();
@@ -307,96 +286,19 @@ class ByzNode final : public NodeState {
     }
   }
 
-  // --- l0 upcast (Section 3.2) ------------------------------------------------
+  // --- l0 up-wave memo (Section 3.2) ----------------------------------------
 
-  /// t l0-samplers of entries_ seeded from `treeSeed`, in thread-local
-  /// scratch (valid until the next call on this thread).
-  [[nodiscard]] std::vector<sketch::L0Sampler>& localSketches(
-      std::uint64_t treeSeed) {
-    L0Scratch& sc = l0Scratch();
-    const auto tS = static_cast<std::size_t>(opts_.tSketches);
-    if (sc.sketches.size() != tS || sc.levels != opts_.sketchLevels) {
-      sc.sketches.clear();
-      sc.sketches.reserve(tS);
-      for (int h = 0; h < opts_.tSketches; ++h)
-        sc.sketches.emplace_back(deriveSketchSeed(treeSeed, h), kUniverseBits,
-                                 opts_.sketchLevels);
-      sc.levels = opts_.sketchLevels;
-    } else {
-      for (int h = 0; h < opts_.tSketches; ++h)
-        sc.sketches[static_cast<std::size_t>(h)].reseed(
-            deriveSketchSeed(treeSeed, h));
-    }
-    for (auto& s : sc.sketches)
-      for (const auto& [key, freq] : entries_) s.update(key, freq);
-    return sc.sketches;
-  }
-
-  /// Receive-side scratch: a sketch reseeded to match an incoming
-  /// serialized sketch, filled via loadWords (in-place deserialize).
-  [[nodiscard]] sketch::L0Sampler& recvL0(std::uint64_t sketchSeed) {
-    L0Scratch& sc = l0Scratch();
-    if (!sc.recv || sc.recvLevels != opts_.sketchLevels) {
-      sc.recv.emplace(sketchSeed, kUniverseBits, opts_.sketchLevels);
-      sc.recvLevels = opts_.sketchLevels;
-    } else {
-      sc.recv->reseed(sketchSeed);
-    }
-    return *sc.recv;
-  }
-
-  /// Up-wave step `step` of 1..D+1: depth d >= 1 sends its t merged
-  /// sketches to its parent at step D + 1 - d.  The bundle is built at the
-  /// step's first repetition and memoized for the others (see l0Sent_).
+  /// The l0 up-wave hop: the bundle is built at the step's first
+  /// repetition and memoized for the others (see l0Sent_).
   [[nodiscard]] const Msg* l0Message(int tree, NodeId to, int step) {
     if (step != l0SentStep_) {
       l0Sent_.clear();
       l0SentStep_ = step;
     }
-    const int d = view_.depth(tree);
-    if (d <= 0 || step != pk_->depthBound + 1 - d ||
-        to != view_.parent(tree))
-      return nullptr;
+    if (!l0_.sends(view_, tree, to, step)) return nullptr;
     const auto [memo, fresh] = l0Sent_.try_emplace(tree);
-    Msg& m = memo->second;
-    if (!fresh) return &m;
-    std::vector<sketch::L0Sampler>& mine = localSketches(seeds_.word(tree));
-    const auto acc = accum_.find(tree);
-    if (acc != accum_.end()) {
-      for (int h = 0; h < opts_.tSketches; ++h)
-        mine[static_cast<std::size_t>(h)].merge(
-            acc->second[static_cast<std::size_t>(h)]);
-    }
-    sim::resetScratch(m).words.reserve(mine.size() * mine[0].serializedWords());
-    std::vector<std::uint64_t>& tmp = l0Scratch().tmp;
-    for (const auto& s : mine) {
-      s.serializeInto(tmp);
-      m.words.insert(m.words.end(), tmp.begin(), tmp.end());
-    }
-    return &m;
-  }
-
-  /// Merges a child's bundle of t sketches, invalidating the tree's
-  /// memoized bundle; malformed bundles are dropped.
-  void receiveL0(int tree, NodeId from, const Msg& m) {
-    if (view_.depth(tree) < 0 || !view_.hasChild(tree, from)) return;
-    const std::size_t per =
-        sketch::L0Sampler::serializedWords(kUniverseBits, opts_.sketchLevels);
-    if (m.size() != per * static_cast<std::size_t>(opts_.tSketches)) return;
-    l0Sent_.erase(tree);
-    const std::uint64_t ts = seeds_.word(tree);
-    auto acc = accum_.find(tree);
-    const bool firstBundle = acc == accum_.end();
-    if (firstBundle)
-      acc = accum_.emplace(tree, std::vector<sketch::L0Sampler>{}).first;
-    for (int h = 0; h < opts_.tSketches; ++h) {
-      sketch::L0Sampler& got = recvL0(deriveSketchSeed(ts, h));
-      got.loadWords(m.words.data() + per * static_cast<std::size_t>(h), per);
-      if (firstBundle)
-        acc->second.push_back(got);
-      else
-        acc->second[static_cast<std::size_t>(h)].merge(got);
-    }
+    if (fresh) l0_.build(tree, seeds_.word(tree), entries_, memo->second);
+    return &memo->second;
   }
 
   // --- root: dominating mismatches -------------------------------------------
@@ -405,7 +307,7 @@ class ByzNode final : public NodeState {
   /// them to the share downcast.
   void computeDm(const Pos& p) {
     if (sparseMode())
-      down_.encode(sparse_.recoverMajority(seeds_, pk_->k, entries_));
+      down_.encode(recoverMajority(sparse_, seeds_, pk_->k, entries_));
     else
       down_.encode(l0Dm(p));
     if (shared_) shared_->trueShares = down_.shares();
@@ -419,27 +321,18 @@ class ByzNode final : public NodeState {
     const int sketchStart = sketchBlockStartRound(p);
     const int sketchEnd = eccBlockStartRound(p) - 1;
     for (int t = 0; t < pk_->k; ++t) {
-      std::vector<sketch::L0Sampler>& merged = localSketches(seeds_.word(t));
-      const auto acc = accum_.find(t);
-      if (acc != accum_.end())
-        for (int h = 0; h < opts_.tSketches; ++h)
-          merged[static_cast<std::size_t>(h)].merge(
-              acc->second[static_cast<std::size_t>(h)]);
+      std::optional<sketch::L0Bundle> truth;
       if (contract() &&
           shared_->oracle->survives(t, sketchStart, sketchEnd,
                                     sched_.sketchSteps, opts_.engine.cRS)) {
         // Ideal functionality: the fault-free aggregate.
-        merged.clear();
-        for (int h = 0; h < opts_.tSketches; ++h) {
-          sketch::L0Sampler s(
-              deriveSketchSeed(shared_->trueSeeds[t], h), kUniverseBits,
-              opts_.sketchLevels);
-          for (const auto& [key, freq] : shared_->iterationEntries)
-            s.update(key, freq);
-          merged.push_back(std::move(s));
-        }
+        truth.emplace(shared_->trueSeeds[t], l0_.shape());
+        for (const auto& [key, freq] : shared_->iterationEntries)
+          truth->update(key, freq);
       }
-      for (const auto& s : merged) {
+      const sketch::L0Bundle& merged =
+          truth ? *truth : l0_.merged(t, seeds_.word(t), entries_);
+      for (const auto& s : merged.samplers()) {
         const auto r = s.query();
         if (r.has_value()) {
           ++supp[r->key];
@@ -530,8 +423,8 @@ class ByzNode final : public NodeState {
   // The tree stages of one iteration (docs/architecture.md section 7).
   ArcVotes votes_;
   TreeFlood seeds_;  // sketch seed R(T) per tree
-  SparseConvergecast sparse_;                            // SparseOneShot
-  std::map<int, std::vector<sketch::L0Sampler>> accum_;  // L0Iterative
+  SparseConvergecast sparse_;  // SparseOneShot
+  L0Convergecast l0_;          // L0Iterative
   /// L0Iterative: tree -> the bundle sent up it in up-wave step
   /// l0SentStep_, so the rho repetitions of a hop build it once.  Dropped
   /// when a child bundle merges into the tree, when the step advances and

@@ -12,21 +12,22 @@
 //       extracts the dominating mismatches (DM) and ECC-broadcasts them
 //       down all k trees (Lemma 3.6), and every node patches its
 //       estimates.  CorrectionMode picks the sketch: t l0-samplers per
-//       tree with the Delta_j support threshold of Eq. 8, or one O(f)-
-//       sparse recovery sketch with a majority across trees.  The tree
-//       stages are shared with the rewind compiler (docs/architecture.md
-//       section 7.1).
+//       tree (sketch::L0Bundle) with the Delta_j support threshold of
+//       Eq. 8, or one O(f)-sparse recovery sketch with a majority across
+//       trees.  Both ride one up-wave stage, SketchConvergecast; it and
+//       the other tree stages are shared with the rewind compiler
+//       (docs/architecture.md section 7.1).
 //       Real mismatches halve each iteration w.h.p. (Lemma 3.8), so after
 //       z = O(log f) iterations all estimates are exact.
 //   Step 3  deliver the corrected messages to the inner A instance.
 //
 // Round cost per phase: 1 + z * (sketch block + ECC block) * eta * rho,
 // i.e. ~O(DTP * log f * eta) scheduled rounds -- the paper's ~O(DTP) up to
-// the log factors it hides.  The rho repetitions resend one message: the
-// l0 up-wave builds a node's t-sketch bundle for a tree once per step and
-// holds it until the step advances or a child bundle merges into that
-// tree, so only the senders of the current step hold one (~5 KB at the
-// defaults).
+// the log factors it hides.  The rho repetitions resend one message: in
+// the l0 up-wave the node has the stage build its t-sketch bundle for a
+// tree once per step and holds it until the step advances or a child
+// bundle merges into that tree, so only the senders of the current step
+// hold one (~5 KB at the defaults).
 #pragma once
 
 #include <map>

@@ -76,9 +76,9 @@ class RewindNode final : public NodeState {
         replaySlots_(g, self),
         votes_(view_.degree(), slots_),
         seeds_(ChildRule::ParentExcluded),
-        sparse_(static_cast<std::size_t>(16 * correctionCap(opts, f)),
-                static_cast<std::size_t>(opts.sketchRows), pk_->depthBound,
-                ChildRule::ParentExcluded),
+        sparse_({static_cast<std::size_t>(16 * correctionCap(opts, f)),
+                 static_cast<std::size_t>(opts.sketchRows)},
+                pk_->depthBound, ChildRule::ParentExcluded),
         down_(pk_->k, 8 * correctionCap(opts, f), 3, sched.sharesPerHop,
               pk_->depthBound, ChildRule::ParentExcluded),
         verdicts_(ChildRule::ParentExcluded, 2) {
@@ -235,7 +235,7 @@ class RewindNode final : public NodeState {
     const SlotPos h = slots_.at(inSketch ? cr : cr - sketchRounds);
     if (cr == 0) startCorrection();
     if (cr == sketchRounds && isRoot_)
-      down_.encode(sparse_.recoverMajority(seeds_, pk_->k, entries_));
+      down_.encode(recoverMajority(sparse_, seeds_, pk_->k, entries_));
     sendScheduled(view_, h.slot, out, [&](int tree, NodeId to) -> const Msg* {
       if (!inSketch) return down_.send(view_, tree, to, h.step);
       if (h.step <= D) return seeds_.send(view_, tree, to, h.step);

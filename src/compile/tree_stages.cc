@@ -6,34 +6,6 @@
 
 namespace mobile::compile {
 
-namespace {
-
-/// A sketch cell held per thread, not per node: every use is confined to
-/// one send or receive call, so the engine's node-parallel lanes share one
-/// cell per thread -- the difference between fitting n=10^6 in
-/// single-digit GB and not.  Nodes from different trials (different
-/// sparsity or rows) interleave on driver lanes, so the cell is rebuilt
-/// whenever the requested shape differs and merely reseeded otherwise.
-struct SparseCell {
-  std::optional<sketch::SparseRecovery> sketch;
-  std::size_t sparsity = 0;
-  std::size_t rows = 0;
-
-  sketch::SparseRecovery& reseed(std::uint64_t seed, std::size_t s,
-                                 std::size_t r) {
-    if (!sketch || sparsity != s || rows != r) {
-      sketch.emplace(seed, s, r);
-      sparsity = s;
-      rows = r;
-    } else {
-      sketch->reseed(seed);
-    }
-    return *sketch;
-  }
-};
-
-}  // namespace
-
 // --- TreeFlood ---------------------------------------------------------------
 
 void TreeFlood::start(int k) {
@@ -48,58 +20,61 @@ void TreeFlood::seed(int tree, std::initializer_list<std::uint64_t> words) {
   have_[static_cast<std::size_t>(tree)] = 1;
 }
 
-// --- SparseConvergecast ------------------------------------------------------
+// --- SketchConvergecast -----------------------------------------------------
 
-sketch::SparseRecovery& SparseConvergecast::local(
-    std::uint64_t seed, const StreamEntries& entries) const {
-  static thread_local SparseCell cell;
-  sketch::SparseRecovery& s = cell.reseed(seed, sparsity_, rows_);
+template <class Sketch>
+Sketch& SketchConvergecast<Sketch>::scratch(std::uint64_t seed) const {
+  // Held per thread, not per node: every use is confined to one stage call,
+  // so the engine's node-parallel lanes share one sketch per thread -- the
+  // difference between fitting n=10^6 in single-digit GB and not.  Nodes
+  // from different trials (different shapes) interleave on driver lanes.
+  static thread_local std::optional<Sketch> cell;
+  static thread_local Shape cellShape;
+  if (!cell || !(cellShape == shape_)) {
+    cell.emplace(seed, shape_);
+    cellShape = shape_;
+  } else {
+    cell->reseed(seed);
+  }
+  return *cell;
+}
+
+template <class Sketch>
+const Sketch& SketchConvergecast<Sketch>::merged(
+    int tree, std::uint64_t seed, const StreamEntries& entries) const {
+  Sketch& s = scratch(seed);
   for (const auto& [key, freq] : entries) s.update(key, freq);
+  const auto acc = accum_.find(tree);
+  if (acc != accum_.end()) s.merge(acc->second);
   return s;
 }
 
-const sim::Msg* SparseConvergecast::send(const NodeTreeView& view, int tree,
-                                         NodeId to, int step,
-                                         std::uint64_t seed,
-                                         const StreamEntries& entries) {
-  const int d = view.depth(tree);
-  if (d <= 0 || step != depthBound_ + 1 - d || to != view.parent(tree))
-    return nullptr;
-  sketch::SparseRecovery& mine = local(seed, entries);
-  const auto acc = accum_.find(tree);
-  if (acc != accum_.end()) mine.merge(acc->second);
-  sim::Msg& m = sim::resetScratch(hopScratch());
-  mine.serializeInto(m.words);
-  return &m;
-}
-
-void SparseConvergecast::receive(const NodeTreeView& view, int tree,
-                                 NodeId from, std::uint64_t seed,
-                                 const sim::Msg& m) {
-  if (view.depth(tree) < 0 || !isChild(view, tree, from, rule_)) return;
-  static thread_local SparseCell cell;
-  sketch::SparseRecovery& got = cell.reseed(seed, sparsity_, rows_);
-  if (m.size() != got.serializedWords()) return;
+template <class Sketch>
+bool SketchConvergecast<Sketch>::receive(const NodeTreeView& view, int tree,
+                                         NodeId from, std::uint64_t seed,
+                                         const sim::Msg& m) {
+  if (view.depth(tree) < 0 || !isChild(view, tree, from, rule_)) return false;
+  Sketch& got = scratch(seed);
+  if (m.size() != got.serializedWords()) return false;
   got.loadWords(m.words.data(), m.size());
-  const auto acc = accum_.find(tree);
-  if (acc == accum_.end())
-    accum_.emplace(tree, got);
-  else
-    acc->second.merge(got);
+  const auto [acc, fresh] = accum_.try_emplace(tree, got);
+  if (!fresh) acc->second.merge(got);
+  return true;
 }
 
-std::vector<std::uint64_t> SparseConvergecast::recoverMajority(
-    const TreeFlood& seeds, int k, const StreamEntries& entries) {
+template class SketchConvergecast<sketch::SparseRecovery>;
+template class SketchConvergecast<sketch::L0Bundle>;
+
+std::vector<std::uint64_t> recoverMajority(const SparseConvergecast& up,
+                                           const TreeFlood& seeds, int k,
+                                           const StreamEntries& entries) {
   // Most trees are uncorrupted, so the true support wins the vote; no
   // Delta threshold is needed (Section 1.2.2).
   constexpr std::uint64_t kFailed = ~0ULL;
   std::map<std::vector<std::uint64_t>, int> votes;
   for (int t = 0; t < k; ++t) {
-    sketch::SparseRecovery& merged = local(seeds.word(t), entries);
-    const auto acc = accum_.find(t);
-    if (acc != accum_.end()) merged.merge(acc->second);
     std::vector<std::uint64_t> canon;
-    const auto rec = merged.recoverAll();
+    const auto rec = up.merged(t, seeds.word(t), entries).recoverAll();
     if (rec.has_value()) {
       for (const auto& e : *rec)
         if (e.frequency > 0) canon.push_back(e.key);

@@ -9,9 +9,9 @@
 // build into one thread-local buffer (hopScratch), valid until the next
 // stage send on the same thread; the arc loop hands it to the outbox at
 // once, so engine lanes never share it.  These stages rebuild every
-// repetition of a hop.  The byzantine compiler's l0 up-wave is the one
-// sender that returns a node-held message instead: its per-tree bundle
-// memo, which lives for one up-wave step (byz_tree_compiler.cc).
+// repetition of a hop.  The one exception is the byzantine compiler's l0
+// up-wave: ByzNode asks SketchConvergecast::build for a tree's bundle once
+// per up-wave step, into a message it holds (byz_tree_compiler.cc).
 #pragma once
 
 #include <algorithm>
@@ -26,6 +26,7 @@
 #include "compile/ecc_broadcast.h"
 #include "compile/rs_engine.h"
 #include "sim/node.h"
+#include "sketch/l0sampler.h"
 #include "sketch/sparse_recovery.h"
 
 namespace mobile::compile {
@@ -161,44 +162,78 @@ class TreeFlood {
   std::vector<char> have_;
 };
 
-/// Sparse-recovery sketches of the node's stream entries, merged up every
-/// tree.  Sketch objects live in thread-local scratch, reseeded per use.
-class SparseConvergecast {
+/// Sketches of the node's stream entries, merged up every tree (Theorem
+/// 3.5's mismatch correction).  `Sketch` is sketch::SparseRecovery (byz
+/// SparseOneShot, rewind) or sketch::L0Bundle (byz L0Iterative); both
+/// offer Shape, reseed, update, merge and the wire form.  The stage keeps
+/// the children's merged sketches per tree; the node's own sketch lives in
+/// one thread-local scratch per sketch type, rebuilt when the shape
+/// changes and reseeded otherwise.
+template <class Sketch>
+class SketchConvergecast {
  public:
-  SparseConvergecast(std::size_t sparsity, std::size_t rows, int depthBound,
-                     ChildRule rule)
-      : sparsity_(sparsity),
-        rows_(rows),
-        depthBound_(depthBound),
-        rule_(rule) {}
+  using Shape = typename Sketch::Shape;
+
+  SketchConvergecast(Shape shape, int depthBound, ChildRule rule)
+      : shape_(shape), depthBound_(depthBound), rule_(rule) {}
 
   void start() { accum_.clear(); }
+  [[nodiscard]] const Shape& shape() const { return shape_; }
 
-  /// Up-wave over depthBound + 1 steps: depth d >= 1 sends its merged
-  /// sketch (seeded `seed`) to its parent at step depthBound + 1 - d.
+  /// Up-wave over depthBound + 1 steps: depth d >= 1 sends to its parent
+  /// at step depthBound + 1 - d.
+  [[nodiscard]] bool sends(const NodeTreeView& view, int tree, NodeId to,
+                           int step) const {
+    const int d = view.depth(tree);
+    return d > 0 && step == depthBound_ + 1 - d && to == view.parent(tree);
+  }
+  /// Writes into `m` the node's sketch of `entries` (seeded `seed`) merged
+  /// with its children's: the hop message up `tree`.
+  void build(int tree, std::uint64_t seed, const StreamEntries& entries,
+             sim::Msg& m) const {
+    merged(tree, seed, entries).appendTo(sim::resetScratch(m).words);
+  }
+  /// The hop message built into hopScratch, or nullptr if none is due.
   [[nodiscard]] const sim::Msg* send(const NodeTreeView& view, int tree,
                                      NodeId to, int step, std::uint64_t seed,
-                                     const StreamEntries& entries);
-  /// Merges a child's sketch for `tree`; malformed sketches are dropped.
-  void receive(const NodeTreeView& view, int tree, NodeId from,
+                                     const StreamEntries& entries) const {
+    if (!sends(view, tree, to, step)) return nullptr;
+    build(tree, seed, entries, hopScratch());
+    return &hopScratch();
+  }
+  /// Merges a child's sketch for `tree`, at any up-wave step.  Returns
+  /// false, merging nothing, for a hop from a non-child or of the wrong
+  /// size.
+  bool receive(const NodeTreeView& view, int tree, NodeId from,
                std::uint64_t seed, const sim::Msg& m);
 
-  /// Root: per tree, the positive support recovered from its own plus the
-  /// merged sketches; returns the majority support across trees (sorted;
-  /// empty when the winning trees failed to recover).
-  [[nodiscard]] std::vector<std::uint64_t> recoverMajority(
-      const TreeFlood& seeds, int k, const StreamEntries& entries);
+  /// The node's sketch of `entries` merged with its children's for `tree`:
+  /// at the root, the whole tree's.  Valid until the next stage call on
+  /// this thread.
+  [[nodiscard]] const Sketch& merged(int tree, std::uint64_t seed,
+                                     const StreamEntries& entries) const;
 
  private:
-  [[nodiscard]] sketch::SparseRecovery& local(
-      std::uint64_t seed, const StreamEntries& entries) const;
+  [[nodiscard]] Sketch& scratch(std::uint64_t seed) const;
 
-  std::size_t sparsity_;
-  std::size_t rows_;
+  Shape shape_;
   int depthBound_;
   ChildRule rule_;
-  std::map<int, sketch::SparseRecovery> accum_;  // children merges per tree
+  std::map<int, Sketch> accum_;  // children merges per tree
 };
+
+// Instantiated in tree_stages.cc for the two sketch types.
+extern template class SketchConvergecast<sketch::SparseRecovery>;
+extern template class SketchConvergecast<sketch::L0Bundle>;
+using SparseConvergecast = SketchConvergecast<sketch::SparseRecovery>;
+using L0Convergecast = SketchConvergecast<sketch::L0Bundle>;
+
+/// Root: per tree, the positive support recovered from the merged sparse
+/// sketch; returns the majority support across trees (sorted; empty when
+/// the winning trees failed to recover).
+[[nodiscard]] std::vector<std::uint64_t> recoverMajority(
+    const SparseConvergecast& up, const TreeFlood& seeds, int k,
+    const StreamEntries& entries);
 
 /// ECCSafeBroadcast of the root's DM keys: chunk c's share for tree t
 /// travels down t.  Shares are bundled `sharesPerHop` per hop message, so

@@ -179,7 +179,6 @@ exp::TrialSpec TrialBuilder::build(const Params& point,
       engineThreads > 0 ? engineThreads : defaultEngineThreads_;
   spec.net.numShards = engineShards > 0 ? engineShards : defaultEngineShards_;
   if (transport == "udp") {
-    spec.net.plane = sim::PlaneKind::kUdp;
     spec.planeFactory = [faults, linkOpts,
                          planeOpts](const graph::Graph&) {
       return std::make_shared<net::UdpPlane>(net::processTransport(), faults,

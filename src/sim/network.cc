@@ -58,15 +58,8 @@ Network::Network(const graph::Graph& g, const Algorithm& algo,
       nodeMaxWords_(static_cast<std::size_t>(g.nodeCount()), 0),
       nodeWords_(static_cast<std::size_t>(g.nodeCount()), 0) {
   g_.finalize();  // lock the CSR layout before any parallel phase reads it
-  if (opts_.planeImpl) {
-    plane_ = opts_.planeImpl;
-  } else if (opts_.plane != PlaneKind::kArena) {
-    throw std::logic_error(
-        "NetworkOptions: a non-arena plane requires planeImpl "
-        "(src/sim cannot construct net::UdpPlane)");
-  } else {
-    plane_ = std::make_shared<MessagePlane>();
-  }
+  plane_ = opts_.planeImpl ? opts_.planeImpl
+                          : std::make_shared<MessagePlane>();
   plane_->attach(g_,
                  opts_.numShards > 0 ? opts_.numShards : opts_.numThreads);
   if (adversary_ != nullptr && plane_->partitioned())

@@ -68,14 +68,6 @@ class ThreadPool;
 
 namespace mobile::sim {
 
-/// Which MessagePlane implementation carries the round's messages.
-enum class PlaneKind {
-  kArena,  ///< in-process sharded arena (the default; no planeImpl needed)
-  kUdp,    ///< multi-process UDP plane -- NetworkOptions::planeImpl must be
-           ///< set (src/sim cannot depend on src/net; build one with
-           ///< net::UdpPlane and hand it over)
-};
-
 struct NetworkOptions {
   /// Per-message word cap (base CONGEST = 1 word; compiled protocols bundle
   /// wider logical messages -- experiments report normalized round counts
@@ -95,10 +87,10 @@ struct NetworkOptions {
   /// an execution detail: observable results are bit-identical at every
   /// setting (pinned by tests/test_arena_determinism.cc).
   int numShards = 0;
-  /// Message-plane selection.  kUdp requires planeImpl.
-  PlaneKind plane = PlaneKind::kArena;
-  /// Externally-built plane (kUdp).  Shared: the transport session inside
-  /// may outlive any single Network (trial rewinds reuse it).
+  /// Externally-built message plane (e.g. net::UdpPlane; src/sim cannot
+  /// depend on src/net); null selects the in-process sharded arena.
+  /// Shared: the transport session inside may outlive any single Network
+  /// (trial rewinds reuse it).
   std::shared_ptr<MessagePlane> planeImpl;
 };
 

@@ -72,9 +72,7 @@ void L0Sampler::update(std::uint64_t key, std::int64_t freq) {
 
 void L0Sampler::merge(const L0Sampler& other) {
   assert(seed_ == other.seed_ && "mergeable only with identical randomness");
-  assert(cells_.size() == other.cells_.size());
-  for (std::size_t i = 0; i < cells_.size(); ++i)
-    cells_[i].merge(other.cells_[i]);
+  mergeCells(cells_, other.cells_);
 }
 
 std::optional<Recovered> L0Sampler::query() const {
@@ -91,46 +89,43 @@ std::optional<Recovered> L0Sampler::query() const {
   return std::nullopt;
 }
 
-std::size_t L0Sampler::serializedWords() const { return cells_.size() * 3; }
+// --- L0Bundle ---------------------------------------------------------------
 
-std::vector<std::uint64_t> L0Sampler::serialize() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(serializedWords());
-  for (const auto& c : cells_) {
-    out.push_back(c.word(0));
-    out.push_back(c.word(1));
-    out.push_back(c.word(2));
-  }
-  return out;
+L0Bundle::L0Bundle(std::uint64_t seed, Shape shape) {
+  samplers_.reserve(shape.count);
+  for (std::size_t h = 0; h < shape.count; ++h)
+    samplers_.emplace_back(memberSeed(seed, h), 60, shape.levels);
 }
 
-L0Sampler L0Sampler::deserialize(std::uint64_t seed, unsigned universeBits,
-                                 unsigned levels,
-                                 const std::vector<std::uint64_t>& words) {
-  L0Sampler s(seed, universeBits, levels);
-  s.loadWords(words.data(), words.size());
-  return s;
+std::uint64_t L0Bundle::memberSeed(std::uint64_t seed, std::size_t h) {
+  std::uint64_t st = seed ^ (std::uint64_t{0xabcdef12345678u} * (h + 1));
+  return util::splitmix64(st);
 }
 
-void L0Sampler::serializeInto(std::vector<std::uint64_t>& out) const {
-  out.clear();
-  out.reserve(serializedWords());
-  for (const auto& c : cells_) {
-    out.push_back(c.word(0));
-    out.push_back(c.word(1));
-    out.push_back(c.word(2));
-  }
+void L0Bundle::reseed(std::uint64_t seed) {
+  for (std::size_t h = 0; h < samplers_.size(); ++h)
+    samplers_[h].reseed(memberSeed(seed, h));
 }
 
-void L0Sampler::loadWords(const std::uint64_t* words, std::size_t n) {
+void L0Bundle::merge(const L0Bundle& other) {
+  assert(samplers_.size() == other.samplers_.size());
+  for (std::size_t h = 0; h < samplers_.size(); ++h)
+    samplers_[h].merge(other.samplers_[h]);
+}
+
+void L0Bundle::appendTo(std::vector<std::uint64_t>& out) const {
+  out.reserve(out.size() + serializedWords());
+  for (const auto& s : samplers_) s.appendTo(out);
+}
+
+void L0Bundle::loadWords(const std::uint64_t* words, std::size_t n) {
   assert(n == serializedWords());
   (void)n;
-  for (std::size_t i = 0; i < cells_.size(); ++i)
-    cells_[i].loadWords(words[i * 3], words[i * 3 + 1], words[i * 3 + 2]);
-}
-
-void L0Sampler::clear() {
-  for (auto& c : cells_) c.reset();
+  const std::size_t per = samplers_[0].serializedWords();
+  for (auto& s : samplers_) {
+    s.loadWords(words, per);
+    words += per;
+  }
 }
 
 }  // namespace mobile::sketch

@@ -42,29 +42,21 @@ class L0Sampler {
   /// cannot recover one (empty support or unlucky hashing).
   [[nodiscard]] std::optional<Recovered> query() const;
 
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
-
   /// Number of 64-bit words in the serialized form.
-  [[nodiscard]] std::size_t serializedWords() const;
-  /// The same, for a sampler constructed with these dimensions.
-  [[nodiscard]] static std::size_t serializedWords(unsigned universeBits,
-                                                   unsigned levels) {
-    return (levels == 0 ? universeBits + 1 : levels) * kBucketsPerLevel * 3;
+  [[nodiscard]] std::size_t serializedWords() const {
+    return cells_.size() * OneSparseCell::kWireWords;
   }
-  [[nodiscard]] std::vector<std::uint64_t> serialize() const;
-  static L0Sampler deserialize(std::uint64_t seed, unsigned universeBits,
-                               unsigned levels,
-                               const std::vector<std::uint64_t>& words);
-
-  // Scratch-reuse forms (the per-round zero-alloc path): serializeInto
-  // overwrites `out` (capacity is retained across rounds), loadWords
-  // overwrites this sampler's cells from serializedWords() words -- the
-  // receiver must have been constructed with the same (seed, universeBits,
-  // levels), which the seed-derived fingerprint points implicitly are --
-  // and clear() returns to the empty stream without touching randomness.
-  void serializeInto(std::vector<std::uint64_t>& out) const;
-  void loadWords(const std::uint64_t* words, std::size_t n);
-  void clear();
+  /// The wire form, zero-alloc once `out` has the capacity: appendTo
+  /// appends serializedWords() words to `out`, loadWords overwrites this
+  /// sampler's cells from them; the receiver must have been constructed
+  /// (or reseeded) with the sender's seed and dimensions.
+  void appendTo(std::vector<std::uint64_t>& out) const {
+    out.reserve(out.size() + serializedWords());
+    appendCells(cells_, out);
+  }
+  void loadWords(const std::uint64_t* words, std::size_t n) {
+    loadCells(cells_, words, n);
+  }
   /// Re-derive all randomness from a new seed and clear the cells, without
   /// reallocating -- turns one sampler object into a per-(tree, iteration)
   /// scratch slot.  Equivalent to *this = L0Sampler(seed, ..same dims..).
@@ -82,6 +74,44 @@ class L0Sampler {
   std::uint64_t bucketA_, bucketB_;  // bucket hash
   std::vector<OneSparseCell> cells_;  // levels_ x kBucketsPerLevel
   PowScratch scratch_;                // batched-update reuse (<= levels_)
+};
+
+/// t independent samplers over one stream, sampler h seeded by
+/// memberSeed(seed, h): the per-tree sketch of the byzantine compiler's l0
+/// correction (Section 3.2).  It offers SparseRecovery's reseed / update /
+/// merge / wire interface, so one tree stage carries either; the wire form
+/// is the samplers' in order.
+class L0Bundle {
+ public:
+  struct Shape {
+    std::size_t count = 0;  // t
+    unsigned levels = 0;    // per sampler, over a 60-bit universe
+    bool operator==(const Shape&) const = default;
+  };
+
+  L0Bundle(std::uint64_t seed, Shape shape);
+
+  void reseed(std::uint64_t seed);
+  void update(std::uint64_t key, std::int64_t freq) {
+    for (auto& s : samplers_) s.update(key, freq);
+  }
+  void merge(const L0Bundle& other);
+
+  [[nodiscard]] std::size_t serializedWords() const {
+    return samplers_.size() * samplers_[0].serializedWords();
+  }
+  void appendTo(std::vector<std::uint64_t>& out) const;
+  void loadWords(const std::uint64_t* words, std::size_t n);
+
+  [[nodiscard]] const std::vector<L0Sampler>& samplers() const {
+    return samplers_;
+  }
+
+ private:
+  [[nodiscard]] static std::uint64_t memberSeed(std::uint64_t seed,
+                                                std::size_t h);
+
+  std::vector<L0Sampler> samplers_;
 };
 
 }  // namespace mobile::sketch

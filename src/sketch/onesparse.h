@@ -9,7 +9,9 @@
 // probability >= 1 - U/p over z.  Keys must be < p = 2^61 - 1.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gf/fp61.h"
@@ -96,27 +98,20 @@ class OneSparseCell {
 
   [[nodiscard]] std::int64_t count() const { return count_; }
 
-  /// Serialization for network transport (4 x 64-bit words).
-  [[nodiscard]] std::uint64_t word(int i) const {
-    switch (i) {
-      case 0: return static_cast<std::uint64_t>(count_);
-      case 1: return keySum_;
-      case 2: return fp_;
-      default: return z_;
-    }
+  /// Wire form: the three accumulators.  z derives from the sketch's seed,
+  /// so a receiver built with the same randomness already holds it.
+  static constexpr std::size_t kWireWords = 3;
+  void appendTo(std::vector<std::uint64_t>& out) const {
+    out.push_back(static_cast<std::uint64_t>(count_));
+    out.push_back(keySum_);
+    out.push_back(fp_);
   }
-
-  /// In-place deserialization: overwrite the accumulators, keep the
-  /// seed-derived fingerprint point z of a cell already constructed with
-  /// the right randomness.
-  void loadWords(std::uint64_t w0, std::uint64_t w1, std::uint64_t w2) {
-    count_ = static_cast<std::int64_t>(w0);
-    keySum_ = w1;
-    fp_ = w2;
+  /// In-place deserialization of kWireWords words, keeping z.
+  void loadWords(const std::uint64_t* w) {
+    count_ = static_cast<std::int64_t>(w[0]);
+    keySum_ = w[1];
+    fp_ = w[2];
   }
-
-  /// Back to the empty stream, keeping z.
-  void reset() { loadWords(0, 0, 0); }
 
  private:
   std::int64_t count_ = 0;
@@ -124,5 +119,30 @@ class OneSparseCell {
   std::uint64_t fp_ = 0;
   std::uint64_t z_ = 2;
 };
+
+// The wire form and merge of a sketch's cell array, shared by every sketch
+// built from OneSparseCells: kWireWords words per cell, in cell order.  A
+// sketch merges or loads only cells of a sketch with its own randomness.
+
+inline void appendCells(std::span<const OneSparseCell> cells,
+                        std::vector<std::uint64_t>& out) {
+  for (const auto& c : cells) c.appendTo(out);
+}
+
+inline void loadCells(std::span<OneSparseCell> cells,
+                      const std::uint64_t* words, std::size_t n) {
+  assert(n == cells.size() * OneSparseCell::kWireWords);
+  (void)n;
+  for (auto& c : cells) {
+    c.loadWords(words);
+    words += OneSparseCell::kWireWords;
+  }
+}
+
+inline void mergeCells(std::span<OneSparseCell> into,
+                       std::span<const OneSparseCell> from) {
+  assert(into.size() == from.size());
+  for (std::size_t i = 0; i < into.size(); ++i) into[i].merge(from[i]);
+}
 
 }  // namespace mobile::sketch

@@ -12,9 +12,8 @@ namespace mobile::sketch {
 SparseRecovery::SparseRecovery(std::uint64_t seed, std::size_t sparsity,
                                std::size_t rows)
     : seed_(seed),
-      sparsity_(std::max<std::size_t>(sparsity, 1)),
       rows_(rows),
-      buckets_(2 * sparsity_),
+      buckets_(2 * std::max<std::size_t>(sparsity, 1)),
       scratch_(rows) {
   rowA_.resize(rows_);
   rowB_.resize(rows_);
@@ -63,9 +62,8 @@ void SparseRecovery::updateCells(std::vector<OneSparseCell>& cells,
 }
 
 void SparseRecovery::merge(const SparseRecovery& other) {
-  assert(seed_ == other.seed_ && sparsity_ == other.sparsity_);
-  for (std::size_t i = 0; i < cells_.size(); ++i)
-    cells_[i].merge(other.cells_[i]);
+  assert(seed_ == other.seed_);
+  mergeCells(cells_, other.cells_);
 }
 
 std::optional<std::vector<Recovered>> SparseRecovery::recoverAll() const {
@@ -91,46 +89,6 @@ std::optional<std::vector<Recovered>> SparseRecovery::recoverAll() const {
   for (const auto& [k, f] : found)
     if (f != 0) out.push_back({k, f});
   return out;
-}
-
-std::vector<std::uint64_t> SparseRecovery::serialize() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(serializedWords());
-  for (const auto& c : cells_) {
-    out.push_back(c.word(0));
-    out.push_back(c.word(1));
-    out.push_back(c.word(2));
-  }
-  return out;
-}
-
-SparseRecovery SparseRecovery::deserialize(
-    std::uint64_t seed, std::size_t sparsity, std::size_t rows,
-    const std::vector<std::uint64_t>& words) {
-  SparseRecovery s(seed, sparsity, rows);
-  s.loadWords(words.data(), words.size());
-  return s;
-}
-
-void SparseRecovery::serializeInto(std::vector<std::uint64_t>& out) const {
-  out.clear();
-  out.reserve(serializedWords());
-  for (const auto& c : cells_) {
-    out.push_back(c.word(0));
-    out.push_back(c.word(1));
-    out.push_back(c.word(2));
-  }
-}
-
-void SparseRecovery::loadWords(const std::uint64_t* words, std::size_t n) {
-  assert(n == serializedWords());
-  (void)n;
-  for (std::size_t i = 0; i < cells_.size(); ++i)
-    cells_[i].loadWords(words[i * 3], words[i * 3 + 1], words[i * 3 + 2]);
-}
-
-void SparseRecovery::clear() {
-  for (auto& c : cells_) c.reset();
 }
 
 }  // namespace mobile::sketch

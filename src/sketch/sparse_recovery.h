@@ -22,8 +22,17 @@ namespace mobile::sketch {
 
 class SparseRecovery {
  public:
+  /// The dimensions a tree stage keys its scratch sketch on.
+  struct Shape {
+    std::size_t sparsity = 0;
+    std::size_t rows = 0;
+    bool operator==(const Shape&) const = default;
+  };
+
   SparseRecovery(std::uint64_t seed, std::size_t sparsity,
                  std::size_t rows = 6);
+  SparseRecovery(std::uint64_t seed, Shape shape)
+      : SparseRecovery(seed, shape.sparsity, shape.rows) {}
 
   void update(std::uint64_t key, std::int64_t freq);
   void merge(const SparseRecovery& other);
@@ -33,22 +42,17 @@ class SparseRecovery {
   /// sparsity budget.
   [[nodiscard]] std::optional<std::vector<Recovered>> recoverAll() const;
 
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
-  [[nodiscard]] std::size_t sparsity() const { return sparsity_; }
-
   [[nodiscard]] std::size_t serializedWords() const {
-    return cells_.size() * 3;
+    return cells_.size() * OneSparseCell::kWireWords;
   }
-  [[nodiscard]] std::vector<std::uint64_t> serialize() const;
-  static SparseRecovery deserialize(std::uint64_t seed, std::size_t sparsity,
-                                    std::size_t rows,
-                                    const std::vector<std::uint64_t>& words);
-
-  // Scratch-reuse forms (see l0sampler.h): zero-alloc counterparts of
-  // serialize/deserialize for objects that persist across rounds.
-  void serializeInto(std::vector<std::uint64_t>& out) const;
-  void loadWords(const std::uint64_t* words, std::size_t n);
-  void clear();
+  // The wire form (see l0sampler.h).
+  void appendTo(std::vector<std::uint64_t>& out) const {
+    out.reserve(out.size() + serializedWords());
+    appendCells(cells_, out);
+  }
+  void loadWords(const std::uint64_t* words, std::size_t n) {
+    loadCells(cells_, words, n);
+  }
   /// Re-derive all randomness from a new seed and clear the cells without
   /// reallocating (dimensions stay fixed); see l0sampler.h.
   void reseed(std::uint64_t seed);
@@ -62,7 +66,6 @@ class SparseRecovery {
                    std::int64_t freq, PowScratch& scratch) const;
 
   std::uint64_t seed_;
-  std::size_t sparsity_;
   std::size_t rows_;
   std::size_t buckets_;
   std::vector<std::uint64_t> rowA_, rowB_;

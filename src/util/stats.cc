@@ -97,18 +97,6 @@ double totalVariation(const std::map<std::uint64_t, std::uint64_t>& a,
   return tv / 2.0;
 }
 
-double correlation(const std::vector<double>& x, const std::vector<double>& y) {
-  if (x.size() != y.size() || x.size() < 2) return 0.0;
-  const Summary sx = summarize(x);
-  const Summary sy = summarize(y);
-  if (sx.stddev == 0.0 || sy.stddev == 0.0) return 0.0;
-  double cov = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i)
-    cov += (x[i] - sx.mean) * (y[i] - sy.mean);
-  cov /= static_cast<double>(x.size() - 1);
-  return cov / (sx.stddev * sy.stddev);
-}
-
 double logLogSlope(const std::vector<double>& x, const std::vector<double>& y) {
   std::vector<double> lx, ly;
   for (std::size_t i = 0; i < std::min(x.size(), y.size()); ++i) {

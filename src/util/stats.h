@@ -47,10 +47,6 @@ struct Summary {
     const std::map<std::uint64_t, std::uint64_t>& a,
     const std::map<std::uint64_t, std::uint64_t>& b);
 
-/// Pearson correlation of two equally sized series.
-[[nodiscard]] double correlation(const std::vector<double>& x,
-                                 const std::vector<double>& y);
-
 /// Least-squares slope of log(y) against log(x); used to estimate scaling
 /// exponents ("shape" checks) in the benchmark tables.  Ignores non-positive
 /// entries.

@@ -54,7 +54,6 @@ std::vector<exp::TrialResult> runRanks(int world,
       net::Transport transport(hub.open(r), r, world,
                                net::RealClock::instance());
       exp::TrialSpec spec = specs[static_cast<std::size_t>(r)];
-      spec.net.plane = sim::PlaneKind::kUdp;
       spec.planeFactory = [&transport, faults, linkOpts,
                            planeOpts](const graph::Graph&) {
         return std::make_shared<net::UdpPlane>(&transport, faults, linkOpts,
@@ -165,16 +164,4 @@ TEST(NetPlane, SingleProcessUdpTransportDegeneratesToArena) {
   EXPECT_TRUE(udp.record);
   EXPECT_EQ(udp.fingerprint, arena.fingerprint);
   EXPECT_EQ(udp.messages, arena.messages);
-}
-
-TEST(NetPlane, UdpKindWithoutImplThrows) {
-  scn::Params gp = scn::Params::fromTokens("n=4");
-  const graph::Graph g = scn::graphs().get("clique")(gp);
-  g.finalize();
-  scn::Params ap = scn::Params::fromTokens("rounds=2");
-  const sim::Algorithm algo = scn::algos().get("gossip")(g, ap);
-
-  sim::NetworkOptions opts;
-  opts.plane = sim::PlaneKind::kUdp;  // no planeImpl supplied
-  EXPECT_THROW(sim::Network(g, algo, 1, nullptr, opts), std::logic_error);
 }

@@ -12,6 +12,14 @@
 namespace mobile::sketch {
 namespace {
 
+/// The sketch's wire form, through the zero-alloc scratch surface.
+template <class Sketch>
+std::vector<std::uint64_t> wordsOf(const Sketch& s) {
+  std::vector<std::uint64_t> words;
+  s.appendTo(words);
+  return words;
+}
+
 TEST(OneSparse, RecoverSingleton) {
   OneSparseCell cell(12345);
   cell.update(42, 3);
@@ -106,16 +114,17 @@ TEST(L0Sampler, MergeMatchesCombined) {
   c.update(2, -1);
   c.update(3, 5);
   a.merge(b);
-  EXPECT_EQ(a.serialize(), c.serialize());
+  EXPECT_EQ(wordsOf(a), wordsOf(c));
 }
 
 TEST(L0Sampler, SerializeRoundTrip) {
   L0Sampler s(99, 60, 14);
   s.update(1234, 2);
   s.update(777, -1);
-  const auto words = s.serialize();
-  const L0Sampler back = L0Sampler::deserialize(99, 60, 14, words);
-  EXPECT_EQ(back.serialize(), words);
+  const auto words = wordsOf(s);
+  L0Sampler back(99, 60, 14);
+  back.loadWords(words.data(), words.size());
+  EXPECT_EQ(wordsOf(back), words);
   const auto r1 = s.query();
   const auto r2 = back.query();
   ASSERT_EQ(r1.has_value(), r2.has_value());
@@ -211,7 +220,7 @@ TEST(SparseRecovery, MergeMatchesCombined) {
   c.update(2, 2);
   c.update(1, -1);
   a.merge(b);
-  EXPECT_EQ(a.serialize(), c.serialize());
+  EXPECT_EQ(wordsOf(a), wordsOf(c));
   const auto rec = a.recoverAll();
   ASSERT_TRUE(rec.has_value());
   ASSERT_EQ(rec->size(), 1u);
@@ -223,9 +232,10 @@ TEST(SparseRecovery, SerializeRoundTrip) {
   SparseRecovery s(8888, 6);
   s.update(5, 1);
   s.update(6, 2);
-  const auto words = s.serialize();
-  const SparseRecovery back = SparseRecovery::deserialize(8888, 6, 6, words);
-  EXPECT_EQ(back.serialize(), words);
+  const auto words = wordsOf(s);
+  SparseRecovery back(8888, 6, 6);
+  back.loadWords(words.data(), words.size());
+  EXPECT_EQ(wordsOf(back), words);
 }
 
 }  // namespace

@@ -63,11 +63,6 @@ TEST(Stats, TotalVariationPartial) {
   EXPECT_DOUBLE_EQ(totalVariation(a, b), 0.5);
 }
 
-TEST(Stats, CorrelationPerfect) {
-  EXPECT_NEAR(correlation({1, 2, 3, 4}, {2, 4, 6, 8}), 1.0, 1e-12);
-  EXPECT_NEAR(correlation({1, 2, 3, 4}, {8, 6, 4, 2}), -1.0, 1e-12);
-}
-
 TEST(Stats, LogLogSlopeRecoversExponent) {
   // y = x^2 -> slope 2.
   std::vector<double> x{2, 4, 8, 16, 32};

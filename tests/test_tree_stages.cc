@@ -1,0 +1,233 @@
+// SketchConvergecast, the up-wave sketch stage, over both sketch types on a
+// hand-built two-tree packing: the root's merged sketch equals one sketch
+// of every node's entries, wrong-sized or non-child hops are not merged,
+// and the thread-local scratch keeps stages of different shapes apart,
+// interleaved on one thread or run on two threads at once.
+#include <cstdint>
+#include <thread>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "compile/tree_stages.h"
+#include "graph/graph.h"
+#include "sketch/l0sampler.h"
+#include "sketch/sparse_recovery.h"
+
+namespace mobile::compile {
+namespace {
+
+using graph::Graph;
+using graph::NodeId;
+using sketch::L0Bundle;
+using sketch::SparseRecovery;
+
+constexpr NodeId kN = 6;
+constexpr int kDepthBound = 3;
+
+/// Six nodes, two spanning trees rooted at 0:
+///   tree 0: the path 0-1-2-3 with 4 under 1 and 5 under 2 (depth 3);
+///   tree 1: the star 0-{1,2,3} with 4 under 3 and 5 under 4.
+const PackingKnowledge& packing() {
+  static const std::shared_ptr<PackingKnowledge> pk = [] {
+    Graph g(kN);
+    for (const auto& [u, v] : std::vector<std::pair<NodeId, NodeId>>{
+             {0, 1}, {1, 2}, {2, 3}, {1, 4}, {2, 5}, {0, 2}, {0, 3}, {3, 4},
+             {4, 5}})
+      g.addEdge(u, v);
+    g.finalize();
+    graph::TreePacking p;
+    p.commonRoot = 0;
+    for (const std::vector<NodeId>& parents :
+         {std::vector<NodeId>{-1, 0, 1, 2, 1, 2},
+          std::vector<NodeId>{-1, 0, 0, 0, 3, 4}})
+      p.trees.push_back(graph::RootedTree::fromParents(0, parents, g));
+    return distributePacking(g, p, kDepthBound);
+  }();
+  return *pk;
+}
+
+std::uint64_t seedOf(int tree) {
+  return 0x5eed00 + static_cast<std::uint64_t>(tree);
+}
+
+/// Node v's stream: two keys of its own and one shared by every node.
+StreamEntries entriesOf(NodeId v) {
+  const auto k = static_cast<std::uint64_t>(v);
+  return {{1000 + 10 * k, +1}, {2000 + 10 * k, -2}, {7, +1}};
+}
+
+template <class Sketch>
+std::vector<std::uint64_t> wordsOf(const Sketch& s) {
+  std::vector<std::uint64_t> words;
+  s.appendTo(words);
+  return words;
+}
+
+/// One sketch fed every node's entries: what the root must read.
+template <class Sketch>
+std::vector<std::uint64_t> referenceWords(int tree,
+                                          typename Sketch::Shape shape) {
+  Sketch s(seedOf(tree), shape);
+  for (NodeId v = 0; v < kN; ++v)
+    for (const auto& [key, freq] : entriesOf(v)) s.update(key, freq);
+  return wordsOf(s);
+}
+
+/// Every node's stage of one convergecast, with hops delivered at once:
+/// a node's children all send at earlier up-wave steps than it does.
+template <class Sketch>
+class Upcast {
+ public:
+  explicit Upcast(typename Sketch::Shape shape) {
+    for (NodeId v = 0; v < kN; ++v)
+      stages_.emplace_back(shape, kDepthBound, ChildRule::AsListed);
+    for (auto& s : stages_) s.start();
+  }
+
+  void step(int step) {
+    const PackingKnowledge& pk = packing();
+    for (NodeId v = 0; v < kN; ++v) {
+      const NodeTreeView view = pk.view(v);
+      for (int t = 0; t < pk.k; ++t) {
+        for (int i = 0; i < view.degree(); ++i) {
+          const NodeId to = view.neighborAt(i);
+          const sim::Msg* m =
+              stage(v).send(view, t, to, step, seedOf(t), entriesOf(v));
+          if (m == nullptr) continue;
+          EXPECT_TRUE(stage(to).receive(pk.view(to), t, v, seedOf(t), *m));
+        }
+      }
+    }
+  }
+
+  void run() {
+    for (int s = 1; s <= kDepthBound + 1; ++s) step(s);
+  }
+
+  [[nodiscard]] std::vector<std::uint64_t> rootWords(int tree) const {
+    return wordsOf(stage(0).merged(tree, seedOf(tree), entriesOf(0)));
+  }
+
+  [[nodiscard]] SketchConvergecast<Sketch>& stage(NodeId v) {
+    return stages_[static_cast<std::size_t>(v)];
+  }
+  [[nodiscard]] const SketchConvergecast<Sketch>& stage(NodeId v) const {
+    return stages_[static_cast<std::size_t>(v)];
+  }
+
+ private:
+  std::vector<SketchConvergecast<Sketch>> stages_;
+};
+
+const SparseRecovery::Shape kSparseA{4, 3};
+const SparseRecovery::Shape kSparseB{8, 5};
+const L0Bundle::Shape kL0A{2, 10};
+const L0Bundle::Shape kL0B{3, 12};
+
+template <class Sketch>
+void expectRootMergesEveryNode(typename Sketch::Shape shape) {
+  Upcast<Sketch> up(shape);
+  up.run();
+  for (int t = 0; t < packing().k; ++t)
+    EXPECT_EQ(up.rootWords(t), referenceWords<Sketch>(t, shape)) << t;
+}
+
+TEST(SketchConvergecast, RootMergesEveryNodeSparse) {
+  expectRootMergesEveryNode<SparseRecovery>(kSparseA);
+}
+
+TEST(SketchConvergecast, RootMergesEveryNodeL0) {
+  expectRootMergesEveryNode<L0Bundle>(kL0A);
+}
+
+template <class Sketch>
+void expectWrongHopsDropped(typename Sketch::Shape shape) {
+  const PackingKnowledge& pk = packing();
+  Upcast<Sketch> up(shape);
+  // Node 1 is the root's child in both trees; node 4 is in neither.
+  sim::Msg good;
+  up.stage(1).build(0, seedOf(0), entriesOf(1), good);
+  sim::Msg shorter = good;
+  shorter.words.pop_back();
+  sim::Msg longer = good;
+  longer.words.push_back(0);
+  EXPECT_FALSE(up.stage(0).receive(pk.view(0), 0, 1, seedOf(0), shorter));
+  EXPECT_FALSE(up.stage(0).receive(pk.view(0), 0, 1, seedOf(0), longer));
+  EXPECT_FALSE(up.stage(0).receive(pk.view(0), 0, 4, seedOf(0), good));
+
+  Sketch own(seedOf(0), shape);
+  for (const auto& [key, freq] : entriesOf(0)) own.update(key, freq);
+  EXPECT_EQ(up.rootWords(0), wordsOf(own));
+  EXPECT_TRUE(up.stage(0).receive(pk.view(0), 0, 1, seedOf(0), good));
+  EXPECT_NE(up.rootWords(0), wordsOf(own));
+}
+
+TEST(SketchConvergecast, WrongSizedOrNonChildHopIsDroppedSparse) {
+  expectWrongHopsDropped<SparseRecovery>(kSparseA);
+}
+
+TEST(SketchConvergecast, WrongSizedOrNonChildHopIsDroppedL0) {
+  expectWrongHopsDropped<L0Bundle>(kL0A);
+}
+
+/// Both trees' root words of a full convergecast of this shape.
+template <class Sketch>
+std::vector<std::vector<std::uint64_t>> alone(typename Sketch::Shape shape) {
+  Upcast<Sketch> up(shape);
+  up.run();
+  return {up.rootWords(0), up.rootWords(1)};
+}
+
+template <class Sketch>
+void expectInterleavedShapesIndependent(typename Sketch::Shape a,
+                                        typename Sketch::Shape b) {
+  const auto wantA = alone<Sketch>(a);
+  const auto wantB = alone<Sketch>(b);
+  ASSERT_NE(wantA[0].size(), wantB[0].size());
+  Upcast<Sketch> upA(a), upB(b);
+  for (int s = 1; s <= kDepthBound + 1; ++s) {
+    upA.step(s);
+    upB.step(s);
+  }
+  EXPECT_EQ(upA.rootWords(0), wantA[0]);
+  EXPECT_EQ(upB.rootWords(0), wantB[0]);
+  EXPECT_EQ(upA.rootWords(1), wantA[1]);
+  EXPECT_EQ(upB.rootWords(1), wantB[1]);
+}
+
+TEST(SketchConvergecast, InterleavedShapesOnOneThreadSparse) {
+  expectInterleavedShapesIndependent<SparseRecovery>(kSparseA, kSparseB);
+}
+
+TEST(SketchConvergecast, InterleavedShapesOnOneThreadL0) {
+  expectInterleavedShapesIndependent<L0Bundle>(kL0A, kL0B);
+}
+
+TEST(SketchConvergecast, TwoThreadsEachDriveAConvergecast) {
+  // The threads run the same sketch types in different shapes: a scratch
+  // shared across threads would be rebuilt under the other's feet (and
+  // race under TSan); a thread-local one keeps each run intact.
+  const auto wantSparseA = alone<SparseRecovery>(kSparseA);
+  const auto wantSparseB = alone<SparseRecovery>(kSparseB);
+  const auto wantL0A = alone<L0Bundle>(kL0A);
+  const auto wantL0B = alone<L0Bundle>(kL0B);
+  bool okA = true, okB = true;
+  std::thread ta([&] {
+    for (int rep = 0; rep < 10; ++rep)
+      okA = okA && alone<SparseRecovery>(kSparseA) == wantSparseA &&
+            alone<L0Bundle>(kL0A) == wantL0A;
+  });
+  std::thread tb([&] {
+    for (int rep = 0; rep < 10; ++rep)
+      okB = okB && alone<SparseRecovery>(kSparseB) == wantSparseB &&
+            alone<L0Bundle>(kL0B) == wantL0B;
+  });
+  ta.join();
+  tb.join();
+  EXPECT_TRUE(okA);
+  EXPECT_TRUE(okB);
+}
+
+}  // namespace
+}  // namespace mobile::compile
