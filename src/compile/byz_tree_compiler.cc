@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <optional>
+#include <variant>
 
 #include "compile/tree_stages.h"
 #include "util/rng.h"
@@ -80,11 +81,7 @@ class ByzNode final : public NodeState {
         innerSlots_(g, self),
         votes_(view_.degree(), slots_),
         seeds_(ChildRule::AsListed),
-        sparse_({static_cast<std::size_t>(opts.sparseSlack * 4 * f_),
-                 static_cast<std::size_t>(opts.sparseRows)},
-                pk_->depthBound, ChildRule::AsListed),
-        l0_({static_cast<std::size_t>(opts.tSketches), opts.sketchLevels},
-            pk_->depthBound, ChildRule::AsListed),
+        up_(makeUpcast(opts, f_, pk_->depthBound)),
         down_(pk_->k, opts.dmCap > 0 ? opts.dmCap : 2 * f_ + 8, opts.cPP,
               sched.sharesPerHop, pk_->depthBound, ChildRule::AsListed) {
     // Exchange-step key tables are adjacency-indexed and fully rewritten
@@ -111,10 +108,12 @@ class ByzNode final : public NodeState {
                       return down_.send(view_, tree, to, p.hop.step);
                     if (p.hop.step <= D)
                       return seeds_.send(view_, tree, to, p.hop.step);
-                    if (sparseMode())
-                      return sparse_.send(view_, tree, to, p.hop.step - D,
-                                          seeds_.word(tree), entries_);
-                    return l0Message(tree, to, p.hop.step - D);
+                    return std::visit(
+                        [&](auto& up) {
+                          return up.send(view_, tree, to, p.hop.step - D,
+                                         seeds_.word(tree), entries_);
+                        },
+                        up_);
                   });
   }
 
@@ -135,12 +134,10 @@ class ByzNode final : public NodeState {
                        down_.receive(view_, tree, from, p.hop.step, m);
                      else if (p.hop.step <= D)
                        seeds_.receive(view_, tree, from, p.hop.step, m);
-                     else if (sparseMode())
-                       sparse_.receive(view_, tree, from, seeds_.word(tree),
-                                       m);
-                     else if (l0_.receive(view_, tree, from,
-                                          seeds_.word(tree), m))
-                       l0Sent_.erase(tree);
+                     else
+                       std::visit(
+                           [&](auto& up) { up.receive(view_, tree, from, m); },
+                           up_);
                    });
     if (!p.inSketch && p.hop.step == sched_.eccSteps &&
         p.hop.rep == slots_.rho - 1 && p.hop.slot == pk_->eta - 1) {
@@ -184,6 +181,25 @@ class ByzNode final : public NodeState {
   [[nodiscard]] bool sparseMode() const {
     return opts_.correction == CorrectionMode::SparseOneShot;
   }
+
+  /// The correction mode's up-wave stage: one sparse-recovery sketch or t
+  /// l0-samplers per tree.
+  using Upcast = std::variant<SparseConvergecast, L0Convergecast>;
+  [[nodiscard]] static Upcast makeUpcast(const ByzOptions& opts, int f,
+                                         int depthBound) {
+    if (opts.correction == CorrectionMode::SparseOneShot)
+      return Upcast(std::in_place_type<SparseConvergecast>,
+                    sketch::SparseRecovery::Shape{
+                        static_cast<std::size_t>(opts.sparseSlack * 4 * f),
+                        static_cast<std::size_t>(opts.sparseRows)},
+                    depthBound, ChildRule::AsListed);
+    return Upcast(std::in_place_type<L0Convergecast>,
+                  sketch::L0Bundle::Shape{
+                      static_cast<std::size_t>(opts.tSketches),
+                      opts.sketchLevels},
+                  depthBound, ChildRule::AsListed);
+  }
+
   [[nodiscard]] bool contract() const {
     return opts_.engine.mode == EngineMode::Contract && shared_ &&
            shared_->oracle;
@@ -247,10 +263,7 @@ class ByzNode final : public NodeState {
   void startIteration(const Pos& p) {
     currentSimRound_ = p.simRound;
     seeds_.start(pk_->k);
-    sparse_.start();
-    l0_.start();
-    l0Sent_.clear();
-    l0SentStep_ = 0;
+    std::visit([](auto& up) { up.start(); }, up_);
     down_.start();
     down_.forget();
     buildEntries();
@@ -286,28 +299,14 @@ class ByzNode final : public NodeState {
     }
   }
 
-  // --- l0 up-wave memo (Section 3.2) ----------------------------------------
-
-  /// The l0 up-wave hop: the bundle is built at the step's first
-  /// repetition and memoized for the others (see l0Sent_).
-  [[nodiscard]] const Msg* l0Message(int tree, NodeId to, int step) {
-    if (step != l0SentStep_) {
-      l0Sent_.clear();
-      l0SentStep_ = step;
-    }
-    if (!l0_.sends(view_, tree, to, step)) return nullptr;
-    const auto [memo, fresh] = l0Sent_.try_emplace(tree);
-    if (fresh) l0_.build(tree, seeds_.word(tree), entries_, memo->second);
-    return &memo->second;
-  }
-
   // --- root: dominating mismatches -------------------------------------------
 
   /// Root, at the start of the ECC block: recovers the DM keys and hands
   /// them to the share downcast.
   void computeDm(const Pos& p) {
     if (sparseMode())
-      down_.encode(recoverMajority(sparse_, seeds_, pk_->k, entries_));
+      down_.encode(recoverMajority(std::get<SparseConvergecast>(up_), seeds_,
+                                   pk_->k, entries_));
     else
       down_.encode(l0Dm(p));
     if (shared_) shared_->trueShares = down_.shares();
@@ -318,6 +317,7 @@ class ByzNode final : public NodeState {
   [[nodiscard]] std::vector<std::uint64_t> l0Dm(const Pos& p) {
     std::map<std::uint64_t, int> supp;
     std::map<std::uint64_t, bool> positive;
+    const L0Convergecast& up = std::get<L0Convergecast>(up_);
     const int sketchStart = sketchBlockStartRound(p);
     const int sketchEnd = eccBlockStartRound(p) - 1;
     for (int t = 0; t < pk_->k; ++t) {
@@ -326,12 +326,12 @@ class ByzNode final : public NodeState {
           shared_->oracle->survives(t, sketchStart, sketchEnd,
                                     sched_.sketchSteps, opts_.engine.cRS)) {
         // Ideal functionality: the fault-free aggregate.
-        truth.emplace(shared_->trueSeeds[t], l0_.shape());
+        truth.emplace(shared_->trueSeeds[t], up.shape());
         for (const auto& [key, freq] : shared_->iterationEntries)
           truth->update(key, freq);
       }
       const sketch::L0Bundle& merged =
-          truth ? *truth : l0_.merged(t, seeds_.word(t), entries_);
+          truth ? *truth : up.merged(t, seeds_.word(t), entries_);
       for (const auto& s : merged.samplers()) {
         const auto r = s.query();
         if (r.has_value()) {
@@ -423,14 +423,7 @@ class ByzNode final : public NodeState {
   // The tree stages of one iteration (docs/architecture.md section 7).
   ArcVotes votes_;
   TreeFlood seeds_;  // sketch seed R(T) per tree
-  SparseConvergecast sparse_;  // SparseOneShot
-  L0Convergecast l0_;          // L0Iterative
-  /// L0Iterative: tree -> the bundle sent up it in up-wave step
-  /// l0SentStep_, so the rho repetitions of a hop build it once.  Dropped
-  /// when a child bundle merges into the tree, when the step advances and
-  /// at iteration start: only the senders of one step hold one.
-  std::map<int, Msg> l0Sent_;
-  int l0SentStep_ = 0;
+  Upcast up_;
   ShareDowncast down_;
 };
 

@@ -23,11 +23,11 @@
 //
 // Round cost per phase: 1 + z * (sketch block + ECC block) * eta * rho,
 // i.e. ~O(DTP * log f * eta) scheduled rounds -- the paper's ~O(DTP) up to
-// the log factors it hides.  The rho repetitions resend one message: in
-// the l0 up-wave the node has the stage build its t-sketch bundle for a
-// tree once per step and holds it until the step advances or a child
-// bundle merges into that tree, so only the senders of the current step
-// hold one (~5 KB at the defaults).
+// the log factors it hides.  The rho repetitions of an up-wave hop resend
+// one message: SketchConvergecast builds a tree's sketch once per step and
+// holds it until the step advances or a child's sketch merges into that
+// tree, so only the senders of the current step hold one (~5 KB for the
+// l0 bundle at the defaults).
 #pragma once
 
 #include <map>

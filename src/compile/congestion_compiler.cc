@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <iterator>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "compile/secure_broadcast.h"
 #include "hash/cwise.h"
@@ -107,8 +110,7 @@ class CongestionNode final : public NodeState {
       const std::uint64_t image =
           m.at(0) ^ (pads_.recvPad(j, i - 1, 0) & hashMask_);
       // The paper's decoding loop: scan the message domain for a preimage.
-      const auto hit = preimage_.find(image);
-      if (hit != preimage_.end()) innerSlots_.slot(j).push(hit->second);
+      if (const auto msg = preimage(image)) innerSlots_.slot(j).push(*msg);
     }
     inner_->receive(i, innerSlots_);
     if (i >= layout_.r) done_ = true;
@@ -123,11 +125,26 @@ class CongestionNode final : public NodeState {
   void finalizeKeys() {
     pads_.derive();
     // Install h* from the broadcast seed and precompute the decoding table
-    // (one scan of the domain, reused every round).
+    // (one scan of the domain, reused every round), sorted by image and
+    // then by message.
     hash_ = std::make_unique<hash::CwiseHash>(bcast_->result(),
                                               opts_.hashBits);
+    preimage_.clear();
+    preimage_.reserve(std::size_t{1} << opts_.payloadBits);
     for (std::uint64_t m = 0; m < (1ULL << opts_.payloadBits); ++m)
-      preimage_[(*hash_)(m)] = m;
+      preimage_.emplace_back((*hash_)(m), m);
+    std::sort(preimage_.begin(), preimage_.end());
+  }
+
+  /// The message hashing to `image`; on a collision the largest one.
+  [[nodiscard]] std::optional<std::uint64_t> preimage(
+      std::uint64_t image) const {
+    const auto past = std::upper_bound(
+        preimage_.begin(), preimage_.end(), image,
+        [](std::uint64_t x, const auto& entry) { return x < entry.first; });
+    if (past == preimage_.begin() || std::prev(past)->first != image)
+      return std::nullopt;
+    return std::prev(past)->second;
   }
 
   NodeId self_;
@@ -143,7 +160,7 @@ class CongestionNode final : public NodeState {
   Msg wire_;                       // reused wire message
   std::unique_ptr<BroadcastCore> bcast_;
   std::unique_ptr<hash::CwiseHash> hash_;
-  std::map<std::uint64_t, std::uint64_t> preimage_;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> preimage_;  // (h*, m)
   bool done_ = false;
 };
 

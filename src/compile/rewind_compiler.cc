@@ -255,7 +255,7 @@ class RewindNode final : public NodeState {
       else if (h.step <= D)
         seeds_.receive(view_, tree, from, h.step, m);
       else
-        sparse_.receive(view_, tree, from, seeds_.word(tree), m);
+        sparse_.receive(view_, tree, from, m);
     });
     if (!inSketch && h.step == down_.steps() && h.rep == slots_.rho - 1 &&
         h.slot == pk_->eta - 1) {

@@ -40,26 +40,63 @@ Sketch& SketchConvergecast<Sketch>::scratch(std::uint64_t seed) const {
 }
 
 template <class Sketch>
-const Sketch& SketchConvergecast<Sketch>::merged(
-    int tree, std::uint64_t seed, const StreamEntries& entries) const {
+void SketchConvergecast<Sketch>::build(int tree, std::uint64_t seed,
+                                       const StreamEntries& entries,
+                                       sim::Msg& m) const {
   Sketch& s = scratch(seed);
   for (const auto& [key, freq] : entries) s.update(key, freq);
+  std::vector<std::uint64_t>& words = sim::resetScratch(m).words;
+  s.appendTo(words);
   const auto acc = accum_.find(tree);
-  if (acc != accum_.end()) s.merge(acc->second);
+  if (acc != accum_.end()) sketch::mergeWords(words, acc->second);
+}
+
+template <class Sketch>
+const Sketch& SketchConvergecast<Sketch>::merged(
+    int tree, std::uint64_t seed, const StreamEntries& entries) const {
+  sim::Msg& m = hopScratch();
+  build(tree, seed, entries, m);
+  Sketch& s = scratch(seed);  // the seed's randomness, cells overwritten
+  s.loadWords(m.words.data(), m.size());
   return s;
 }
 
 template <class Sketch>
+const sim::Msg* SketchConvergecast<Sketch>::send(
+    const NodeTreeView& view, int tree, NodeId to, int step,
+    std::uint64_t seed, const StreamEntries& entries) {
+  if (step != sentStep_) {
+    sent_.clear();
+    sentStep_ = step;
+    std::erase_if(accum_, [&](const auto& acc) {
+      const int d = view.depth(acc.first);
+      return d > 0 && depthBound_ + 1 - d < step;
+    });
+  }
+  if (!sends(view, tree, to, step)) return nullptr;
+  const auto [hop, fresh] = sent_.try_emplace(tree);
+  if (fresh) build(tree, seed, entries, hop->second);
+  return &hop->second;
+}
+
+template <class Sketch>
 bool SketchConvergecast<Sketch>::receive(const NodeTreeView& view, int tree,
-                                         NodeId from, std::uint64_t seed,
-                                         const sim::Msg& m) {
-  if (view.depth(tree) < 0 || !isChild(view, tree, from, rule_)) return false;
-  Sketch& got = scratch(seed);
-  if (m.size() != got.serializedWords()) return false;
-  got.loadWords(m.words.data(), m.size());
-  const auto [acc, fresh] = accum_.try_emplace(tree, got);
-  if (!fresh) acc->second.merge(got);
+                                         NodeId from, const sim::Msg& m) {
+  if (view.depth(tree) < 0 || !isChild(view, tree, from, rule_) ||
+      m.size() != Sketch::serializedWords(shape_))
+    return false;
+  const auto [acc, fresh] = accum_.try_emplace(tree, m.words);
+  if (!fresh) sketch::mergeWords(acc->second, m.words);
+  sent_.erase(tree);
   return true;
+}
+
+template <class Sketch>
+std::size_t SketchConvergecast<Sketch>::heldWords() const {
+  std::size_t words = 0;
+  for (const auto& [tree, sum] : accum_) words += sum.size();
+  for (const auto& [tree, hop] : sent_) words += hop.size();
+  return words;
 }
 
 template class SketchConvergecast<sketch::SparseRecovery>;

@@ -8,10 +8,10 @@
 // decoded hop.  Wave steps are 1-based and local to the stage.  Sends
 // build into one thread-local buffer (hopScratch), valid until the next
 // stage send on the same thread; the arc loop hands it to the outbox at
-// once, so engine lanes never share it.  These stages rebuild every
-// repetition of a hop.  The one exception is the byzantine compiler's l0
-// up-wave: ByzNode asks SketchConvergecast::build for a tree's bundle once
-// per up-wave step, into a message it holds (byz_tree_compiler.cc).
+// once, so engine lanes never share it.  The flood and share stages
+// rebuild every repetition of a hop, which costs a few words.  The sketch
+// up-wave builds each hop once per step instead and holds it for the
+// other repetitions (SketchConvergecast::send).
 #pragma once
 
 #include <algorithm>
@@ -166,9 +166,11 @@ class TreeFlood {
 /// 3.5's mismatch correction).  `Sketch` is sketch::SparseRecovery (byz
 /// SparseOneShot, rewind) or sketch::L0Bundle (byz L0Iterative); both
 /// offer Shape, reseed, update, merge and the wire form.  The stage keeps
-/// the children's merged sketches per tree; the node's own sketch lives in
-/// one thread-local scratch per sketch type, rebuilt when the shape
-/// changes and reseeded otherwise.
+/// the sum of the children's hops per tree in wire form, and the hops it
+/// sent in the current step; the node's own sketch lives in one
+/// thread-local scratch per sketch type, rebuilt when the shape changes
+/// and reseeded otherwise.  docs/architecture.md section 7.1 gives the
+/// lifetimes.
 template <class Sketch>
 class SketchConvergecast {
  public:
@@ -177,7 +179,12 @@ class SketchConvergecast {
   SketchConvergecast(Shape shape, int depthBound, ChildRule rule)
       : shape_(shape), depthBound_(depthBound), rule_(rule) {}
 
-  void start() { accum_.clear(); }
+  /// Drops the children's sums and the sent hops.
+  void start() {
+    accum_.clear();
+    sent_.clear();
+    sentStep_ = 0;
+  }
   [[nodiscard]] const Shape& shape() const { return shape_; }
 
   /// Up-wave over depthBound + 1 steps: depth d >= 1 sends to its parent
@@ -190,28 +197,27 @@ class SketchConvergecast {
   /// Writes into `m` the node's sketch of `entries` (seeded `seed`) merged
   /// with its children's: the hop message up `tree`.
   void build(int tree, std::uint64_t seed, const StreamEntries& entries,
-             sim::Msg& m) const {
-    merged(tree, seed, entries).appendTo(sim::resetScratch(m).words);
-  }
-  /// The hop message built into hopScratch, or nullptr if none is due.
+             sim::Msg& m) const;
+  /// The hop message up `tree`, or nullptr if none is due.  It is built at
+  /// the step's first send and held for the hop's other repetitions, until
+  /// a child hop merges into `tree` or the step changes.  A step change
+  /// also drops the children's sum of every tree whose send step has
+  /// passed; the root keeps all of them for merged().
   [[nodiscard]] const sim::Msg* send(const NodeTreeView& view, int tree,
                                      NodeId to, int step, std::uint64_t seed,
-                                     const StreamEntries& entries) const {
-    if (!sends(view, tree, to, step)) return nullptr;
-    build(tree, seed, entries, hopScratch());
-    return &hopScratch();
-  }
-  /// Merges a child's sketch for `tree`, at any up-wave step.  Returns
-  /// false, merging nothing, for a hop from a non-child or of the wrong
-  /// size.
+                                     const StreamEntries& entries);
+  /// Merges a child's hop for `tree`, at any up-wave step.  Returns false,
+  /// merging nothing, for a hop from a non-child or of the wrong size.
   bool receive(const NodeTreeView& view, int tree, NodeId from,
-               std::uint64_t seed, const sim::Msg& m);
+               const sim::Msg& m);
 
-  /// The node's sketch of `entries` merged with its children's for `tree`:
-  /// at the root, the whole tree's.  Valid until the next stage call on
-  /// this thread.
+  /// The root's readout: the node's sketch of `entries` merged with its
+  /// children's for `tree`, the whole tree's.  Valid until the next stage
+  /// call on this thread.
   [[nodiscard]] const Sketch& merged(int tree, std::uint64_t seed,
                                      const StreamEntries& entries) const;
+  /// Sketch words the stage holds: children's sums and sent hops.
+  [[nodiscard]] std::size_t heldWords() const;
 
  private:
   [[nodiscard]] Sketch& scratch(std::uint64_t seed) const;
@@ -219,7 +225,9 @@ class SketchConvergecast {
   Shape shape_;
   int depthBound_;
   ChildRule rule_;
-  std::map<int, Sketch> accum_;  // children merges per tree
+  int sentStep_ = 0;
+  std::map<int, std::vector<std::uint64_t>> accum_;  // children's sum per tree
+  std::map<int, sim::Msg> sent_;  // hops built in step sentStep_, per tree
 };
 
 // Instantiated in tree_stages.cc for the two sketch types.

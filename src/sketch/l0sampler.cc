@@ -94,7 +94,7 @@ std::optional<Recovered> L0Sampler::query() const {
 L0Bundle::L0Bundle(std::uint64_t seed, Shape shape) {
   samplers_.reserve(shape.count);
   for (std::size_t h = 0; h < shape.count; ++h)
-    samplers_.emplace_back(memberSeed(seed, h), 60, shape.levels);
+    samplers_.emplace_back(memberSeed(seed, h), kUniverseBits, shape.levels);
 }
 
 std::uint64_t L0Bundle::memberSeed(std::uint64_t seed, std::size_t h) {

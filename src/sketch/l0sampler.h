@@ -46,6 +46,12 @@ class L0Sampler {
   [[nodiscard]] std::size_t serializedWords() const {
     return cells_.size() * OneSparseCell::kWireWords;
   }
+  /// serializedWords() of a sampler of these dimensions.
+  [[nodiscard]] static std::size_t serializedWords(unsigned universeBits,
+                                                   unsigned levels) {
+    return (levels == 0 ? universeBits + 1 : levels) * kBucketsPerLevel *
+           OneSparseCell::kWireWords;
+  }
   /// The wire form, zero-alloc once `out` has the capacity: appendTo
   /// appends serializedWords() words to `out`, loadWords overwrites this
   /// sampler's cells from them; the receiver must have been constructed
@@ -100,6 +106,11 @@ class L0Bundle {
   [[nodiscard]] std::size_t serializedWords() const {
     return samplers_.size() * samplers_[0].serializedWords();
   }
+  /// serializedWords() of a bundle of this shape.
+  [[nodiscard]] static std::size_t serializedWords(const Shape& shape) {
+    return shape.count *
+           L0Sampler::serializedWords(kUniverseBits, shape.levels);
+  }
   void appendTo(std::vector<std::uint64_t>& out) const;
   void loadWords(const std::uint64_t* words, std::size_t n);
 
@@ -110,6 +121,8 @@ class L0Bundle {
  private:
   [[nodiscard]] static std::uint64_t memberSeed(std::uint64_t seed,
                                                 std::size_t h);
+
+  static constexpr unsigned kUniverseBits = 60;
 
   std::vector<L0Sampler> samplers_;
 };

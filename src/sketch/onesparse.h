@@ -66,7 +66,10 @@ class OneSparseCell {
   [[nodiscard]] std::uint64_t zPoint() const { return z_; }
 
   void merge(const OneSparseCell& other) {
-    count_ += other.count_;
+    // Two's complement wrap: a forged hop may carry any count.
+    count_ = static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(count_) +
+        static_cast<std::uint64_t>(other.count_));
     keySum_ = gf::addP61(keySum_, other.keySum_);
     fp_ = gf::addP61(fp_, other.fp_);
   }
@@ -143,6 +146,19 @@ inline void mergeCells(std::span<OneSparseCell> into,
                        std::span<const OneSparseCell> from) {
   assert(into.size() == from.size());
   for (std::size_t i = 0; i < into.size(); ++i) into[i].merge(from[i]);
+}
+
+/// mergeCells on the wire form: OneSparseCell::merge's arithmetic on each
+/// three-word cell, so `into` stays the words of the merged cells.
+inline void mergeWords(std::span<std::uint64_t> into,
+                       std::span<const std::uint64_t> from) {
+  assert(into.size() == from.size() &&
+         into.size() % OneSparseCell::kWireWords == 0);
+  for (std::size_t i = 0; i < into.size(); i += OneSparseCell::kWireWords) {
+    into[i] += from[i];  // count, two's complement
+    into[i + 1] = gf::addP61(into[i + 1], from[i + 1]);
+    into[i + 2] = gf::addP61(into[i + 2], from[i + 2]);
+  }
 }
 
 }  // namespace mobile::sketch

@@ -12,6 +12,7 @@
 // subtracts their content from every row until fixpoint.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -44,6 +45,11 @@ class SparseRecovery {
 
   [[nodiscard]] std::size_t serializedWords() const {
     return cells_.size() * OneSparseCell::kWireWords;
+  }
+  /// serializedWords() of a sketch of this shape.
+  [[nodiscard]] static std::size_t serializedWords(const Shape& shape) {
+    return shape.rows * 2 * std::max<std::size_t>(shape.sparsity, 1) *
+           OneSparseCell::kWireWords;
   }
   // The wire form (see l0sampler.h).
   void appendTo(std::vector<std::uint64_t>& out) const {

@@ -105,6 +105,11 @@ constexpr Golden kGoldens[] = {
     // Captured from the engine of commit 9389b95, which rebuilt every
     // repetition of an up-wave hop from scratch.
     {"byz-midstep", 1ull, 0x9530f1e14db5ef1bull, 43418, 630, 210, 821, 5671},
+    // The same forgery on the sparse up-wave (byz SparseOneShot): captured
+    // from the engine of commit ac102a3, which rebuilt every repetition of
+    // a sparse up-wave hop from scratch.
+    {"byz-sparse-midstep", 1ull, 0x9530f1e14db5ef1bull, 14558, 240, 70, 275,
+     1891},
 };
 
 struct Case {
@@ -184,21 +189,40 @@ adv::Spec mobileByzantine(int f) {
   return spec;
 }
 
-/// Forges well-formed t-sketch bundles (tSketches x sketchLevels x 9
-/// words) on child -> parent arcs of the L0 up-wave.  A target is a
-/// (parent, tree, child) whose child arc carries the tree in an earlier
-/// schedule slot than the parent's own up arc.  The forgery goes out in
-/// the last ceil(rho/2) repetitions of the parent's send step, wins the
-/// parent's hop vote, and so merges between two of the parent's sends of
-/// that hop.  The forger then watches the parent's copies of the hop and
+/// The byzantine compiler's options in correction `mode`, f = 1.
+compile::ByzOptions byzOptions(compile::CorrectionMode mode) {
+  compile::ByzOptions opts;
+  opts.correction = mode;
+  return opts;
+}
+
+/// One-sparse cells in one tree's up-wave sketch at f = 1: t l0-samplers
+/// of sketchLevels x 3 cells, or sparseRows rows of 2 x sparsity cells.
+unsigned sketchCells(compile::CorrectionMode mode) {
+  const compile::ByzOptions o = byzOptions(mode);
+  if (mode == compile::CorrectionMode::L0Iterative)
+    return 3 * o.sketchLevels * static_cast<unsigned>(o.tSketches);
+  return static_cast<unsigned>(o.sparseRows * 2 * o.sparseSlack * 4);
+}
+
+/// Forges well-formed sketches of `cells` one-sparse cells (3 words each)
+/// on child -> parent arcs of the up-wave of correction `mode`.  A target
+/// is a (parent, tree, child) whose child arc carries the tree in an
+/// earlier schedule slot than the parent's own up arc.  The forgery goes
+/// out in the last ceil(rho/2) repetitions of the parent's send step, wins
+/// the parent's hop vote, and so merges between two of the parent's sends
+/// of that hop.  The forger then watches the parent's copies of the hop and
 /// restores the first one whenever a later copy differs: whether the
 /// merge reached the parent's remaining sends shows in the corruption
 /// count.
 class MidStepBundleForger final : public adv::Adversary {
  public:
   MidStepBundleForger(const graph::Graph& g,
-                      const compile::PackingKnowledge& pk, std::uint64_t seed)
+                      const compile::PackingKnowledge& pk,
+                      compile::CorrectionMode mode, unsigned cells,
+                      std::uint64_t seed)
       : adv::Adversary(mobileByzantine(2)),
+        opts_(byzOptions(mode)),
         sched_(compile::ByzSchedule::compute(pk, 1, 1, opts_)),
         slots_{pk.eta, opts_.engine.effectiveRho()},
         firstForgedRep_(slots_.rho - (slots_.rho + 1) / 2) {
@@ -219,8 +243,6 @@ class MidStepBundleForger final : public adv::Adversary {
       }
     }
     util::Rng rng(seed);
-    const unsigned cells =
-        3 * opts_.sketchLevels * static_cast<unsigned>(opts_.tSketches);
     for (unsigned i = 0; i < cells; ++i)
       bundle_.push(1).push(rng.next() % gf::kP61).push(rng.next() % gf::kP61);
   }
@@ -273,7 +295,9 @@ class MidStepBundleForger final : public adv::Adversary {
 
 const graph::Graph& graphByName(const std::string& name) {
   if (name == "mst-sparse") return sparseGraph();
-  if (name == "byz-greedy" || name == "byz-midstep") return expanderGraph();
+  if (name == "byz-greedy" || name == "byz-midstep" ||
+      name == "byz-sparse-midstep")
+    return expanderGraph();
   if (name == "rewind-weak") return denseExpanderGraph();
   if (name == "rr4096") return rr4096Graph();
   return cliqueGraph();
@@ -298,25 +322,27 @@ Case caseByName(const std::string& name) {
     return c;
   }
   if (name == "byz" || name == "byz-sparse" || name == "byz-greedy" ||
-      name == "byz-midstep") {
+      name == "byz-midstep" || name == "byz-sparse-midstep") {
+    const bool midstep = name == "byz-midstep" || name == "byz-sparse-midstep";
+    const compile::CorrectionMode mode =
+        name == "byz-sparse" || name == "byz-sparse-midstep"
+            ? compile::CorrectionMode::SparseOneShot
+            : compile::CorrectionMode::L0Iterative;
     Case c;
-    c.algo = [name](const graph::Graph& g) {
-      const bool greedy = name == "byz-greedy" || name == "byz-midstep";
+    c.algo = [name, midstep, mode](const graph::Graph& g) {
+      const bool greedy = name == "byz-greedy" || midstep;
       const auto pk =
           greedy ? greedyPacking(g) : compile::cliquePackingKnowledge(g);
       std::vector<std::uint64_t> inputs(
           static_cast<std::size_t>(g.nodeCount()), 5);
       const sim::Algorithm inner = algo::makeGossipHash(g, 1, inputs, 32);
-      compile::ByzOptions opts;
-      if (name == "byz-sparse")
-        opts.correction = compile::CorrectionMode::SparseOneShot;
-      return compile::compileByzantineTree(g, inner, pk, 1, opts);
+      return compile::compileByzantineTree(g, inner, pk, 1, byzOptions(mode));
     };
-    if (name == "byz-midstep")
-      c.adversary = [](std::uint64_t s) {
+    if (midstep)
+      c.adversary = [mode](std::uint64_t s) {
         const graph::Graph& g = expanderGraph();
-        return std::make_unique<MidStepBundleForger>(g, *greedyPacking(g),
-                                                     41 + s);
+        return std::make_unique<MidStepBundleForger>(
+            g, *greedyPacking(g), mode, sketchCells(mode), 41 + s);
       };
     else
       c.adversary = [](std::uint64_t s) {
@@ -399,15 +425,22 @@ TEST(ArenaDeterminism, MatchesPreRefactorEngineAtEveryThreadAndShardCount) {
 }
 
 TEST(ArenaDeterminism, ForgedBundlesMergeBetweenTwoSendsOfTheParentsHop) {
-  // The byz-midstep golden is only a pin if the forger's merges land
-  // mid-hop and change the parent's later copies; check that they do.
-  const graph::Graph& g = graphByName("byz-midstep");
-  const sim::Algorithm a = caseByName("byz-midstep").algo(g);
-  MidStepBundleForger forger(g, *greedyPacking(g), 42);
-  sim::Network net(g, a, 1, &forger);
-  net.run(a.rounds);
-  EXPECT_GT(net.ledger().total(), 0);
-  EXPECT_GT(forger.restored(), 0);
+  // The midstep goldens are only a pin if the forger's merges land mid-hop
+  // and change the parent's later copies; check that they do in both
+  // correction modes.
+  for (const auto& [name, mode] :
+       {std::pair{"byz-midstep", compile::CorrectionMode::L0Iterative},
+        std::pair{"byz-sparse-midstep",
+                  compile::CorrectionMode::SparseOneShot}}) {
+    const graph::Graph& g = graphByName(name);
+    const sim::Algorithm a = caseByName(name).algo(g);
+    MidStepBundleForger forger(g, *greedyPacking(g), mode, sketchCells(mode),
+                               42);
+    sim::Network net(g, a, 1, &forger);
+    net.run(a.rounds);
+    EXPECT_GT(net.ledger().total(), 0) << name;
+    EXPECT_GT(forger.restored(), 0) << name;
+  }
 }
 
 struct TranscriptGolden {

@@ -74,6 +74,25 @@ TEST(OneSparse, MergeEqualsCombinedStream) {
   EXPECT_EQ(ra.frequency, rc.frequency);
 }
 
+TEST(OneSparse, MergeWordsMatchesCellMerge) {
+  // Words of any value, canonical or not (a forged hop carries such), merge
+  // exactly as the cells they load into.
+  util::Rng rng(31);
+  std::vector<OneSparseCell> into(40), from(40);
+  std::vector<std::uint64_t> intoWords, fromWords;
+  for (int i = 0; i < 40 * 3; ++i) {
+    intoWords.push_back(rng.next() >> (i % 4));
+    fromWords.push_back(rng.next() >> (i % 3));
+  }
+  loadCells(into, intoWords.data(), intoWords.size());
+  loadCells(from, fromWords.data(), fromWords.size());
+  mergeCells(into, from);
+  std::vector<std::uint64_t> want;
+  appendCells(into, want);
+  mergeWords(intoWords, fromWords);
+  EXPECT_EQ(intoWords, want);
+}
+
 TEST(L0Sampler, SamplesFromSupport) {
   util::Rng rng(11);
   int successes = 0;
@@ -236,6 +255,17 @@ TEST(SparseRecovery, SerializeRoundTrip) {
   SparseRecovery back(8888, 6, 6);
   back.loadWords(words.data(), words.size());
   EXPECT_EQ(wordsOf(back), words);
+}
+
+TEST(Sketches, ShapeGivesTheWireSize) {
+  for (const SparseRecovery::Shape shape :
+       {SparseRecovery::Shape{0, 1}, SparseRecovery::Shape{8, 5}})
+    EXPECT_EQ(SparseRecovery::serializedWords(shape),
+              SparseRecovery(1, shape).serializedWords());
+  for (const L0Bundle::Shape shape :
+       {L0Bundle::Shape{1, 0}, L0Bundle::Shape{5, 14}})
+    EXPECT_EQ(L0Bundle::serializedWords(shape),
+              L0Bundle(1, shape).serializedWords());
 }
 
 }  // namespace

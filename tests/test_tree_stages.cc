@@ -1,7 +1,9 @@
 // SketchConvergecast, the up-wave sketch stage, over both sketch types on a
 // hand-built two-tree packing: the root's merged sketch equals one sketch
-// of every node's entries, wrong-sized or non-child hops are not merged,
-// and the thread-local scratch keeps stages of different shapes apart,
+// of every node's entries, also once every non-root has dropped its
+// children's sums; a hop is built once per step and rebuilt after a child
+// merges mid-step; wrong-sized or non-child hops are not merged; and the
+// thread-local scratch keeps stages of different shapes apart,
 // interleaved on one thread or run on two threads at once.
 #include <cstdint>
 #include <thread>
@@ -95,7 +97,7 @@ class Upcast {
           const sim::Msg* m =
               stage(v).send(view, t, to, step, seedOf(t), entriesOf(v));
           if (m == nullptr) continue;
-          EXPECT_TRUE(stage(to).receive(pk.view(to), t, v, seedOf(t), *m));
+          EXPECT_TRUE(stage(to).receive(pk.view(to), t, v, *m));
         }
       }
     }
@@ -142,6 +144,66 @@ TEST(SketchConvergecast, RootMergesEveryNodeL0) {
 }
 
 template <class Sketch>
+void expectRootKeepsSumsNonRootsDrop(typename Sketch::Shape shape) {
+  Upcast<Sketch> up(shape);
+  up.run();
+  up.step(kDepthBound + 2);  // past every node's send step
+  for (NodeId v = 1; v < kN; ++v) EXPECT_EQ(up.stage(v).heldWords(), 0u) << v;
+  EXPECT_GT(up.stage(0).heldWords(), 0u);
+  for (int t = 0; t < packing().k; ++t)
+    EXPECT_EQ(up.rootWords(t), referenceWords<Sketch>(t, shape)) << t;
+}
+
+TEST(SketchConvergecast, RootKeepsChildSumsNonRootsDropThemSparse) {
+  expectRootKeepsSumsNonRootsDrop<SparseRecovery>(kSparseA);
+}
+
+TEST(SketchConvergecast, RootKeepsChildSumsNonRootsDropThemL0) {
+  expectRootKeepsSumsNonRootsDrop<L0Bundle>(kL0A);
+}
+
+template <class Sketch>
+void expectHopBuiltOncePerStep(typename Sketch::Shape shape) {
+  // Node 2 sends up tree 0 to node 1 at step 2; nodes 3 and 5 are its
+  // children there and send at step 1.
+  const PackingKnowledge& pk = packing();
+  const NodeTreeView view = pk.view(2);
+  Upcast<Sketch> up(shape);
+  up.step(1);
+  const auto sendUp = [&] {
+    const sim::Msg* m =
+        up.stage(2).send(view, 0, 1, 2, seedOf(0), entriesOf(2));
+    EXPECT_NE(m, nullptr);
+    return m != nullptr ? m->words : std::vector<std::uint64_t>{};
+  };
+  const auto buildUp = [&] {
+    sim::Msg m;
+    up.stage(2).build(0, seedOf(0), entriesOf(2), m);
+    return m.words;
+  };
+  const std::vector<std::uint64_t> first = sendUp();
+  EXPECT_EQ(sendUp(), first);
+  EXPECT_EQ(buildUp(), first);
+
+  // A child's hop merges between two sends of the hop.
+  sim::Msg child;
+  up.stage(3).build(0, seedOf(0), StreamEntries{{31337, +1}}, child);
+  EXPECT_TRUE(up.stage(2).receive(view, 0, 3, child));
+  const std::vector<std::uint64_t> second = sendUp();
+  EXPECT_NE(second, first);
+  EXPECT_EQ(second, buildUp());
+  EXPECT_EQ(sendUp(), second);
+}
+
+TEST(SketchConvergecast, HopIsBuiltOncePerStepAndAfterAChildMergeSparse) {
+  expectHopBuiltOncePerStep<SparseRecovery>(kSparseA);
+}
+
+TEST(SketchConvergecast, HopIsBuiltOncePerStepAndAfterAChildMergeL0) {
+  expectHopBuiltOncePerStep<L0Bundle>(kL0A);
+}
+
+template <class Sketch>
 void expectWrongHopsDropped(typename Sketch::Shape shape) {
   const PackingKnowledge& pk = packing();
   Upcast<Sketch> up(shape);
@@ -152,14 +214,14 @@ void expectWrongHopsDropped(typename Sketch::Shape shape) {
   shorter.words.pop_back();
   sim::Msg longer = good;
   longer.words.push_back(0);
-  EXPECT_FALSE(up.stage(0).receive(pk.view(0), 0, 1, seedOf(0), shorter));
-  EXPECT_FALSE(up.stage(0).receive(pk.view(0), 0, 1, seedOf(0), longer));
-  EXPECT_FALSE(up.stage(0).receive(pk.view(0), 0, 4, seedOf(0), good));
+  EXPECT_FALSE(up.stage(0).receive(pk.view(0), 0, 1, shorter));
+  EXPECT_FALSE(up.stage(0).receive(pk.view(0), 0, 1, longer));
+  EXPECT_FALSE(up.stage(0).receive(pk.view(0), 0, 4, good));
 
   Sketch own(seedOf(0), shape);
   for (const auto& [key, freq] : entriesOf(0)) own.update(key, freq);
   EXPECT_EQ(up.rootWords(0), wordsOf(own));
-  EXPECT_TRUE(up.stage(0).receive(pk.view(0), 0, 1, seedOf(0), good));
+  EXPECT_TRUE(up.stage(0).receive(pk.view(0), 0, 1, good));
   EXPECT_NE(up.rootWords(0), wordsOf(own));
 }
 
