@@ -2,10 +2,8 @@
 // plus whole-round throughput probes for the message plane (steps/sec and
 // bytes-allocated/round -- the zero-allocation contract's regression gate).
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <new>
-#include <string_view>
 
 #include <benchmark/benchmark.h>
 
@@ -91,9 +89,11 @@ static void BM_GfSlabAxpy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n));
 }
-// The size sweep spans the scalar->table cutover (gf::kSlabCutover = 16)
-// and the SIMD strides (16 words/SSSE3 iter, 32/AVX2), so one run shows
-// every dispatch regime: below-cutover scalar, table tail, full vector.
+// The size sweep spans the log/antilog->table cutover (gf::kSlabCutover =
+// 16): /8 runs the per-element log/antilog loop, /16 and up the
+// split-nibble table loop.  The end-to-end workloads' table spans stop at
+// 36 symbols (key-pool extraction); the longer sizes show the loop's
+// steady state.
 BENCHMARK(BM_GfSlabAxpy)
     ->Arg(8)
     ->Arg(16)
@@ -473,15 +473,6 @@ BENCHMARK(BM_NetworkRound_Clique)->Arg(16)->Arg(64);
 // so CI sweeps finish in seconds; --json routes the library's own JSON
 // report to the requested path (the BENCH_micro.json CI artifact).
 int main(int argc, char** argv) {
-  // --slab-tier: print the runtime-dispatched GF(2^16) kernel tier and
-  // exit.  scripts/smoke_bench.sh stamps this into BENCH_kernels.json so
-  // every archived kernel number names the tier that produced it.
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--slab-tier") {
-      std::printf("%s\n", gf::slabTierName(gf::slabTier()));
-      return 0;
-    }
-  }
   const exp::BenchArgs args =
       exp::parseBenchArgs(argc, argv, /*allowUnknown=*/true);
   std::vector<char*> benchArgv(argv, argv + argc);

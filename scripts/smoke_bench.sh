@@ -86,19 +86,5 @@ if [ -x "$BUILD_DIR/bench_micro" ]; then
   "$BUILD_DIR/bench_micro" --smoke --json "$KERNELS_JSON" \
       "--benchmark_filter=$KERNEL_PROBES" \
       > "$WORK_DIR/bench_kernels.log"
-  # Stamp the active SIMD dispatch tier into the report context so perf
-  # deltas are compared like-for-like (an avx2 number diffed against a
-  # forced-scalar number is a dispatch change, not a kernel regression).
-  tier=$("$BUILD_DIR/bench_micro" --slab-tier)
-  python3 - "$KERNELS_JSON" "$tier" <<'EOF'
-import json, sys
-path, tier = sys.argv[1], sys.argv[2]
-with open(path) as f:
-    doc = json.load(f)
-doc.setdefault("context", {})["slab_tier"] = tier
-with open(path, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-EOF
-  echo "wrote $KERNELS_JSON (slab_tier=$tier)"
+  echo "wrote $KERNELS_JSON"
 fi

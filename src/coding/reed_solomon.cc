@@ -1,9 +1,8 @@
 #include "coding/reed_solomon.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
-
-#include "gf/vandermonde.h"
 
 namespace mobile::coding {
 
@@ -16,18 +15,18 @@ ReedSolomon::ReedSolomon(std::size_t ell, std::size_t k) : ell_(ell), k_(k) {
   assert(k < gf::kGroupOrder);
   // One pass of scalar multiplies fills both cached layouts: the power
   // prefix of every evaluation point (row-contiguous per point, feeding
-  // the syndrome / Chien / Berlekamp-Welch stages) and its transpose
-  // restricted to j < ell (row-contiguous per coefficient, feeding the
-  // encode axpy).  Syndromes need exponents up to k - ell - 1, which can
-  // exceed the Berlekamp-Welch need of ell + maxErrors() - 1 at low rates.
-  const std::size_t powCols = std::max(ell_ + maxErrors(), k_ - ell_);
+  // the syndrome and Chien stages) and its transpose restricted to j < ell
+  // (row-contiguous per coefficient, feeding the encode axpy).  Syndromes
+  // read exponents < k - ell and the Chien dots exponents <= maxErrors().
+  const std::size_t powCols = std::max(k_ - ell_, maxErrors() + 1);
+  const std::size_t walk = std::max(powCols, ell_);
   pow_ = Matrix(k_, powCols);
   eval_ = Matrix(ell_, k_);
   for (std::size_t i = 0; i < k_; ++i) {
     const F16 x = point(i);
     F16 p(1);
-    for (std::size_t j = 0; j < powCols; ++j) {
-      pow_.set(i, j, p);
+    for (std::size_t j = 0; j < walk; ++j) {
+      if (j < powCols) pow_.set(i, j, p);
       if (j < ell_) eval_.set(j, i, p);
       p = p * x;
     }
@@ -85,29 +84,6 @@ std::size_t degreeOf(const std::vector<F16>& p) {
   return static_cast<std::size_t>(-1);
 }
 
-/// Exact polynomial division num / den (low-to-high coefficients).
-/// Returns empty when the remainder is non-zero.
-std::vector<F16> divideExact(std::vector<F16> num,
-                             const std::vector<F16>& den) {
-  const std::size_t dDeg = degreeOf(den);
-  assert(dDeg != static_cast<std::size_t>(-1));
-  const std::size_t nDeg = degreeOf(num);
-  if (nDeg == static_cast<std::size_t>(-1)) return {F16(0)};  // 0 / den = 0
-  if (nDeg < dDeg) return {};
-  std::vector<F16> quot(nDeg - dDeg + 1, F16(0));
-  const F16 leadInv = den[dDeg].inverse();
-  for (std::size_t i = nDeg + 1; i-- > dDeg;) {
-    const F16 factor = num[i] * leadInv;
-    quot[i - dDeg] = factor;
-    if (!factor.isZero())
-      gf::addScaledSlab(num.data() + (i - dDeg), factor, den.data(),
-                        dDeg + 1);
-  }
-  for (const F16 c : num)
-    if (!c.isZero()) return {};
-  return quot;
-}
-
 /// Berlekamp-Massey over S[0..n): shortest LFSR (error locator)
 /// Lambda(z) = 1 + c_1 z + .. + c_L z^L with
 /// S_j = sum_{i=1..L} c_i S_{j-i} for L <= j < n.  Returns (Lambda, L).
@@ -146,19 +122,14 @@ std::pair<std::vector<F16>, std::size_t> berlekampMassey(const F16* S,
 
 }  // namespace
 
-std::vector<F16> ReedSolomon::evaluate(const std::vector<F16>& coeffs) const {
-  assert(coeffs.size() <= ell_);
-  std::vector<F16> out(k_, F16(0));
-  for (std::size_t j = 0; j < coeffs.size(); ++j) {
-    if (coeffs[j].isZero()) continue;
-    gf::addScaledSlab(gf::raw(out.data()), coeffs[j], eval_.row(j), k_);
-  }
-  return out;
-}
-
 std::vector<F16> ReedSolomon::encode(const std::vector<F16>& message) const {
   assert(message.size() == ell_);
-  return evaluate(message);
+  std::vector<F16> out(k_, F16(0));
+  for (std::size_t j = 0; j < ell_; ++j) {
+    if (message[j].isZero()) continue;
+    gf::addScaledSlab(gf::raw(out.data()), message[j], eval_.row(j), k_);
+  }
+  return out;
 }
 
 std::vector<F16> ReedSolomon::interpolateFirstEll(const F16* word) const {
@@ -262,82 +233,6 @@ std::optional<std::vector<F16>> ReedSolomon::decode(
   for (const F16 s : synd)
     if (!s.isZero()) return std::nullopt;
   return interpolateFirstEll(corrected.data());
-}
-
-std::optional<std::vector<F16>> ReedSolomon::tryDecode(
-    const std::vector<F16>& received, std::size_t e) const {
-  // Berlekamp-Welch.  Unknowns: Q (degree < ell + e) and E_low where the
-  // error locator is E(x) = x^e + E_low(x), deg E_low < e.  Equations, one
-  // per coordinate i:
-  //   Q(x_i) + y_i * E_low(x_i) = y_i * x_i^e      (char-2 field: + == -)
-  // Row i assembles from the cached power prefix of x_i: a straight copy
-  // for the Q block, one scaled slab for the E_low block.
-  const std::size_t nq = ell_ + e;
-  const std::size_t unknowns = nq + e;
-  // The cached power rows reach at least exponent ell + maxErrors() - 1; a
-  // caller probing beyond the unique decoding radius would index past them.
-  assert(e <= maxErrors());
-  Matrix aug(k_, unknowns + 1);
-  for (std::size_t i = 0; i < k_; ++i) {
-    const F16 y = received[i];
-    const std::uint16_t* powers = pow_.row(i);
-    std::uint16_t* row = aug.row(i);
-    for (std::size_t j = 0; j < nq; ++j) row[j] = powers[j];
-    gf::mulSlab(row + nq, y, powers, e);
-    row[unknowns] = (y * F16(powers[e])).value();  // y * x_i^e
-  }
-  std::vector<F16> sol = gf::solveLinearAnyInPlace(aug);
-  if (sol.empty() && unknowns > 0) return std::nullopt;
-
-  std::vector<F16> q(sol.begin(),
-                     sol.begin() + static_cast<std::ptrdiff_t>(nq));
-  std::vector<F16> ePoly(sol.begin() + static_cast<std::ptrdiff_t>(nq),
-                         sol.end());
-  ePoly.push_back(F16(1));  // monic leading term x^e
-
-  std::vector<F16> pPoly = divideExact(q, ePoly);
-  if (pPoly.empty()) return std::nullopt;
-  if (degreeOf(pPoly) != static_cast<std::size_t>(-1) &&
-      degreeOf(pPoly) >= ell_)
-    return std::nullopt;
-  pPoly.resize(ell_, F16(0));
-
-  // Verify the decoded codeword lies within the unique decoding radius.
-  const std::vector<F16> word = evaluate(pPoly);
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < k_; ++i)
-    if (word[i] != received[i]) ++mismatches;
-  if (mismatches > maxErrors()) return std::nullopt;
-  return pPoly;
-}
-
-std::optional<std::vector<F16>> ReedSolomon::decodeBW(
-    const std::vector<F16>& received) const {
-  assert(received.size() == k_);
-  // Fast path: interpolate through the first ell coordinates; if that
-  // polynomial matches everywhere the word is already a codeword.
-  {
-    Matrix aug(ell_, ell_ + 1);
-    for (std::size_t i = 0; i < ell_; ++i) {
-      std::uint16_t* row = aug.row(i);
-      const std::uint16_t* powers = pow_.row(i);
-      for (std::size_t j = 0; j < ell_; ++j) row[j] = powers[j];
-      aug.set(i, ell_, received[i]);
-    }
-    std::vector<F16> cand = gf::solveLinearInPlace(aug);
-    if (!cand.empty()) {
-      const std::vector<F16> word = evaluate(cand);
-      bool ok = true;
-      for (std::size_t i = ell_; i < k_ && ok; ++i)
-        ok = word[i] == received[i];
-      if (ok) return cand;
-    }
-  }
-  for (std::size_t e = maxErrors(); e > 0; --e) {
-    auto res = tryDecode(received, e);
-    if (res.has_value()) return res;
-  }
-  return tryDecode(received, 0);
 }
 
 std::size_t ReedSolomon::hamming(const std::vector<F16>& a,

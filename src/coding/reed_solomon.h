@@ -9,30 +9,26 @@
 // (Lemma 3.6), where each of the k tree-delivered shares may have been
 // corrupted by the byzantine adversary, but a majority-by-distance argument
 // guarantees the honest codeword is the unique one within half the
-// distance.  Two independent decoders implement that contract:
-//
-//  * decode() -- the syndrome decoder.  Because the evaluation points
-//    make this a generalized RS code, a word is a codeword iff its
-//    k - ell weighted power sums (syndromes) S_j = sum_i r_i u_i x_i^j all
-//    vanish, where u_i is the dual-code column multiplier cached by the
-//    constructor.  Zero syndromes short-circuit straight to interpolation
-//    (the fault-free campaign path: no re-encode, no verify).  Otherwise
-//    Berlekamp-Massey fits the error-locator polynomial in O(f^2), a Chien
-//    sweep over the cached power rows finds the error positions (one slab
-//    dot per coordinate), Forney's formula yields the error values, and
-//    the patched word is re-validated by pushing the corrections back
-//    through the same syndromes (f slab axpys -- no re-encode) before the
-//    message is read off with the cached Lagrange rows.
-//
-//  * decodeBW() -- the Berlekamp-Welch oracle: dense O((ell+f)^3)
-//    elimination, kept as the cross-check of the differential test suite,
-//    which shows both decoders accept exactly the words within the unique
-//    decoding radius of some codeword and return that codeword's message.
+// distance.  decode() is a syndrome decoder.  Because the evaluation points
+// make this a generalized RS code, a word is a codeword iff its k - ell
+// weighted power sums (syndromes) S_j = sum_i r_i u_i x_i^j all vanish,
+// where u_i is the dual-code column multiplier cached by the constructor.
+// Zero syndromes short-circuit straight to interpolation (the fault-free
+// campaign path: no re-encode, no verify).  Otherwise Berlekamp-Massey fits
+// the error-locator polynomial in O(f^2), a Chien sweep over the cached
+// power rows finds the error positions (one slab dot per coordinate),
+// Forney's formula yields the error values, and the patched word is
+// re-validated by pushing the corrections back through the same syndromes
+// (f slab axpys -- no re-encode) before the message is read off with the
+// cached Lagrange rows.  tests/rs_oracle.h keeps the Berlekamp-Welch
+// decoder this replaced; the differential test shows both accept exactly
+// the words within the unique decoding radius of some codeword and return
+// that codeword's message.
 //
 // Hot-path layout: the constructor caches the evaluation matrix (one
 // contiguous row of x_i^j per coefficient j), the per-point power rows
-// shared by the syndrome accumulation / Chien search / Berlekamp-Welch
-// system, the dual multipliers u_i, and the Lagrange interpolation rows of
+// shared by the syndrome accumulation and the Chien search, the dual
+// multipliers u_i, and the Lagrange interpolation rows of
 // the first ell points, so every decode stage runs as slab kernels over
 // contiguous rows (see gf/slab.h) instead of per-cell log/antilog
 // multiplies.
@@ -60,7 +56,8 @@ class ReedSolomon {
     return static_cast<double>(k_ - ell_ + 1) / static_cast<double>(k_);
   }
 
-  /// Encodes `message` (size ell) into a codeword (size k).
+  /// Encodes `message` (size ell) into a codeword (size k): one slab axpy
+  /// of a cached evaluation row per non-zero coefficient.
   [[nodiscard]] std::vector<gf::F16> encode(
       const std::vector<gf::F16>& message) const;
 
@@ -71,11 +68,6 @@ class ReedSolomon {
   [[nodiscard]] std::optional<std::vector<gf::F16>> decode(
       const std::vector<gf::F16>& received) const;
 
-  /// Berlekamp-Welch oracle decoder (the pre-syndrome production path,
-  /// kept compiled-in as the differential cross-check).
-  [[nodiscard]] std::optional<std::vector<gf::F16>> decodeBW(
-      const std::vector<gf::F16>& received) const;
-
   /// Hamming distance between two equal-length symbol vectors.
   [[nodiscard]] static std::size_t hamming(const std::vector<gf::F16>& a,
                                            const std::vector<gf::F16>& b);
@@ -83,16 +75,6 @@ class ReedSolomon {
  private:
   /// Evaluation point for coordinate i.
   [[nodiscard]] gf::F16 point(std::size_t i) const;
-
-  /// Codeword of a coefficient vector with size() <= ell (slab axpy over
-  /// the cached evaluation rows) -- encode and the decode verifications.
-  [[nodiscard]] std::vector<gf::F16> evaluate(
-      const std::vector<gf::F16>& coeffs) const;
-
-  /// Berlekamp-Welch attempt assuming exactly <= e errors; returns the
-  /// message polynomial coefficients on success.
-  [[nodiscard]] std::optional<std::vector<gf::F16>> tryDecode(
-      const std::vector<gf::F16>& received, std::size_t e) const;
 
   /// Coefficients of the unique degree-< ell polynomial through
   /// (x_0, word[0]) .. (x_{ell-1}, word[ell-1]): ell slab axpys over the
@@ -104,10 +86,9 @@ class ReedSolomon {
   std::size_t k_;
   /// eval_.row(j)[i] = x_i^j for j < ell: the encode axpy rows.
   gf::Matrix eval_;
-  /// pow_.row(i)[j] = x_i^j for j < max(ell + maxErrors(), k - ell): the
+  /// pow_.row(i)[j] = x_i^j for j < max(k - ell, maxErrors() + 1): the
   /// contiguous power prefixes feeding syndrome accumulation (exponents
-  /// < k - ell), the Chien dots (< maxErrors() + 1) and the
-  /// Berlekamp-Welch rows (< ell + maxErrors()).
+  /// < k - ell) and the Chien dots (< maxErrors() + 1).
   gf::Matrix pow_;
   /// weights_[i] = 1 / prod_{j != i} (x_i - x_j): the dual-code column
   /// multipliers making {x_i^j}-weighted sums parity checks.

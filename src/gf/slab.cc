@@ -1,9 +1,7 @@
 #include "gf/slab.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cstdlib>
 
 namespace mobile::gf {
 
@@ -28,151 +26,12 @@ MulTable::MulTable(F16 c) : c_(c) {
   }
 }
 
-// --- scalar reference kernels ------------------------------------------------
-// These are the PR 5 loops, unchanged: every SIMD tier must match them bit
-// for bit on every input (tests/test_gf_slab.cc sweeps all available tiers
-// against them).
-
-namespace detail {
-
-void addScaledSlabScalar(std::uint16_t* dst, const MulTable& c,
-                         const std::uint16_t* src, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i)
-    dst[i] = static_cast<std::uint16_t>(dst[i] ^ c.mul(src[i]));
-}
-
-void mulSlabScalar(std::uint16_t* dst, const MulTable& c,
-                   const std::uint16_t* src, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = c.mul(src[i]);
-}
-
-F16 dotSlabScalar(const std::uint16_t* a, const std::uint16_t* b,
-                  std::size_t n) {
-  F16 acc(0);
-  for (std::size_t i = 0; i < n; ++i) acc += F16(a[i]) * F16(b[i]);
-  return acc;
-}
-
-namespace {
-
-constexpr SlabKernels kScalarKernels{&addScaledSlabScalar, &mulSlabScalar,
-                                     &dotSlabScalar};
-
-const SlabKernels* kernelsFor(SlabTier tier) {
-  switch (tier) {
-    case SlabTier::Scalar:
-      return &kScalarKernels;
-#if !defined(MOBILE_CONGEST_FORCE_SCALAR_BUILD)
-#if defined(__x86_64__) || defined(__i386__)
-    case SlabTier::Ssse3:
-      return &kSsse3Kernels;
-    case SlabTier::Avx2:
-      return &kAvx2Kernels;
-#elif defined(__ARM_NEON) && defined(__aarch64__)
-    case SlabTier::Neon:
-      return &kNeonKernels;
-#endif
-#endif
-    default:
-      return nullptr;
-  }
-}
-
-// MOBILE_CONGEST_FORCE_SCALAR=<anything but "" or "0"> pins the scalar
-// reference path *and* reports the SIMD tiers unavailable, so a forced-
-// scalar run (the CI job) cannot be flipped back by a ScopedSlabTier.
-bool envForcedScalar() {
-  const char* e = std::getenv("MOBILE_CONGEST_FORCE_SCALAR");
-  return e != nullptr && e[0] != '\0' && !(e[0] == '0' && e[1] == '\0');
-}
-
-bool tierRunnable(SlabTier tier) {
-  if (tier == SlabTier::Scalar) return true;
-  if (envForcedScalar()) return false;
-#if defined(MOBILE_CONGEST_FORCE_SCALAR_BUILD)
-  return false;
-#else
-#if defined(__x86_64__) || defined(__i386__)
-  if (tier == SlabTier::Ssse3) return cpuHasSsse3();
-  if (tier == SlabTier::Avx2) return cpuHasAvx2();
-  return false;
-#elif defined(__ARM_NEON) && defined(__aarch64__)
-  return tier == SlabTier::Neon;
-#else
-  return false;
-#endif
-#endif
-}
-
-SlabTier initialTier() {
-  for (SlabTier t : {SlabTier::Avx2, SlabTier::Neon, SlabTier::Ssse3})
-    if (tierRunnable(t)) return t;
-  return SlabTier::Scalar;
-}
-
-// Active tier as an atomic kernel-table pointer: one relaxed load per
-// kernel call (free on x86), and ScopedSlabTier flips are TSan-clean.  The
-// tier enum rides alongside for slabTier() reporting.
-struct Dispatch {
-  std::atomic<const SlabKernels*> kernels;
-  std::atomic<SlabTier> tier;
-  Dispatch() {
-    const SlabTier t = initialTier();
-    kernels.store(kernelsFor(t), std::memory_order_relaxed);
-    tier.store(t, std::memory_order_relaxed);
-  }
-};
-
-Dispatch& dispatch() {
-  static Dispatch d;
-  return d;
-}
-
-const SlabKernels* kernels() {
-  return dispatch().kernels.load(std::memory_order_relaxed);
-}
-
-}  // namespace
-}  // namespace detail
-
-SlabTier slabTier() {
-  return detail::dispatch().tier.load(std::memory_order_relaxed);
-}
-
-bool slabTierAvailable(SlabTier tier) { return detail::tierRunnable(tier); }
-
-const char* slabTierName(SlabTier tier) {
-  switch (tier) {
-    case SlabTier::Scalar:
-      return "scalar";
-    case SlabTier::Ssse3:
-      return "ssse3";
-    case SlabTier::Avx2:
-      return "avx2";
-    case SlabTier::Neon:
-      return "neon";
-  }
-  return "unknown";
-}
-
-ScopedSlabTier::ScopedSlabTier(SlabTier tier) : prev_(slabTier()) {
-  assert(slabTierAvailable(tier));
-  auto& d = detail::dispatch();
-  d.kernels.store(detail::kernelsFor(tier), std::memory_order_relaxed);
-  d.tier.store(tier, std::memory_order_relaxed);
-}
-
-ScopedSlabTier::~ScopedSlabTier() {
-  auto& d = detail::dispatch();
-  d.kernels.store(detail::kernelsFor(prev_), std::memory_order_relaxed);
-  d.tier.store(prev_, std::memory_order_relaxed);
-}
-
-// --- dispatched span kernels -------------------------------------------------
+// --- span kernels ------------------------------------------------------------
 
 void addScaledSlab(std::uint16_t* dst, const MulTable& c,
                    const std::uint16_t* src, std::size_t n) {
-  detail::kernels()->addScaledTable(dst, c, src, n);
+  for (std::size_t i = 0; i < n; ++i)
+    dst[i] = static_cast<std::uint16_t>(dst[i] ^ c.mul(src[i]));
 }
 
 void addScaledSlab(std::uint16_t* dst, F16 c, const std::uint16_t* src,
@@ -188,7 +47,7 @@ void addScaledSlab(std::uint16_t* dst, F16 c, const std::uint16_t* src,
 
 void mulSlab(std::uint16_t* dst, const MulTable& c, const std::uint16_t* src,
              std::size_t n) {
-  detail::kernels()->mulTable(dst, c, src, n);
+  for (std::size_t i = 0; i < n; ++i) dst[i] = c.mul(src[i]);
 }
 
 void mulSlab(std::uint16_t* dst, F16 c, const std::uint16_t* src,
@@ -206,7 +65,9 @@ void addSlab(std::uint16_t* dst, const std::uint16_t* src, std::size_t n) {
 }
 
 F16 dotSlab(const std::uint16_t* a, const std::uint16_t* b, std::size_t n) {
-  return detail::kernels()->dot(a, b, n);
+  F16 acc(0);
+  for (std::size_t i = 0; i < n; ++i) acc += F16(a[i]) * F16(b[i]);
+  return acc;
 }
 
 std::vector<F16> solveLinearInPlace(Matrix& aug) {

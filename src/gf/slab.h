@@ -1,4 +1,4 @@
-// Batched GF(2^16) slab kernels with runtime SIMD dispatch.
+// Batched GF(2^16) slab kernels.
 //
 // Every compiled round funnels through the same handful of dense GF(2^16)
 // loops -- Reed-Solomon encode/decode rows (Theorem 1.8 / Lemma 3.6),
@@ -14,18 +14,9 @@
 //
 // where Tj[v] = c * (v << 4j).  The four 16-entry tables are built once per
 // constant from 16 generator shifts (xtime) plus xor-linearity -- no
-// log/antilog lookups at all.
-//
-// Dispatch tiers: the 4x16-entry layout is exactly the PSHUFB/NEON-TBL
-// shape, so the table kernels have SSSE3 / AVX2 (x86) and NEON (arm)
-// implementations selected once at startup by CPU feature detection
-// (slab_simd.cc).  The portable scalar kernels below stay compiled-in
-// verbatim: they are the *reference semantics* -- every tier is bit-
-// identical to scalar on every input (pinned by tests/test_gf_slab.cc
-// across all tiers available on the build machine), so dispatch can never
-// perturb golden determinism fingerprints.  Scalar can be forced two ways:
-//   * env:   MOBILE_CONGEST_FORCE_SCALAR=1 (read once, before first use);
-//   * cmake: -DMOBILE_CONGEST_FORCE_SCALAR=ON compiles the SIMD tiers out.
+// log/antilog lookups at all.  The kernels are plain portable loops: the
+// spans the compilers hand in hold at most a few dozen symbols, where a
+// vectorized path moved no end-to-end metric (docs/architecture.md 8.2).
 //
 // Aliasing contract: dst == src is allowed for every kernel (the loops read
 // element i before writing element i and carry no other state); *partial*
@@ -66,42 +57,9 @@ class MulTable {
                                       t_[2][(x >> 8) & 0xf] ^ t_[3][x >> 12]);
   }
 
-  /// Raw nibble table j (16 contiguous uint16_t) -- the SIMD kernels split
-  /// each into low/high byte planes for PSHUFB / NEON TBL.
-  [[nodiscard]] const std::uint16_t* table(int j) const { return t_[j]; }
-
  private:
   std::uint16_t t_[4][16] = {};
   F16 c_{0};
-};
-
-// --- dispatch tiers ----------------------------------------------------------
-
-/// SIMD dispatch tier for the table kernels.  Scalar is the reference
-/// semantics; every other tier is bit-identical to it on every input.
-enum class SlabTier : int { Scalar = 0, Ssse3 = 1, Avx2 = 2, Neon = 3 };
-
-/// The currently active tier.
-[[nodiscard]] SlabTier slabTier();
-/// Whether `tier` can run on this machine (Scalar is always available; a
-/// MOBILE_CONGEST_FORCE_SCALAR build or env reports only Scalar).
-[[nodiscard]] bool slabTierAvailable(SlabTier tier);
-/// Lowercase tier name ("scalar", "ssse3", "avx2", "neon") -- recorded into
-/// BENCH_kernels.json so perf deltas are compared like-for-like.
-[[nodiscard]] const char* slabTierName(SlabTier tier);
-
-/// Scoped tier override for tests/benches (asserts availability; restores
-/// the previous tier on destruction).  Not thread-safe: flip tiers only
-/// while no other thread runs slab kernels.
-class ScopedSlabTier {
- public:
-  explicit ScopedSlabTier(SlabTier tier);
-  ~ScopedSlabTier();
-  ScopedSlabTier(const ScopedSlabTier&) = delete;
-  ScopedSlabTier& operator=(const ScopedSlabTier&) = delete;
-
- private:
-  SlabTier prev_;
 };
 
 // --- span kernels ------------------------------------------------------------
@@ -132,7 +90,7 @@ void mulSlab(std::uint16_t* dst, F16 c, const std::uint16_t* src,
 void addSlab(std::uint16_t* dst, const std::uint16_t* src, std::size_t n);
 
 /// sum_i a[i] * b[i] -- variable-variable products, so this one rides the
-/// log/antilog tables (vectorized with gathers on the AVX2 tier).
+/// log/antilog tables.
 [[nodiscard]] F16 dotSlab(const std::uint16_t* a, const std::uint16_t* b,
                           std::size_t n);
 
@@ -163,40 +121,6 @@ inline void addSlab(F16* dst, const F16* src, std::size_t n) {
 [[nodiscard]] inline F16 dotSlab(const F16* a, const F16* b, std::size_t n) {
   return dotSlab(raw(a), raw(b), n);
 }
-
-namespace detail {
-
-/// Per-tier kernel table.  addSlab stays un-dispatched: a plain xor loop
-/// the compiler already auto-vectorizes optimally at every tier.
-struct SlabKernels {
-  void (*addScaledTable)(std::uint16_t*, const MulTable&, const std::uint16_t*,
-                         std::size_t);
-  void (*mulTable)(std::uint16_t*, const MulTable&, const std::uint16_t*,
-                   std::size_t);
-  F16 (*dot)(const std::uint16_t*, const std::uint16_t*, std::size_t);
-};
-
-/// Scalar reference kernels (always compiled; the bit-exactness oracle).
-void addScaledSlabScalar(std::uint16_t* dst, const MulTable& c,
-                         const std::uint16_t* src, std::size_t n);
-void mulSlabScalar(std::uint16_t* dst, const MulTable& c,
-                   const std::uint16_t* src, std::size_t n);
-F16 dotSlabScalar(const std::uint16_t* a, const std::uint16_t* b,
-                  std::size_t n);
-
-#if !defined(MOBILE_CONGEST_FORCE_SCALAR_BUILD)
-#if defined(__x86_64__) || defined(__i386__)
-/// x86 tiers (slab_simd.cc); call only when the matching CPUID bit is set.
-extern const SlabKernels kSsse3Kernels;
-extern const SlabKernels kAvx2Kernels;
-bool cpuHasSsse3();
-bool cpuHasAvx2();
-#elif defined(__ARM_NEON) && defined(__aarch64__)
-extern const SlabKernels kNeonKernels;
-#endif
-#endif  // !MOBILE_CONGEST_FORCE_SCALAR_BUILD
-
-}  // namespace detail
 
 /// Flat row-major GF(2^16) matrix: contiguous rows so elimination and
 /// matrix-vector products run as slab kernels instead of per-cell F16 ops.

@@ -87,6 +87,21 @@ std::shared_ptr<const compile::PackingKnowledge> packingFor(const Graph& g,
   throw ScnError("unknown packing '" + kind + "' (star, greedy)");
 }
 
+/// byz_tree and rewind name a dominating-mismatch arc by a message key
+/// with 12-bit node ids (compile::encodeKey).  Above kMaxKeyNodes nodes a
+/// corrupted arc decodes to the wrong one and the correction silently
+/// misses; fault-free runs are unaffected, because sent and received keys
+/// cancel bit for bit.  So such points may only run with adv=none.
+void requireKeyableNodes(const Graph& g, const Params& p,
+                         const std::string& compiler) {
+  const std::string adv = p.str("adv", "none");
+  if (g.nodeCount() > compile::kMaxKeyNodes && adv != "none")
+    throw ScnError(compiler + " keys carry 12-bit node ids: n=" +
+                   std::to_string(g.nodeCount()) + " > " +
+                   std::to_string(compile::kMaxKeyNodes) +
+                   " runs only with adv=none, not adv=" + adv);
+}
+
 std::vector<std::uint64_t> inputFill(const Graph& g, const Params& p,
                                      std::uint64_t dflt) {
   return std::vector<std::uint64_t>(
@@ -236,6 +251,7 @@ void registerCompilers(Registry<CompileFactory>& r) {
         "Theorem 3.5 byzantine tree-packing compiler "
         "(f, packing, mode=l0|sparse, dmcap [0 = 2f+8])",
         [](const Graph& g, const sim::Algorithm& inner, const Params& p) {
+          requireKeyableNodes(g, p, "byz_tree");
           compile::ByzOptions opts;
           const std::string mode = p.str("mode", "l0");
           if (mode == "sparse")
@@ -254,6 +270,7 @@ void registerCompilers(Registry<CompileFactory>& r) {
   r.add("rewind",
         "Theorem 4.1 rewind-if-error compiler (f, packing, multiplier)",
         [](const Graph& g, const sim::Algorithm& inner, const Params& p) {
+          requireKeyableNodes(g, p, "rewind");
           compile::RewindOptions opts;
           opts.multiplier =
               static_cast<int>(p.integer("multiplier", opts.multiplier));

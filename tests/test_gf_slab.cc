@@ -1,10 +1,12 @@
-// Randomized equivalence tests pinning every gf/ slab kernel against the
-// scalar F16 reference: 10k random spans covering empty spans, odd lengths,
-// lengths straddling the adaptive table cutover, and the aliased dst == src
-// case the kernels' contract allows.  The flat matrix solvers are pinned
-// against a straight transcription of the historical vector<vector<F16>>
-// Gaussian eliminations, pivot order included, so RS/Vandermonde behavior
-// stays bit-identical.
+// Randomized equivalence tests pinning every gf/ slab kernel against
+// per-element F16 arithmetic: thousands of random spans covering empty
+// spans, odd lengths, lengths on both sides of the kSlabCutover switch
+// between the log/antilog loop and the split-nibble table loop, c = 0,
+// both the MulTable and the adaptive F16-constant forms, and the aliased
+// dst == src case the kernels' contract allows.  The flat matrix solvers
+// are pinned against a straight transcription of the historical
+// vector<vector<F16>> Gaussian eliminations, pivot order included, so
+// RS/Vandermonde behavior stays bit-identical.
 #include "gf/slab.h"
 
 #include <vector>
@@ -132,72 +134,6 @@ TEST(GfSlab, AddAndDot) {
       dotRef += F16(a[j]) * F16(b[j]);
     }
     EXPECT_EQ(gf::dotSlab(a.data(), b.data(), n), dotRef);
-  }
-}
-
-TEST(GfSlab, EveryAvailableTierMatchesScalar) {
-  // The dispatch contract: every SIMD tier is bit-identical to the scalar
-  // reference on every input.  Pin each tier the machine can run (under a
-  // forced-scalar build or env only Scalar is available, and the loop
-  // degenerates to scalar-vs-scalar) across the table kernels' full edge
-  // set: empty spans, single elements, odd lengths (the SIMD tail loops),
-  // lengths straddling the 8/16/32-lane strides, and dst == src aliasing.
-  constexpr gf::SlabTier kTiers[] = {gf::SlabTier::Scalar,
-                                     gf::SlabTier::Ssse3, gf::SlabTier::Avx2,
-                                     gf::SlabTier::Neon};
-  constexpr std::size_t kLens[] = {0,  1,  2,  3,  7,  8,   9,   15,  16, 17,
-                                   23, 31, 32, 33, 63, 64,  65,  100, 255, 256};
-  util::Rng rng(0x7139);
-  for (const std::size_t n : kLens) {
-    for (int trial = 0; trial < 8; ++trial) {
-      const F16 c = (trial == 0) ? F16(0) : rnd(rng);
-      const MulTable table(c);
-      const std::vector<std::uint16_t> dst0 = randomSpan(rng, n);
-      const std::vector<std::uint16_t> src = randomSpan(rng, n);
-
-      // Scalar reference results for this (c, dst0, src) triple.
-      std::vector<std::uint16_t> axpyRef = dst0;
-      std::vector<std::uint16_t> mulRef(n, 0x5a5a);
-      std::vector<std::uint16_t> aliasRef = dst0;
-      F16 dotRef(0);
-      {
-        gf::ScopedSlabTier scalar(gf::SlabTier::Scalar);
-        gf::addScaledSlab(axpyRef.data(), table, src.data(), n);
-        gf::mulSlab(mulRef.data(), table, src.data(), n);
-        gf::addScaledSlab(aliasRef.data(), table, aliasRef.data(), n);
-        dotRef = gf::dotSlab(dst0.data(), src.data(), n);
-      }
-
-      for (const gf::SlabTier tier : kTiers) {
-        if (!gf::slabTierAvailable(tier)) continue;
-        gf::ScopedSlabTier scoped(tier);
-        ASSERT_EQ(gf::slabTier(), tier);
-
-        std::vector<std::uint16_t> got = dst0;
-        gf::addScaledSlab(got.data(), table, src.data(), n);
-        EXPECT_EQ(got, axpyRef) << "addScaledSlab tier="
-                                << gf::slabTierName(tier) << " n=" << n;
-
-        got.assign(n, 0x5a5a);
-        gf::mulSlab(got.data(), table, src.data(), n);
-        EXPECT_EQ(got, mulRef) << "mulSlab tier=" << gf::slabTierName(tier)
-                               << " n=" << n;
-
-        got = dst0;  // dst == src aliasing, per the kernel contract
-        gf::addScaledSlab(got.data(), table, got.data(), n);
-        EXPECT_EQ(got, aliasRef) << "aliased addScaledSlab tier="
-                                 << gf::slabTierName(tier) << " n=" << n;
-
-        EXPECT_EQ(gf::dotSlab(dst0.data(), src.data(), n), dotRef)
-            << "dotSlab tier=" << gf::slabTierName(tier) << " n=" << n;
-
-        // Adaptive F16-constant forms dispatch through the same table.
-        got = dst0;
-        gf::addScaledSlab(got.data(), c, src.data(), n);
-        EXPECT_EQ(got, axpyRef) << "adaptive addScaledSlab tier="
-                                << gf::slabTierName(tier) << " n=" << n;
-      }
-    }
   }
 }
 

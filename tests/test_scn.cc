@@ -1,9 +1,11 @@
 // The scenario layer's contracts: Params typed access + consumed-key
 // tracking, registry lookup and unknown-name errors, sweep-grid
 // expansion, and TrialBuilder lowering (fault-free expectation, typo'd
-// axes rejected, fingerprint cache shared across adversary/f sweeps).
+// axes rejected, fingerprint cache shared across adversary/f sweeps,
+// adversarial byz_tree/rewind points refused above the 12-bit key limit).
 #include <gtest/gtest.h>
 
+#include "compile/common.h"
 #include "exp/experiment.h"
 #include "scn/params.h"
 #include "scn/registry.h"
@@ -248,4 +250,53 @@ TEST(TrialBuilder, ExpectCacheSharedAcrossAdversaryAndFAxes) {
   // A payload-axis change misses.
   (void)builder.build(point("rounds=3 f=1 adv=bitflip_byz"), "d");
   EXPECT_EQ(builder.expectCacheHits(), 2u);
+}
+
+// --- 12-bit message-key node ids ---------------------------------------------
+
+TEST(TrialBuilder, AdversarialKeyedPointsAboveKeyLimitAreRejected) {
+  // byz_tree and rewind name a mismatching arc by a key with 12-bit node
+  // ids; above kMaxKeyNodes a corrupted arc decodes to the wrong one, so an
+  // adversarial point there is refused by name instead of silently missing
+  // its corrections.
+  scn::TrialBuilder builder;
+  const std::string n = std::to_string(compile::kMaxKeyNodes + 1);
+  for (const char* compiler : {"byz_tree", "rewind"}) {
+    const scn::Params point = scn::Params::fromTokens(
+        "graph=cycle n=" + n + " algo=gossip rounds=1 mask=32 compile=" +
+        compiler + " f=1 adv=bitflip_byz");
+    try {
+      (void)builder.build(point, "big");
+      ADD_FAILURE() << compiler << ": expected ScnError";
+    } catch (const scn::ScnError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("n=" + n), std::string::npos) << what;
+      EXPECT_NE(what.find("bitflip_byz"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(TrialBuilder, FaultFreePointAboveKeyLimitStillBuilds) {
+  // The expander_20k benchmark point: n = 2*10^4 > kMaxKeyNodes, adv=none.
+  scn::TrialBuilder builder;
+  const scn::Params point = scn::Params::fromTokens(
+      "graph=expander n=20000 d=4 gseed=1 algo=gossip rounds=1 mask=32 "
+      "compile=byz_tree mode=sparse f=1 packing=greedy k=2 depthcap=14 "
+      "dmcap=2 adv=none seed=0 threads=2 shards=2");
+  EXPECT_NO_THROW((void)builder.build(point, "expander_20k"));
+}
+
+TEST(MessageKey, KeyLimitIsTheIdFieldWidth) {
+  // The campaign check above trusts kMaxKeyNodes: id 4095 must round-trip
+  // through a key and id 4096 must not.
+  const graph::NodeId top = compile::kMaxKeyNodes - 1;
+  ASSERT_EQ(top, 4095);
+  const compile::DecodedKey d =
+      compile::decodeKey(compile::encodeKey(top, top - 1, 5, 0x89abcdef));
+  EXPECT_EQ(d.sender, top);
+  EXPECT_EQ(d.receiver, top - 1);
+  EXPECT_EQ(d.chunk, 5u);
+  EXPECT_EQ(d.payload, 0x89abcdefu);
+  EXPECT_NE(compile::decodeKey(compile::encodeKey(top + 1, 0, 0, 0)).sender,
+            top + 1);
 }
