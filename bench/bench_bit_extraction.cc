@@ -2,11 +2,13 @@
 // Claim: the Vandermonde extractor yields n-t perfectly uniform keys even
 // when the adversary knows t of the n input symbols.
 // Measured: chi-square of every output lane against uniform, for a sweep of
-// (n, t); all must sit below the 99.9% critical value.
+// (n, t); all must sit below the 99.9% critical value.  The extractor is
+// the one the compilers run, compile::KeyPool(n - t, t, 1): one 64-bit
+// word per exchange round, four independent GF(2^16) lanes per word.
 #include <iostream>
 
+#include "compile/keypool.h"
 #include "exp/bench_args.h"
-#include "gf/bitextract.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -25,31 +27,31 @@ int main(int argc, char** argv) {
           : std::vector<std::pair<int, int>>{{4, 1}, {8, 2}, {8, 6}, {16, 4},
                                              {16, 12}, {32, 8}, {32, 28},
                                              {64, 32}};
+  // Bonferroni over all lanes of the whole sweep (max statistic).
+  std::size_t lanes = 0;
+  for (const auto& [n, t] : grid) lanes += 4 * static_cast<std::size_t>(n - t);
+  const double critical = util::chiSquareCriticalMax(15, lanes);
   for (const auto& [n, t] : grid) {
-    const gf::BitExtractor ex(static_cast<std::size_t>(n),
-                              static_cast<std::size_t>(t));
+    const compile::KeyPool pool(n - t, t, 1);
     const int trials = args.smoke ? 4000 : 30000;
     std::vector<std::vector<std::uint64_t>> counts(
-        ex.outputs(), std::vector<std::uint64_t>(16, 0));
+        4 * pool.keyWords(), std::vector<std::uint64_t>(16, 0));
+    std::vector<std::uint64_t> x(pool.symbolWords());
+    std::vector<std::uint64_t> y(pool.keyWords());
     for (int trial = 0; trial < trials; ++trial) {
-      std::vector<gf::F16> x(static_cast<std::size_t>(n));
-      for (int i = 0; i < t; ++i)
-        x[static_cast<std::size_t>(i)] =
-            gf::F16(static_cast<std::uint16_t>(0xbad0 + i));
-      for (int i = t; i < n; ++i)
-        x[static_cast<std::size_t>(i)] =
-            gf::F16(static_cast<std::uint16_t>(rng.next()));
-      const auto y = ex.extract(x);
+      // The adversary knows the first t words; the rest are uniform.
+      for (std::size_t i = 0; i < x.size(); ++i)
+        x[i] = static_cast<int>(i) < t ? 0xbad0bad1bad2bad3 ^ i : rng.next();
+      pool.extract(x, y);
       for (std::size_t j = 0; j < y.size(); ++j)
-        ++counts[j][y[j].value() & 0xf];
+        for (std::size_t lane = 0; lane < 4; ++lane)
+          ++counts[4 * j + lane][(y[j] >> (16 * lane)) & 0xf];
     }
     double worst = 0.0;
     for (const auto& c : counts)
       worst = std::max(worst, util::chiSquareUniform(c));
-    // Bonferroni over all lanes of the whole sweep (max statistic).
-    const double critical = util::chiSquareCriticalMax(15, 200);
     table.addRow({util::Table::num(n), util::Table::num(t),
-                  util::Table::num(static_cast<int>(ex.outputs())),
+                  util::Table::num(static_cast<int>(pool.keyWords())),
                   util::Table::num(trials), util::Table::fixed(worst, 1),
                   util::Table::fixed(critical, 1),
                   util::Table::boolean(worst < critical)});

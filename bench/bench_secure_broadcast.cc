@@ -49,19 +49,18 @@ int main(int argc, char** argv) {
   const auto results = driver.runAll(specs);
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
-    // Exchange/dispersal decomposition: probe the core at the point's
+    // Exchange/dispersal decomposition: the chunk key pool at the point's
     // parameters (packing shared through the PrecomputeCache).
     const scn::Params& p = points[i].params;
     const graph::Graph g =
         graph::clique(static_cast<graph::NodeId>(p.integer("n")));
     const auto pk = exp::PrecomputeCache::global().starPacking(g, 2);
-    const auto w = static_cast<std::size_t>(p.integer("w", 1));
-    compile::BroadcastCore probe(pk->root, g, util::Rng(1), pk,
-                                 std::vector<std::uint64_t>(w, 1),
-                                 static_cast<int>(p.integer("f", 1)));
+    const int f = static_cast<int>(p.integer("f", 1));
+    const int exchange =
+        compile::BroadcastCore::keyPool(*pk, f).exchangeRounds();
     table.addRow({r.group, util::Table::num(r.rounds),
-                  util::Table::num(probe.exchangeRounds()),
-                  util::Table::num(r.rounds - probe.exchangeRounds()),
+                  util::Table::num(exchange),
+                  util::Table::num(r.rounds - exchange),
                   util::Table::boolean(r.ok)});
   }
   table.print(std::cout);

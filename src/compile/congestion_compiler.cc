@@ -22,12 +22,16 @@ using sim::Outbox;
 
 namespace {
 
+/// Round layout and key pools of one compiled algorithm; every node holds
+/// a copy, so the pools' point tables are built once and shared.
 struct Layout {
-  int r = 0;
-  int t1 = 0;
-  int poolRounds = 0;       // r + t1
-  int broadcastRounds = 0;  // BroadcastCore::totalRounds()
-  int seedWords = 0;        // c-wise hash coefficients
+  int r;
+  int t1;
+  int poolRounds;         // r + t1
+  int broadcastRounds;    // BroadcastCore::totalRounds()
+  int seedWords;          // c-wise hash coefficients
+  KeyPool pool;           // r pads per arc from r + t1 rounds
+  KeyPool broadcastPool;  // the seed broadcast's, BroadcastCore::keyPool
   [[nodiscard]] int total() const {
     return poolRounds + broadcastRounds + r;
   }
@@ -37,8 +41,8 @@ class CongestionNode final : public NodeState {
  public:
   CongestionNode(NodeId self, const Graph& g, util::Rng rng,
                  std::unique_ptr<NodeState> inner,
-                 std::shared_ptr<const PackingKnowledge> pk, int f,
-                 CongestionCompilerOptions opts, Layout layout)
+                 std::shared_ptr<const PackingKnowledge> pk,
+                 CongestionCompilerOptions opts, const Layout& layout)
       : self_(self),
         g_(g),
         rng_(std::move(rng)),
@@ -47,7 +51,7 @@ class CongestionNode final : public NodeState {
         opts_(opts),
         layout_(layout),
         hashMask_((1ULL << opts.hashBits) - 1),
-        pads_(g, self, KeyPool(layout.r, layout.t1)),
+        pads_(g, self, layout.pool),
         innerSlots_(g, self) {
     // Root draws the global hash seed; all nodes instantiate a core with
     // the same width (non-roots pass zeros which are ignored).
@@ -56,7 +60,8 @@ class CongestionNode final : public NodeState {
     if (self_ == pk_->root)
       for (auto& w : seed) w = rng_.next();
     bcast_ = std::make_unique<BroadcastCore>(self_, g_, rng_.split(0xbc),
-                                             pk_, std::move(seed), f);
+                                             pk_, std::move(seed),
+                                             layout_.broadcastPool);
   }
 
   void send(int round, Outbox& out) override {
@@ -170,19 +175,21 @@ sim::Algorithm compileCongestionSensitive(
     const graph::Graph& g, const sim::Algorithm& inner,
     std::shared_ptr<const PackingKnowledge> pk, int f,
     CongestionCompilerOptions opts, CongestionCompilerStats* stats) {
-  Layout layout;
-  layout.r = inner.rounds;
-  layout.t1 = opts.poolThreshold > 0 ? opts.poolThreshold : 3 * inner.rounds;
-  layout.poolRounds = layout.r + layout.t1;
-  const int cong = std::max(1, inner.congestion);
-  layout.seedWords = std::max(2, 4 * f * cong);
-  {
-    BroadcastCore probe(pk->root, g, util::Rng(1), pk,
-                        std::vector<std::uint64_t>(
-                            static_cast<std::size_t>(layout.seedWords), 0),
-                        f);
-    layout.broadcastRounds = probe.totalRounds();
-  }
+  const int r = inner.rounds;
+  const int t1 = opts.poolThreshold > 0 ? opts.poolThreshold : 3 * r;
+  const int seedWords = std::max(2, 4 * f * std::max(1, inner.congestion));
+  KeyPool broadcastPool = BroadcastCore::keyPool(*pk, f);
+  const BroadcastCore probe(
+      pk->root, g, util::Rng(1), pk,
+      std::vector<std::uint64_t>(static_cast<std::size_t>(seedWords), 0),
+      broadcastPool);
+  const Layout layout{.r = r,
+                      .t1 = t1,
+                      .poolRounds = r + t1,
+                      .broadcastRounds = probe.totalRounds(),
+                      .seedWords = seedWords,
+                      .pool = KeyPool(r, t1),
+                      .broadcastPool = std::move(broadcastPool)};
   if (stats != nullptr) {
     stats->poolRounds = layout.poolRounds;
     stats->broadcastRounds = layout.broadcastRounds;
@@ -193,11 +200,11 @@ sim::Algorithm compileCongestionSensitive(
   sim::Algorithm out;
   out.rounds = layout.total();
   out.congestion = out.rounds;
-  out.makeNode = [&g, inner, pk, f, opts, layout](NodeId v, const Graph&,
-                                                  util::Rng rng) {
+  out.makeNode = [&g, inner, pk, opts, layout](NodeId v, const Graph&,
+                                               util::Rng rng) {
     auto innerNode = inner.makeNode(v, g, rng.split(0x77));
     return std::make_unique<CongestionNode>(v, g, rng.split(0x88),
-                                            std::move(innerNode), pk, f, opts,
+                                            std::move(innerNode), pk, opts,
                                             layout);
   };
   return out;

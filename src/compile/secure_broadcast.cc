@@ -21,7 +21,8 @@ using sim::Outbox;
 
 BroadcastCore::BroadcastCore(NodeId self, const Graph& g, util::Rng rng,
                              std::shared_ptr<const PackingKnowledge> pk,
-                             std::vector<std::uint64_t> secret, int f)
+                             std::vector<std::uint64_t> secret,
+                             const KeyPool& pool)
     : self_(self),
       g_(g),
       rng_(std::move(rng)),
@@ -29,8 +30,7 @@ BroadcastCore::BroadcastCore(NodeId self, const Graph& g, util::Rng rng,
       secret_(std::move(secret)),
       w_(static_cast<int>(secret_.size())),
       floodRounds_(pk_->depthBound * pk_->eta),
-      // Per chunk: eta pads per arc (one per slot), threshold t = 2 f eta.
-      pads_(g, self, KeyPool(pk_->eta, 2 * std::max(1, f) * pk_->eta)) {
+      pads_(g, self, pool) {
   assert(w_ >= 1);
   haveShare_.assign(static_cast<std::size_t>(pk_->k), 0);
   shares_.assign(static_cast<std::size_t>(pk_->k), {});
@@ -56,6 +56,10 @@ BroadcastCore::BroadcastCore(NodeId self, const Graph& g, util::Rng rng,
       shares_[static_cast<std::size_t>(t)].assign(
           static_cast<std::size_t>(w_), 0);
   }
+}
+
+KeyPool BroadcastCore::keyPool(const PackingKnowledge& pk, int f) {
+  return KeyPool(pk.eta, 2 * std::max(1, f) * pk.eta);
 }
 
 void BroadcastCore::send(int localRound, Outbox& out) {
@@ -129,8 +133,9 @@ class BroadcastNode final : public NodeState {
  public:
   BroadcastNode(NodeId self, const Graph& g, util::Rng rng,
                 std::shared_ptr<const PackingKnowledge> pk,
-                std::vector<std::uint64_t> secret, int f)
-      : core_(self, g, std::move(rng), std::move(pk), std::move(secret), f) {}
+                std::vector<std::uint64_t> secret, const KeyPool& pool)
+      : core_(self, g, std::move(rng), std::move(pk), std::move(secret),
+              pool) {}
 
   void send(int round, Outbox& out) override {
     if (round <= core_.totalRounds()) core_.send(round, out);
@@ -151,13 +156,14 @@ class BroadcastNode final : public NodeState {
 sim::Algorithm makeMobileSecureBroadcast(
     const graph::Graph& g, std::shared_ptr<const PackingKnowledge> pk,
     std::vector<std::uint64_t> secret, int f) {
-  BroadcastCore probe(pk->root, g, util::Rng(1), pk, secret, f);
+  const KeyPool pool = BroadcastCore::keyPool(*pk, f);
+  BroadcastCore probe(pk->root, g, util::Rng(1), pk, secret, pool);
   sim::Algorithm a;
   a.rounds = probe.totalRounds();
   a.congestion = a.rounds;
-  a.makeNode = [&g, pk, secret, f](NodeId v, const Graph&, util::Rng rng) {
+  a.makeNode = [&g, pk, secret, pool](NodeId v, const Graph&, util::Rng rng) {
     return std::make_unique<BroadcastNode>(v, g, std::move(rng), pk, secret,
-                                           f);
+                                           pool);
   };
   return a;
 }

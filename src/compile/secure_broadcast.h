@@ -30,11 +30,17 @@ namespace mobile::compile {
 /// the congestion-sensitive compiler consumes it).
 class BroadcastCore {
  public:
-  /// `secret` is only meaningful at the root (pk->root).  `f` sizes the key
-  /// pools.  All nodes must construct with identical W = secret.size().
+  /// `secret` is only meaningful at the root (pk->root).  `pool` is the
+  /// chunk key pool, keyPool(*pk, f); all nodes must construct with
+  /// identical W = secret.size() and the same pool.
   BroadcastCore(graph::NodeId self, const graph::Graph& g, util::Rng rng,
                 std::shared_ptr<const PackingKnowledge> pk,
-                std::vector<std::uint64_t> secret, int f);
+                std::vector<std::uint64_t> secret, const KeyPool& pool);
+
+  /// The chunk key pool against `f` mobile eavesdroppers: eta pads per arc
+  /// (one per slot) at threshold t = 2 f eta.  Build it once per broadcast
+  /// and hand every node the same one.
+  [[nodiscard]] static KeyPool keyPool(const PackingKnowledge& pk, int f);
 
   /// Rounds this component occupies: W chunks, each an exchange phase plus
   /// a dispersal phase (word-at-a-time dispersal; see the .cc header).

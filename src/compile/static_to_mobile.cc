@@ -16,23 +16,18 @@ using sim::Outbox;
 
 namespace {
 
-// Phase-2 wire format: word0 = payload ^ pad0, word1 = presenceFlag ^ pad1.
-// Two independent pad words per (round, arc) keep the one-time-pad argument
-// exact; both words of every phase-2 message are marginally uniform on good
-// edges.
-constexpr int kWordsPerRound = 2;
-
 class MobileSecureNode final : public NodeState {
  public:
   MobileSecureNode(NodeId self, const Graph& g, util::Rng rng,
-                   std::unique_ptr<NodeState> inner, int r, int t)
+                   std::unique_ptr<NodeState> inner, int r,
+                   const KeyPool& pool)
       : self_(self),
         g_(g),
         rng_(std::move(rng)),
         inner_(std::move(inner)),
         r_(r),
-        ell_(r + t),
-        pads_(g, self, KeyPool(r, t, kWordsPerRound)),
+        ell_(pool.exchangeRounds()),
+        pads_(g, self, pool),
         innerSlots_(g, self) {}
 
   void send(int round, Outbox& out) override {
@@ -118,10 +113,13 @@ sim::Algorithm compileStaticToMobile(const graph::Graph& g,
   sim::Algorithm out;
   out.rounds = 2 * r + t;
   out.congestion = out.rounds;
-  out.makeNode = [&g, inner, r, t](NodeId v, const Graph&, util::Rng rng) {
+  // One pool per compiled algorithm: every node shares its point tables.
+  const KeyPool pool(r, t, kStaticToMobileWordsPerRound);
+  out.makeNode = [&g, inner, r, pool](NodeId v, const Graph&,
+                                      util::Rng rng) {
     auto innerNode = inner.makeNode(v, g, rng.split(0x1217));
     return std::make_unique<MobileSecureNode>(v, g, rng.split(0x0522),
-                                              std::move(innerNode), r, t);
+                                              std::move(innerNode), r, pool);
   };
   return out;
 }

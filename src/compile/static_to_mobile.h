@@ -26,6 +26,13 @@
 
 namespace mobile::compile {
 
+/// Phase-2 wire format: word0 = payload ^ pad0, word1 = presenceFlag ^
+/// pad1.  Two independent pad words per (round, arc) keep the one-time-pad
+/// argument exact; both words of every phase-2 message are marginally
+/// uniform on good edges.  The key pool therefore takes
+/// KeyPool::symbols(r, t, kStaticToMobileWordsPerRound) symbols.
+inline constexpr int kStaticToMobileWordsPerRound = 2;
+
 struct StaticToMobileStats {
   int exchangeRounds = 0;  // r + t
   int totalRounds = 0;     // 2r + t

@@ -57,6 +57,14 @@ class MulTable {
                                       t_[2][(x >> 8) & 0xf] ^ t_[3][x >> 12]);
   }
 
+  /// c * x in each of the four 16-bit lanes of x.
+  [[nodiscard]] std::uint64_t mulLanes(std::uint64_t x) const {
+    std::uint64_t y = 0;
+    for (int lane = 0; lane < 64; lane += 16)
+      y |= std::uint64_t{mul(static_cast<std::uint16_t>(x >> lane))} << lane;
+    return y;
+  }
+
  private:
   std::uint16_t t_[4][16] = {};
   F16 c_{0};

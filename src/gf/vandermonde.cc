@@ -23,7 +23,7 @@ std::vector<F16> Vandermonde::applyTransposed(const std::vector<F16>& x) const {
   assert(x.size() == n_);
   // Row-wise axpy over the contiguous rows: y ^= x[i] * row_i.  One
   // split-nibble table per non-zero coefficient replaces n_*m_ log/antilog
-  // multiplies -- the extraction map is the KeyPool hot loop.
+  // multiplies on rows of kSlabCutover or more.
   std::vector<F16> y(m_, F16(0));
   for (std::size_t i = 0; i < n_; ++i) {
     if (x[i].isZero()) continue;

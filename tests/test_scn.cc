@@ -235,6 +235,47 @@ TEST(TrialBuilder, CongestionBitWidthsOutOfRangeAreRejected) {
     EXPECT_NO_THROW((void)builder.build(point(tail), "bits")) << tail;
 }
 
+TEST(TrialBuilder, KeyPoolsPastTheFieldSizeAreRejected) {
+  // A key pool extracts at the points alpha^(i+1) of GF(2^16); past
+  // KeyPool::kMaxSymbols = 65534 symbols they repeat and Theorem 2.1's
+  // resilience is lost, so the build names the key and the symbol count.
+  // The points are only built, never run.
+  scn::TrialBuilder builder;
+  const auto s2m = [](const std::string& tail) {
+    // floodmax runs r = 3 rounds; the pool takes 2 (r + t) symbols.
+    return scn::Params::fromTokens(
+        "graph=clique n=4 algo=floodmax rounds=3 compile=static_to_mobile "
+        "adv=random_eaves f=1 " +
+        tail);
+  };
+  const auto congestion = [](const std::string& tail) {
+    // gossip runs r = 1 round; the pool takes r + pool symbols.
+    return scn::Params::fromTokens(
+        "graph=clique n=6 algo=gossip rounds=1 mask=8 compile=congestion "
+        "payloadbits=8 f=1 adv=random_eaves " +
+        tail);
+  };
+  const std::pair<scn::Params, const char*> rejected[] = {
+      {s2m("t=32765"), "t=32765 needs a key pool of 65536 symbols"},
+      {s2m("tmul=10922"), "tmul=10922 needs a key pool of 65538 symbols"},
+      {s2m("tmul=4000000000000"), "tmul=4000000000000 needs a key pool of "
+                                  "more than 65534 symbols"},
+      {congestion("pool=65534"), "pool=65534 needs a key pool of 65535"},
+  };
+  for (const auto& [point, message] : rejected) {
+    try {
+      (void)builder.build(point, "pool");
+      ADD_FAILURE() << message << ": expected ScnError";
+    } catch (const scn::ScnError& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW((void)builder.build(s2m("t=32764"), "pool"));
+  EXPECT_NO_THROW((void)builder.build(s2m("tmul=10921"), "pool"));
+  EXPECT_NO_THROW((void)builder.build(congestion("pool=65533"), "pool"));
+}
+
 TEST(TrialBuilder, ExpectCacheSharedAcrossAdversaryAndFAxes) {
   scn::TrialBuilder builder;
   const auto point = [](const char* tail) {
