@@ -396,8 +396,8 @@ static void BM_RoundThroughput_RsScheduler(benchmark::State& state) {
   const graph::Graph g = graph::clique(n);
   const auto pk = compile::cliquePackingKnowledge(g);
   auto shared = std::make_shared<compile::ScheduledBroadcastShared>();
-  const sim::Algorithm a = compile::makeScheduledTreeBroadcast(
-      g, pk, compile::EngineOptions{}, shared);
+  const sim::Algorithm a =
+      compile::makeScheduledTreeBroadcast(g, pk, /*rho=*/3, shared);
   sim::Network net(g, a, 1);
   net.runExact(a.rounds);  // warm-up trial
   net.reset();

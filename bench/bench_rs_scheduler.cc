@@ -1,8 +1,8 @@
 // Experiment T15 -- Lemma 3.3 (scheduling RS-compiled tree protocols).
 // Claim: running k tree protocols in parallel (eta slots) against an
 // f-mobile adversary leaves all but O(f * eta) protocols correct.
-// Measured: surviving-tree counts across f and engine (hop-repetition rho
-// sweep + the Contract ideal functionality), per adversary strategy.
+// Measured: surviving-tree counts across f and the hop-repetition factor
+// rho, per adversary strategy.
 #include <iostream>
 
 #include "adv/strategies.h"
@@ -20,7 +20,7 @@ using namespace mobile;
 int main(int argc, char** argv) {
   const exp::BenchArgs args = exp::parseBenchArgs(argc, argv);
   std::cout << "# T15: RS scheduler survival (Lemma 3.3)\n\n";
-  util::Table table({"k trees", "f", "engine", "strategy", "rounds",
+  util::Table table({"k trees", "f", "rho", "strategy", "rounds",
                      "correct trees", "fraction"});
   const graph::Graph g = graph::clique(args.smoke ? 12 : 16);
   const auto pk = compile::cliquePackingKnowledge(g);
@@ -31,12 +31,10 @@ int main(int argc, char** argv) {
       args.smoke ? std::vector<int>{1, 3} : std::vector<int>{1, 3, 5};
   for (const int f : fSweep) {
     for (const int rho : rhoSweep) {
-      compile::EngineOptions engine;
-      engine.rho = rho;
       for (const int strategy : {0, 1}) {
         auto shared = std::make_shared<compile::ScheduledBroadcastShared>();
         const sim::Algorithm a =
-            compile::makeScheduledTreeBroadcast(g, pk, engine, shared);
+            compile::makeScheduledTreeBroadcast(g, pk, rho, shared);
         std::unique_ptr<adv::Adversary> adv;
         std::string sname;
         if (strategy == 0) {
@@ -50,26 +48,11 @@ int main(int argc, char** argv) {
         net.run(a.rounds);
         const int correct = compile::countCorrectTrees(*shared, *pk);
         table.addRow({util::Table::num(pk->k), util::Table::num(f),
-                      "rho=" + std::to_string(rho), sname,
+                      util::Table::num(rho), sname,
                       util::Table::num(a.rounds), util::Table::num(correct),
                       util::Table::pct(static_cast<double>(correct) / pk->k)});
       }
     }
-    // Contract (ideal functionality) engine.
-    compile::EngineOptions engine;
-    engine.mode = compile::EngineMode::Contract;
-    auto shared = std::make_shared<compile::ScheduledBroadcastShared>();
-    shared->ledger = std::make_shared<adv::CorruptionLedger>();
-    const sim::Algorithm a =
-        compile::makeScheduledTreeBroadcast(g, pk, engine, shared);
-    adv::RandomByzantine adv(f, 21);
-    sim::Network net(g, a, 9, &adv, {}, shared->ledger);
-    net.run(a.rounds);
-    const int correct = compile::countCorrectTrees(*shared, *pk);
-    table.addRow({util::Table::num(pk->k), util::Table::num(f), "contract",
-                  "random", util::Table::num(a.rounds),
-                  util::Table::num(correct),
-                  util::Table::pct(static_cast<double>(correct) / pk->k)});
   }
   table.print(std::cout);
   std::cout << "\npaper: all but O(f*eta) protocols end correctly; "

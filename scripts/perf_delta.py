@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Diff two bench JSON files and print per-probe ratios.
+"""Diff bench JSON files against a baseline and print per-probe ratios.
 
 Usage:
     scripts/perf_delta.py [--gate] [--threshold X] [--normalize PROBE] \
-        OLD.json NEW.json
+        OLD.json NEW.json [NEW.json ...]
 
 Accepts either shape the harness produces:
   * Google-Benchmark-shaped files ({"benchmarks": [{"name", "real_time",
@@ -13,7 +13,11 @@ Accepts either shape the harness produces:
     BENCH_smoke.json; wall_ms is compared, and any gbench-shaped report
     nested under a bench contributes its probes too.
 
-Ratios are old/new, so > 1.0 means the new file is faster.
+Several NEW files are repeated records of one build: each probe's new
+value is the median across the NEW files that report it (after
+per-file normalization), so one noisy record cannot fail the gate alone.
+
+Ratios are old/new, so > 1.0 means the new side is faster.
 
 By default the script is informational: it exits 0 whatever the numbers
 say, so ad-hoc comparisons never flake.  With --gate it becomes the CI
@@ -37,6 +41,7 @@ not merely older).
 import argparse
 import json
 import sys
+from statistics import median
 
 
 def flatten(doc, prefix=""):
@@ -92,27 +97,34 @@ def main(argv):
     parser.add_argument("--normalize", metavar="PROBE",
                         help="divide times by this probe's time per file")
     parser.add_argument("old")
-    parser.add_argument("new")
+    parser.add_argument("new", nargs="+",
+                        help="one or more records of the new build")
     args = parser.parse_args(argv[1:])
 
     with open(args.old) as f:
         old = dict(flatten(json.load(f)))
-    with open(args.new) as f:
-        new = dict(flatten(json.load(f)))
+    records = []
+    for path in args.new:
+        with open(path) as f:
+            record = dict(flatten(json.load(f)))
+        if args.normalize:
+            record = normalize(record, args.normalize, path)
+            if record is None:
+                # A new run that didn't produce the reference probe: nothing
+                # it measured can be interpreted, which is a failure of the
+                # run itself, not of the baseline's age.
+                return 1 if args.gate else 0
+        records.append(record)
+    new = {name: median(r[name] for r in records if name in r)
+           for name in dict.fromkeys(n for r in records for n in r)}
     if args.normalize:
         old_n = normalize(old, args.normalize, args.old)
-        new_n = normalize(new, args.normalize, args.new)
-        if new_n is None:
-            # The new run didn't produce the reference probe: nothing it
-            # measured can be interpreted, which is a failure of the run
-            # itself, not of the baseline's age.
-            return 1 if args.gate else 0
         if old_n is None:
             print(f"perf_delta: baseline {args.old} lacks reference probe "
                   f"{args.normalize!r}; nothing to compare against "
                   f"(informational, not gating)")
             old_n = {}
-        old, new = old_n, new_n
+        old = old_n
     shared = [name for name in old if name in new]
     only_old = sorted(set(old) - set(new))
     only_new = sorted(set(new) - set(old))

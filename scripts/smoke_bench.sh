@@ -12,7 +12,10 @@
 #   scripts/smoke_bench.sh [build-dir] [output-json] [kernels-json]
 #
 # The third argument redirects the BENCH_kernels.json artifact (the
-# bench_micro kernel-probe re-run appended after the fleet).
+# bench_micro kernel-probe re-run appended after the fleet).  The probes
+# are recorded three times: BENCH_kernels.json, BENCH_kernels.2.json and
+# BENCH_kernels.3.json (same stem as the third argument), and the
+# perf_delta.py gate reads the median of the three.
 #
 # A bench that exits non-zero fails the sweep (smoke mode is a runtime
 # regression gate, not just a timing probe).
@@ -74,17 +77,22 @@ echo "wrote $OUT_JSON"
 # (BM_KeyPoolExtract), the packing/BFS preprocessing, and the sketch ingest
 # that dominates the compilers' send time (BM_L0_Update, BM_SparseRecovery),
 # re-run into a dedicated gbench-shaped artifact so PRs can cite kernel
-# deltas mechanically (scripts/perf_delta.py diffs two of these files).  Keep
-# the list in sync with the refresh command in bench/README.md.
+# deltas mechanically (scripts/perf_delta.py diffs a baseline against these
+# records).  Keep the list in sync with the refresh command in
+# bench/README.md.
 KERNELS_JSON="${3:-$BUILD_DIR/BENCH_kernels.json}"
 KERNEL_PROBES='BM_GF16_Mul|BM_GfSlabAxpy|BM_RsEncode|BM_RsDecode'
 KERNEL_PROBES="$KERNEL_PROBES|BM_VandermondeExtract|BM_KeyPoolExtract"
 KERNEL_PROBES="$KERNEL_PROBES|BM_TreePacking|BM_BfsLayering"
 KERNEL_PROBES="$KERNEL_PROBES|BM_L0_Update|BM_SparseRecovery"
 if [ -x "$BUILD_DIR/bench_micro" ]; then
-  echo "=== bench_micro kernel probes"
-  "$BUILD_DIR/bench_micro" --smoke --json "$KERNELS_JSON" \
-      "--benchmark_filter=$KERNEL_PROBES" \
-      > "$WORK_DIR/bench_kernels.log"
-  echo "wrote $KERNELS_JSON"
+  for rep in 1 2 3; do
+    out="$KERNELS_JSON"
+    [ "$rep" -eq 1 ] || out="${KERNELS_JSON%.json}.$rep.json"
+    echo "=== bench_micro kernel probes ($rep/3)"
+    "$BUILD_DIR/bench_micro" --smoke --json "$out" \
+        "--benchmark_filter=$KERNEL_PROBES" \
+        > "$WORK_DIR/bench_kernels.$rep.log"
+    echo "wrote $out"
+  done
 fi

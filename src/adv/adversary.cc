@@ -4,24 +4,6 @@
 
 namespace mobile::adv {
 
-long CorruptionLedger::countInWindow(int fromRound, int toRound,
-                                     const std::set<EdgeId>& edges) const {
-  // entryRound_ is ascending, so the 1-based window [fromRound, toRound]
-  // maps to one contiguous slice of the history: binary-search its bounds
-  // and scan only the entries inside -- O(log total + window), matching
-  // the old per-round CSR walk (rewind protocols query hot).
-  if (toRound < 1 || toRound < fromRound) return 0;
-  const int lo0 = fromRound > 1 ? fromRound - 1 : 0;  // 0-based bounds
-  const auto lo = std::lower_bound(entryRound_.begin(), entryRound_.end(), lo0);
-  const auto hi = std::upper_bound(lo, entryRound_.end(), toRound - 1);
-  long count = 0;
-  for (auto it = lo; it != hi; ++it) {
-    const auto i = static_cast<std::size_t>(it - entryRound_.begin());
-    if (edges.count(entries_[i]) != 0) ++count;
-  }
-  return count;
-}
-
 TamperView::TamperView(const Graph& g, const Spec& spec, int round,
                        sim::ShardedPlane& plane, long budgetUsedSoFar,
                        TamperScratch& scratch)

@@ -21,18 +21,17 @@
 // TamperScratch the Network owns and lends to each round's view, so the
 // steady state allocates nothing: touched edges are a sorted flat vector,
 // and pre-image snapshots are (offset, len) slices of one shared word
-// arena.  The CorruptionLedger stays the ground truth used by accounting,
-// tests, and the Contract engine's ideal functionality (docs/architecture.md
-// section 12, substitution 1); it stores its history sparsely (edges tagged
-// with their round) so a fault-free round costs nothing and recording a
-// corruption never allocates after warm-up.  docs/architecture.md section 2
+// arena.  The CorruptionLedger stays the ground truth used by accounting
+// and tests, owned by the Network and read through Network::ledger(); it
+// stores its history sparsely (edges tagged with their round) so a
+// fault-free round costs nothing and recording a corruption never
+// allocates after warm-up.  docs/architecture.md section 2
 // describes the contract.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -79,10 +78,7 @@ struct ViewRecord {
 /// amortized growth of the actual corruption history.
 class CorruptionLedger {
  public:
-  void beginRound(int round) {
-    round_ = round;
-    ++roundsBegun_;
-  }
+  void beginRound() { ++roundsBegun_; }
   void record(EdgeId e) {
     entries_.push_back(e);
     entryRound_.push_back(
@@ -112,16 +108,9 @@ class CorruptionLedger {
     return out;
   }
 
-  /// Corrupted edge-rounds intersecting `edges` within rounds
-  /// [fromRound, toRound] (1-based, inclusive).
-  [[nodiscard]] long countInWindow(int fromRound, int toRound,
-                                   const std::set<EdgeId>& edges) const;
-
   /// Forgets all recorded history (Network::reset() support), keeping the
-  /// CSR capacity.  Shared ledger holders see the wipe too -- reset is a
-  /// whole-trial operation.
+  /// CSR capacity.
   void clear() {
-    round_ = 0;
     total_ = 0;
     roundsBegun_ = 0;
     entries_.clear();
@@ -129,7 +118,6 @@ class CorruptionLedger {
   }
 
  private:
-  int round_ = 0;
   long total_ = 0;
   std::size_t roundsBegun_ = 0;
   std::vector<EdgeId> entries_;

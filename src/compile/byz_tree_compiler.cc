@@ -1,10 +1,8 @@
 #include "compile/byz_tree_compiler.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <map>
-#include <optional>
 #include <variant>
 
 #include "compile/tree_stages.h"
@@ -33,16 +31,14 @@ ByzSchedule ByzSchedule::compute(const PackingKnowledge& pk, int innerRounds,
   if (opts.correction == CorrectionMode::SparseOneShot) {
     s.z = 1;  // one-shot recovery (Section 1.2.2)
   } else {
-    s.z = opts.zIterations > 0
-              ? opts.zIterations
-              : static_cast<int>(std::ceil(std::log2(2.0 * fEff))) + 2;
+    s.z = static_cast<int>(std::ceil(std::log2(2.0 * fEff))) + 2;
   }
   const int dmCap = opts.dmCap > 0 ? opts.dmCap : 2 * fEff + 8;
-  const DmCodec codec(pk.k, dmCap, opts.cPP);
+  const DmCodec codec(pk.k, dmCap, kCPP);
   s.chunks = codec.chunks();
   s.sketchSteps = 2 * pk.depthBound + 1;
   s.eccSteps = s.chunks / s.sharesPerHop * (pk.depthBound + 1);
-  const SlotSchedule slots{pk.eta, opts.engine.effectiveRho()};
+  const SlotSchedule slots{pk.eta, kByzRho};
   s.roundsPerIteration = slots.blockRounds(s.sketchSteps + s.eccSteps);
   s.roundsPerSimRound = 1 + s.z * s.roundsPerIteration;
   s.totalRounds = innerRounds * s.roundsPerSimRound;
@@ -73,16 +69,16 @@ class ByzNode final : public NodeState {
         pk_(std::move(pk)),
         view_(pk_->view(self)),
         f_(std::max(1, f)),
-        opts_(opts),
+        mode_(opts.correction),
         sched_(sched),
-        slots_{pk_->eta, opts.engine.effectiveRho()},
+        slots_{pk_->eta, kByzRho},
         shared_(std::move(shared)),
         isRoot_(self == pk_->root),
         innerSlots_(g, self),
         votes_(view_.degree(), slots_),
         seeds_(ChildRule::AsListed),
-        up_(makeUpcast(opts, f_, pk_->depthBound)),
-        down_(pk_->k, opts.dmCap > 0 ? opts.dmCap : 2 * f_ + 8, opts.cPP,
+        up_(makeUpcast(opts.correction, f_, pk_->depthBound)),
+        down_(pk_->k, opts.dmCap > 0 ? opts.dmCap : 2 * f_ + 8, kCPP,
               sched.sharesPerHop, pk_->depthBound, ChildRule::AsListed) {
     // Exchange-step key tables are adjacency-indexed and fully rewritten
     // by every exchange, so the shape is fixed up front.
@@ -100,7 +96,7 @@ class ByzNode final : public NodeState {
     const bool blockStart =
         p.hop.step == 1 && p.hop.rep == 0 && p.hop.slot == 0;
     if (blockStart && p.inSketch) startIteration(p);
-    if (blockStart && !p.inSketch && isRoot_) computeDm(p);
+    if (blockStart && !p.inSketch && isRoot_) computeDm(p.j);
     const int D = pk_->depthBound;
     sendScheduled(view_, p.hop.slot, out,
                   [&](int tree, NodeId to) -> const Msg* {
@@ -170,39 +166,25 @@ class ByzNode final : public NodeState {
     return p;
   }
 
-  [[nodiscard]] int sketchBlockStartRound(const Pos& p) const {
-    return (p.simRound - 1) * sched_.roundsPerSimRound + 2 +
-           p.j * sched_.roundsPerIteration;
-  }
-  [[nodiscard]] int eccBlockStartRound(const Pos& p) const {
-    return sketchBlockStartRound(p) + slots_.blockRounds(sched_.sketchSteps);
-  }
-
   [[nodiscard]] bool sparseMode() const {
-    return opts_.correction == CorrectionMode::SparseOneShot;
+    return mode_ == CorrectionMode::SparseOneShot;
   }
 
   /// The correction mode's up-wave stage: one sparse-recovery sketch or t
   /// l0-samplers per tree.
   using Upcast = std::variant<SparseConvergecast, L0Convergecast>;
-  [[nodiscard]] static Upcast makeUpcast(const ByzOptions& opts, int f,
+  [[nodiscard]] static Upcast makeUpcast(CorrectionMode mode, int f,
                                          int depthBound) {
-    if (opts.correction == CorrectionMode::SparseOneShot)
+    if (mode == CorrectionMode::SparseOneShot)
       return Upcast(std::in_place_type<SparseConvergecast>,
                     sketch::SparseRecovery::Shape{
-                        static_cast<std::size_t>(opts.sparseSlack * 4 * f),
-                        static_cast<std::size_t>(opts.sparseRows)},
+                        static_cast<std::size_t>(kSparseSlack * 4 * f),
+                        static_cast<std::size_t>(kSparseRows)},
                     depthBound, ChildRule::AsListed);
     return Upcast(std::in_place_type<L0Convergecast>,
                   sketch::L0Bundle::Shape{
-                      static_cast<std::size_t>(opts.tSketches),
-                      opts.sketchLevels},
+                      static_cast<std::size_t>(kTSketches), kSketchLevels},
                   depthBound, ChildRule::AsListed);
-  }
-
-  [[nodiscard]] bool contract() const {
-    return opts_.engine.mode == EngineMode::Contract && shared_ &&
-           shared_->oracle;
   }
 
   // --- exchange step -------------------------------------------------------
@@ -267,23 +249,9 @@ class ByzNode final : public NodeState {
     down_.start();
     down_.forget();
     buildEntries();
-    if (shared_) {
-      if (self_ == 0) shared_->iterationEntries.clear();  // node 0 resets
-      for (const auto& e : entries_) shared_->iterationEntries.push_back(e);
-      if (isRoot_) {
-        shared_->trueSeeds.clear();
-        shared_->trueShares.clear();
-        shared_->sketchBlockStart = sketchBlockStartRound(p);
-        shared_->eccBlockStart = eccBlockStartRound(p);
-      }
-    }
     if (isRoot_) {
       // The root draws every tree's sketch seed and knows it immediately.
-      for (int t = 0; t < pk_->k; ++t) {
-        const std::uint64_t seed = rng_.next();
-        if (shared_) shared_->trueSeeds[t] = seed;
-        seeds_.seed(t, {seed});
-      }
+      for (int t = 0; t < pk_->k; ++t) seeds_.seed(t, {rng_.next()});
     }
   }
 
@@ -303,35 +271,22 @@ class ByzNode final : public NodeState {
 
   /// Root, at the start of the ECC block: recovers the DM keys and hands
   /// them to the share downcast.
-  void computeDm(const Pos& p) {
+  void computeDm(int j) {
     if (sparseMode())
       down_.encode(recoverMajority(std::get<SparseConvergecast>(up_), seeds_,
                                    pk_->k, entries_));
     else
-      down_.encode(l0Dm(p));
-    if (shared_) shared_->trueShares = down_.shares();
+      down_.encode(l0Dm(j));
   }
 
   /// Section 3.2: the observed mismatches with support >= Delta_j across
   /// all trees' merged l0-sketches.
-  [[nodiscard]] std::vector<std::uint64_t> l0Dm(const Pos& p) {
+  [[nodiscard]] std::vector<std::uint64_t> l0Dm(int j) {
     std::map<std::uint64_t, int> supp;
     std::map<std::uint64_t, bool> positive;
     const L0Convergecast& up = std::get<L0Convergecast>(up_);
-    const int sketchStart = sketchBlockStartRound(p);
-    const int sketchEnd = eccBlockStartRound(p) - 1;
     for (int t = 0; t < pk_->k; ++t) {
-      std::optional<sketch::L0Bundle> truth;
-      if (contract() &&
-          shared_->oracle->survives(t, sketchStart, sketchEnd,
-                                    sched_.sketchSteps, opts_.engine.cRS)) {
-        // Ideal functionality: the fault-free aggregate.
-        truth.emplace(shared_->trueSeeds[t], up.shape());
-        for (const auto& [key, freq] : shared_->iterationEntries)
-          truth->update(key, freq);
-      }
-      const sketch::L0Bundle& merged =
-          truth ? *truth : up.merged(t, seeds_.word(t), entries_);
+      const sketch::L0Bundle& merged = up.merged(t, seeds_.word(t), entries_);
       for (const auto& s : merged.samplers()) {
         const auto r = s.query();
         if (r.has_value()) {
@@ -340,9 +295,9 @@ class ByzNode final : public NodeState {
         }
       }
     }
-    // Threshold Delta_j (Eq. 8 with tuned constants; see ByzOptions::theta).
-    const double dj = opts_.theta * std::pow(2.0, p.j + 1) *
-                      static_cast<double>(pk_->k) * opts_.tSketches /
+    // Threshold Delta_j (Eq. 8 with tuned constants; see kTheta).
+    const double dj = kTheta * std::pow(2.0, j + 1) *
+                      static_cast<double>(pk_->k) * kTSketches /
                       static_cast<double>(f_);
     const int delta = std::max(1, static_cast<int>(std::ceil(dj)));
     std::vector<std::uint64_t> dm;
@@ -355,20 +310,6 @@ class ByzNode final : public NodeState {
   // --- end of iteration --------------------------------------------------------
 
   void finishIteration(const Pos& p) {
-    if (!isRoot_ && contract() && !shared_->trueShares.empty()) {
-      const int eccStart = eccBlockStartRound(p);
-      const int eccEnd = eccStart + slots_.blockRounds(sched_.eccSteps) - 1;
-      auto& shares = down_.shares();
-      for (int t = 0; t < pk_->k; ++t) {
-        if (!shared_->oracle->survives(t, eccStart, eccEnd, sched_.eccSteps,
-                                       opts_.engine.cRS))
-          continue;
-        for (int c = 0; c < sched_.chunks; ++c)
-          shares[static_cast<std::size_t>(c)][static_cast<std::size_t>(t)] =
-              shared_->trueShares[static_cast<std::size_t>(c)]
-                                 [static_cast<std::size_t>(t)];
-      }
-    }
     // Patch estimates (Step 3 of the iteration).
     down_.finish(view_, self_, isRoot_, [&](int idx, const DecodedKey& dec) {
       if (dec.chunk > kAbsentChunk) return;
@@ -401,7 +342,7 @@ class ByzNode final : public NodeState {
   std::shared_ptr<const PackingKnowledge> pk_;
   NodeTreeView view_;  // value proxy into pk_'s flat arrays
   int f_;
-  ByzOptions opts_;
+  CorrectionMode mode_;
   ByzSchedule sched_;
   SlotSchedule slots_;
   std::shared_ptr<ByzShared> shared_;
@@ -435,10 +376,6 @@ sim::Algorithm compileByzantineTree(const graph::Graph& g,
                                     int f, ByzOptions opts,
                                     std::shared_ptr<ByzShared> shared) {
   const ByzSchedule sched = ByzSchedule::compute(*pk, inner.rounds, f, opts);
-  if (shared && opts.engine.mode == EngineMode::Contract) {
-    assert(shared->ledger && "Contract mode needs the network's ledger");
-    shared->oracle = std::make_unique<ContractOracle>(shared->ledger, *pk, g);
-  }
   sim::Algorithm out;
   out.rounds = sched.totalRounds;
   out.congestion = 0;

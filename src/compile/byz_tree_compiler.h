@@ -52,30 +52,35 @@ enum class CorrectionMode {
   SparseOneShot,
 };
 
+// The compiler's tuning constants: the paper's Theta-constants, fixed for
+// every run.
+
+/// t: independent l0-sketches per tree per iteration (paper: Theta(log n)).
+/// The one place t is set.
+inline constexpr int kTSketches = 5;
+/// ECC margin c'': block length k >= kCPP * chunk message length.
+inline constexpr int kCPP = 3;
+/// Geometric levels per l0-sketch (supports up to ~2^(levels-2) keys).
+inline constexpr unsigned kSketchLevels = 14;
+/// Support threshold scale: Delta_j = max(1, theta * 2^j * k * t / f).
+inline constexpr double kTheta = 0.05;
+/// SparseOneShot: sparsity budget multiplier (sketch holds
+/// kSparseSlack * 4f entries; sent+received copies of 2f mismatches).
+inline constexpr int kSparseSlack = 2;
+/// SparseOneShot: rows per sparse-recovery sketch.
+inline constexpr int kSparseRows = 5;
+/// Per-hop repetition factor rho of the scheduled tree stages.
+inline constexpr int kByzRho = 3;
+
 struct ByzOptions {
-  EngineOptions engine;
   CorrectionMode correction = CorrectionMode::L0Iterative;
-  /// t: independent l0-sketches per tree per iteration (paper: Theta(log n)).
-  int tSketches = 5;
-  /// z: correction iterations (0 = auto, ceil(log2(2f)) + 2).
-  int zIterations = 0;
   /// Cap on transported dominating-mismatch entries (0 = auto, 2f + 8).
   int dmCap = 0;
-  /// ECC margin c'': block length k >= cPP * chunk message length.
-  int cPP = 3;
-  /// Geometric levels per l0-sketch (supports up to ~2^(levels-2) keys).
-  unsigned sketchLevels = 14;
-  /// Support threshold scale: Delta_j = max(1, theta * 2^j * k * t / f).
-  double theta = 0.05;
-  /// SparseOneShot: sparsity budget multiplier (sketch holds
-  /// sparseSlack * 4f entries; sent+received copies of 2f mismatches).
-  int sparseSlack = 2;
-  /// SparseOneShot: rows per sparse-recovery sketch.
-  int sparseRows = 5;
 };
 
 /// Fixed round layout of the compiled algorithm (all nodes know it).
 struct ByzSchedule {
+  /// z: correction iterations, ceil(log2(2f)) + 2 (1 for SparseOneShot).
   int z = 0;
   int sketchSteps = 0;     // 2*DTP + 1
   int eccSteps = 0;        // chunks / sharesPerHop * (DTP + 1)
@@ -90,8 +95,8 @@ struct ByzSchedule {
                                            const ByzOptions& opts);
 };
 
-/// Cross-node shared state: instrumentation (the B_j mismatch-decay series
-/// of Lemma 3.8) and, in Contract mode, the ideal-functionality registries.
+/// Cross-node instrumentation: the B_j mismatch-decay series of Lemma
+/// 3.8 and the ground truth it is counted against.
 struct ByzShared {
   /// bj[simRound][j] = number of incorrect estimates after iteration j
   /// (index 0 = before any correction).
@@ -100,24 +105,10 @@ struct ByzShared {
   /// Ground-truth sent messages of the current sim round:
   /// (sender, receiver) -> encoded key.  Written by senders at exchange.
   std::map<std::pair<graph::NodeId, graph::NodeId>, std::uint64_t> sentTruth;
-
-  // --- Contract-mode registries (ideal functionality; see rs_engine.h) ---
-  std::shared_ptr<adv::CorruptionLedger> ledger;
-  std::unique_ptr<ContractOracle> oracle;
-  /// All nodes' stream entries for the current iteration.
-  std::vector<std::pair<std::uint64_t, std::int64_t>> iterationEntries;
-  /// tree -> true sketch seed chosen by the root this iteration.
-  std::map<int, std::uint64_t> trueSeeds;
-  /// True ECC shares [chunk][tree] registered by the root this iteration.
-  std::vector<std::vector<gf::F16>> trueShares;
-  /// Absolute round at which the current sketch / ECC block started.
-  int sketchBlockStart = 0;
-  int eccBlockStart = 0;
 };
 
 /// Compiles `inner` into its f-mobile-resilient equivalent over the given
-/// packing knowledge.  `shared` carries instrumentation and (for
-/// EngineMode::Contract) must have `ledger` set to the network's ledger.
+/// packing knowledge.  `shared`, when set, collects the instrumentation.
 [[nodiscard]] sim::Algorithm compileByzantineTree(
     const graph::Graph& g, const sim::Algorithm& inner,
     std::shared_ptr<const PackingKnowledge> pk, int f, ByzOptions opts = {},

@@ -52,10 +52,11 @@ void setChunk(Tuple& t, int c, std::uint64_t v) {
 
 constexpr int kChunksPerTuple = 8;
 
-/// The correction capacity d of Lemma 4.2.
-int correctionCap(const RewindOptions& opts, int f) {
-  return opts.correctionCap > 0 ? opts.correctionCap : 4 * std::max(1, f);
-}
+/// Rows per correction sparse-recovery sketch.
+constexpr int kSketchRows = 5;
+
+/// The correction capacity d = 4f of Lemma 4.2.
+int correctionCap(int f) { return 4 * std::max(1, f); }
 
 class RewindNode final : public NodeState {
  public:
@@ -70,16 +71,16 @@ class RewindNode final : public NodeState {
         pk_(std::move(pk)),
         view_(pk_->view(self)),
         sched_(sched),
-        slots_{pk_->eta, opts.engine.effectiveRho()},
+        slots_{pk_->eta, opts.rho},
         isRoot_(self == pk_->root),
         shared_(std::move(shared)),
         replaySlots_(g, self),
         votes_(view_.degree(), slots_),
         seeds_(ChildRule::ParentExcluded),
-        sparse_({static_cast<std::size_t>(16 * correctionCap(opts, f)),
-                 static_cast<std::size_t>(opts.sketchRows)},
+        sparse_({static_cast<std::size_t>(16 * correctionCap(f)),
+                 static_cast<std::size_t>(kSketchRows)},
                 pk_->depthBound, ChildRule::ParentExcluded),
-        down_(pk_->k, 8 * correctionCap(opts, f), 3, sched.sharesPerHop,
+        down_(pk_->k, 8 * correctionCap(f), 3, sched.sharesPerHop,
               pk_->depthBound, ChildRule::ParentExcluded),
         verdicts_(ChildRule::ParentExcluded, 2) {
     for (const auto& nb : g_.neighbors(self_)) {
@@ -449,12 +450,12 @@ class RewindNode final : public NodeState {
 RewindSchedule rewindSchedule(const PackingKnowledge& pk, int innerRounds,
                               int f, const RewindOptions& opts) {
   RewindSchedule s;
-  const SlotSchedule slots{pk.eta, opts.engine.effectiveRho()};
+  const SlotSchedule slots{pk.eta, opts.rho};
   const int D = pk.depthBound;
   // Every chunk's share rides in one hop message: a single down-wave.
-  s.sharesPerHop = DmCodec(pk.k, 8 * correctionCap(opts, f), 3).chunks();
+  s.sharesPerHop = DmCodec(pk.k, 8 * correctionCap(f), 3).chunks();
   s.globalRounds = opts.multiplier * innerRounds;
-  s.initRounds = opts.initRepeats > 0 ? opts.initRepeats : 2 * (D + 2);
+  s.initRounds = 2 * (D + 2);
   s.correctionRounds =
       slots.blockRounds(2 * D + 1) + slots.blockRounds(D + 1);
   s.consensusRounds = slots.blockRounds(2 * D + 1);

@@ -36,26 +36,20 @@
 #include <memory>
 
 #include "compile/common.h"
-#include "compile/rs_engine.h"
 #include "sim/node.h"
 
 namespace mobile::compile {
 
 struct RewindOptions {
-  EngineOptions engine;
-  /// Round-Initialization repetitions (2t in the paper; 0 = auto).
-  int initRepeats = 0;
-  /// Correction capacity d (promise of Lemma 4.2; 0 = auto 4f).
-  int correctionCap = 0;
   /// Global-round multiplier: r' = multiplier * r (paper: 5).
   int multiplier = 5;
-  /// Sparse-recovery rows.
-  int sketchRows = 5;
+  /// Per-hop repetition factor of the scheduled tree stages.
+  int rho = 3;
 };
 
 struct RewindSchedule {
   int globalRounds = 0;
-  int initRounds = 0;
+  int initRounds = 0;  // Round-Initialization repetitions 2t = 2(DTP + 2)
   int correctionRounds = 0;
   int consensusRounds = 0;
   int sharesPerHop = 0;  // ECC shares per hop message (all chunks)

@@ -1,7 +1,5 @@
 #include "compile/rs_scheduler.h"
 
-#include <cassert>
-
 #include "compile/tree_stages.h"
 
 namespace mobile::compile {
@@ -18,14 +16,13 @@ namespace {
 class SchedNode final : public NodeState {
  public:
   SchedNode(NodeId self, const Graph& g, util::Rng rng,
-            std::shared_ptr<const PackingKnowledge> pk, EngineOptions engine,
+            std::shared_ptr<const PackingKnowledge> pk, int rho,
             std::shared_ptr<ScheduledBroadcastShared> shared)
       : self_(self),
         g_(g),
         pk_(std::move(pk)),
         view_(pk_->view(self)),
-        engine_(engine),
-        slots_{pk_->eta, engine.effectiveRho()},
+        slots_{pk_->eta, rho},
         shared_(std::move(shared)),
         votes_(view_.degree(), slots_),
         flood_(ChildRule::ParentExcluded) {
@@ -71,15 +68,6 @@ class SchedNode final : public NodeState {
   }
 
   void publish() {
-    // Contract mode: replace surviving trees' values with the truth.
-    if (engine_.mode == EngineMode::Contract && shared_->oracle) {
-      for (int t = 0; t < pk_->k; ++t) {
-        if (shared_->oracle->survives(t, 1,
-                                      slots_.blockRounds(pk_->depthBound),
-                                      pk_->depthBound, engine_.cRS))
-          flood_.seed(t, {shared_->truth[static_cast<std::size_t>(t)]});
-      }
-    }
     auto& row = shared_->received;
     if (row.size() < static_cast<std::size_t>(g_.nodeCount()))
       row.resize(static_cast<std::size_t>(g_.nodeCount()));
@@ -95,7 +83,6 @@ class SchedNode final : public NodeState {
   const Graph& g_;
   std::shared_ptr<const PackingKnowledge> pk_;
   NodeTreeView view_;
-  EngineOptions engine_;
   SlotSchedule slots_;
   std::shared_ptr<ScheduledBroadcastShared> shared_;
   ArcVotes votes_;
@@ -107,18 +94,13 @@ class SchedNode final : public NodeState {
 
 sim::Algorithm makeScheduledTreeBroadcast(
     const graph::Graph& g, std::shared_ptr<const PackingKnowledge> pk,
-    EngineOptions engine, std::shared_ptr<ScheduledBroadcastShared> shared) {
-  if (engine.mode == EngineMode::Contract) {
-    assert(shared->ledger);
-    shared->oracle = std::make_unique<ContractOracle>(shared->ledger, *pk, g);
-  }
-  const SlotSchedule slots{pk->eta, engine.effectiveRho()};
+    int rho, std::shared_ptr<ScheduledBroadcastShared> shared) {
+  const SlotSchedule slots{pk->eta, rho};
   sim::Algorithm a;
   a.rounds = slots.blockRounds(pk->depthBound);
   a.congestion = a.rounds;
-  a.makeNode = [&g, pk, engine, shared](NodeId v, const Graph&, util::Rng rng) {
-    return std::make_unique<SchedNode>(v, g, std::move(rng), pk, engine,
-                                       shared);
+  a.makeNode = [&g, pk, rho, shared](NodeId v, const Graph&, util::Rng rng) {
+    return std::make_unique<SchedNode>(v, g, std::move(rng), pk, rho, shared);
   };
   a.reinitNode = [](sim::NodeState& node, NodeId, const Graph&,
                     util::Rng rng) {

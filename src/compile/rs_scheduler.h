@@ -2,16 +2,16 @@
 // scheduled in parallel over a packing with load eta.
 //
 // The root seeds every tree with a known value; each tree floods its value
-// down under the slot schedule with the selected engine (hop repetition or
-// contract).  Afterwards countCorrectTrees() reports, per tree, whether
-// *every* node received the root's value -- the "ends correctly" statistic
-// whose lower bound (all but O(f * eta) trees) Lemma 3.3 proves.
+// down under the slot schedule, every hop sent rho times and
+// majority-decoded (compile/rs_engine.h).  Afterwards countCorrectTrees()
+// reports, per tree, whether *every* node received the root's value -- the
+// "ends correctly" statistic whose lower bound (all but O(f * eta) trees)
+// Lemma 3.3 proves.
 #pragma once
 
 #include <memory>
 
 #include "compile/common.h"
-#include "compile/rs_engine.h"
 #include "sim/node.h"
 
 namespace mobile::compile {
@@ -19,14 +19,12 @@ namespace mobile::compile {
 struct ScheduledBroadcastShared {
   std::vector<std::uint64_t> truth;                 // [tree] root value
   std::vector<std::vector<std::uint64_t>> received;  // [node][tree]
-  std::shared_ptr<adv::CorruptionLedger> ledger;     // Contract mode
-  std::unique_ptr<ContractOracle> oracle;
 };
 
 /// Builds the scheduled broadcast; rounds = depthBound * eta * rho.
 [[nodiscard]] sim::Algorithm makeScheduledTreeBroadcast(
     const graph::Graph& g, std::shared_ptr<const PackingKnowledge> pk,
-    EngineOptions engine, std::shared_ptr<ScheduledBroadcastShared> shared);
+    int rho, std::shared_ptr<ScheduledBroadcastShared> shared);
 
 /// Trees whose value reached every node intact.
 [[nodiscard]] int countCorrectTrees(const ScheduledBroadcastShared& shared,

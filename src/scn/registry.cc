@@ -1,6 +1,7 @@
 #include "scn/registry.h"
 
 #include <algorithm>
+#include <limits>
 #include <ostream>
 #include <string>
 
@@ -88,6 +89,18 @@ std::shared_ptr<const compile::PackingKnowledge> packingFor(const Graph& g,
     return exp::PrecomputeCache::global().greedyPacking(g, k, root, cap);
   }
   throw ScnError("unknown packing '" + kind + "' (star, greedy)");
+}
+
+/// Reads integer `key` and refuses it outside [lo, INT_MAX].  It is read
+/// as a long first, so a huge value is refused rather than wrapped.
+int intInRange(const Params& p, const std::string& compiler,
+               const std::string& key, long dflt, long lo) {
+  constexpr long kMax = std::numeric_limits<int>::max();
+  const long v = p.integer(key, dflt);
+  if (v < lo || v > kMax)
+    throw ScnError(compiler + " " + key + "=" + std::to_string(v) + " (" +
+                   std::to_string(lo) + ".." + std::to_string(kMax) + ")");
+  return static_cast<int>(v);
 }
 
 /// A key pool extracts over GF(2^16) at the evaluation points alpha^(i+1);
@@ -287,7 +300,7 @@ void registerCompilers(Registry<CompileFactory>& r) {
           // bound is 2f, and on low-k packings every extra entry costs a
           // whole ECC chunk of (DTP + 1) scheduled steps -- the difference
           // between the n=10^5 scale campaign finishing in CI or not.
-          opts.dmCap = static_cast<int>(p.integer("dmcap", 0));
+          opts.dmCap = intInRange(p, "byz_tree", "dmcap", 0, 0);
           return compile::compileByzantineTree(g, inner, packingFor(g, p),
                                                advF(p), opts);
         });
@@ -297,7 +310,7 @@ void registerCompilers(Registry<CompileFactory>& r) {
           requireKeyableNodes(g, p, "rewind");
           compile::RewindOptions opts;
           opts.multiplier =
-              static_cast<int>(p.integer("multiplier", opts.multiplier));
+              intInRange(p, "rewind", "multiplier", opts.multiplier, 1);
           return compile::compileRewind(g, inner, packingFor(g, p), advF(p),
                                         opts);
         });

@@ -44,15 +44,12 @@ const EngineMetricIds& engineMetricIds() {
 
 Network::Network(const graph::Graph& g, const Algorithm& algo,
                  std::uint64_t seed, adv::Adversary* adversary,
-                 NetworkOptions opts,
-                 std::shared_ptr<adv::CorruptionLedger> ledger)
+                 NetworkOptions opts)
     : g_(g),
       algo_(algo),
       opts_(std::move(opts)),
       seed_(seed),
       adversary_(adversary),
-      ledger_(ledger ? std::move(ledger)
-                     : std::make_shared<adv::CorruptionLedger>()),
       arcTraffic_(static_cast<std::size_t>(g.arcCount()), 0),
       nodeMsgs_(static_cast<std::size_t>(g.nodeCount()), 0),
       nodeMaxWords_(static_cast<std::size_t>(g.nodeCount()), 0),
@@ -120,7 +117,7 @@ void Network::reset(std::uint64_t seed) {
   plane_->reset();
   std::fill(arcTraffic_.begin(), arcTraffic_.end(), 0);
   phaseMs_.fill(0.0);
-  ledger_->clear();
+  ledger_.clear();
   rebuildNodes();
 }
 
@@ -247,11 +244,11 @@ void Network::adversaryPhase() {
   // copy-on-touch diff into the CorruptionLedger are order-sensitive
   // contracts.  Cost is O(touched edges): only edges the adversary charged
   // have pre-images, and untouched arcs are unreachable from the view.
-  ledger_->beginRound(round_);
+  ledger_.beginRound();
   if (adversary_ == nullptr) return;
   ShardedPlane& storage = plane_->storage();
   adv::TamperView view(g_, adversary_->spec(), round_, storage,
-                       ledger_->total(), tamperScratch_);
+                       ledger_.total(), tamperScratch_);
   adversary_->act(view);
   // Ground truth: which touched edges actually changed (a rewrite that
   // reproduces the original message is charged but not a corruption).
@@ -266,7 +263,7 @@ void Network::adversaryPhase() {
             MsgView(p.uvPresent, {arena + p.uvOff, p.uvLen}) ||
         storage.view(g_.arcOfEdge(p.edge, 1)) !=
             MsgView(p.vuPresent, {arena + p.vuOff, p.vuLen})) {
-      ledger_->record(p.edge);
+      ledger_.record(p.edge);
       ++corrupted;
       if (obsTracing) {
         // Adversary event trace: one instant per corrupted edge, fed from

@@ -96,12 +96,9 @@ struct NetworkOptions {
 
 class Network {
  public:
-  /// `ledger` may be shared with protocol objects that implement ideal
-  /// functionalities (see compile/rs_engine.h); pass nullptr to keep a
-  /// private one.
+  /// The network owns its CorruptionLedger; read it through ledger().
   Network(const graph::Graph& g, const Algorithm& algo, std::uint64_t seed,
-          adv::Adversary* adversary = nullptr, NetworkOptions opts = {},
-          std::shared_ptr<adv::CorruptionLedger> ledger = nullptr);
+          adv::Adversary* adversary = nullptr, NetworkOptions opts = {});
   ~Network();
 
   /// Runs up to maxRounds; returns rounds actually executed.
@@ -155,7 +152,7 @@ class Network {
   /// Widest message observed (in 64-bit words); normalized CONGEST rounds
   /// = roundsExecuted() * maxWordsObserved().
   [[nodiscard]] std::size_t maxWordsObserved() const { return maxWords_; }
-  [[nodiscard]] const adv::CorruptionLedger& ledger() const { return *ledger_; }
+  [[nodiscard]] const adv::CorruptionLedger& ledger() const { return ledger_; }
 
   /// The sharded arena message storage (tests and probes; nodes never
   /// touch it directly).
@@ -220,7 +217,7 @@ class Network {
   NetworkOptions opts_;
   std::uint64_t seed_;
   adv::Adversary* adversary_;
-  std::shared_ptr<adv::CorruptionLedger> ledger_;
+  adv::CorruptionLedger ledger_;
   std::unique_ptr<util::ThreadPool> pool_;  // only when numThreads > 1
   std::vector<std::unique_ptr<NodeState>> nodes_;
   std::shared_ptr<MessagePlane> plane_;

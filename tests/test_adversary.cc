@@ -65,11 +65,6 @@ TEST(Adversary, LedgerRecordsGroundTruth) {
     ASSERT_EQ(round.size(), 1u);
     EXPECT_EQ(round[0], 2);
   }
-  std::set<graph::EdgeId> watch{2};
-  EXPECT_EQ(net.ledger().countInWindow(1, 4, watch), 4);
-  EXPECT_EQ(net.ledger().countInWindow(2, 2, watch), 1);
-  std::set<graph::EdgeId> other{3};
-  EXPECT_EQ(net.ledger().countInWindow(1, 4, other), 0);
 }
 
 TEST(Adversary, EavesdropperViewIsRecorded) {

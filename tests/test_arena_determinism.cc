@@ -197,12 +197,13 @@ compile::ByzOptions byzOptions(compile::CorrectionMode mode) {
 }
 
 /// One-sparse cells in one tree's up-wave sketch at f = 1: t l0-samplers
-/// of sketchLevels x 3 cells, or sparseRows rows of 2 x sparsity cells.
+/// of kSketchLevels x 3 cells, or kSparseRows rows of 2 x sparsity cells.
 unsigned sketchCells(compile::CorrectionMode mode) {
-  const compile::ByzOptions o = byzOptions(mode);
   if (mode == compile::CorrectionMode::L0Iterative)
-    return 3 * o.sketchLevels * static_cast<unsigned>(o.tSketches);
-  return static_cast<unsigned>(o.sparseRows * 2 * o.sparseSlack * 4);
+    return 3 * compile::kSketchLevels *
+           static_cast<unsigned>(compile::kTSketches);
+  return static_cast<unsigned>(compile::kSparseRows * 2 *
+                               compile::kSparseSlack * 4);
 }
 
 /// Forges well-formed sketches of `cells` one-sparse cells (3 words each)
@@ -224,7 +225,7 @@ class MidStepBundleForger final : public adv::Adversary {
       : adv::Adversary(mobileByzantine(2)),
         opts_(byzOptions(mode)),
         sched_(compile::ByzSchedule::compute(pk, 1, 1, opts_)),
-        slots_{pk.eta, opts_.engine.effectiveRho()},
+        slots_{pk.eta, compile::kByzRho},
         firstForgedRep_(slots_.rho - (slots_.rho + 1) / 2) {
     for (graph::NodeId v = 0; v < g.nodeCount(); ++v) {
       const compile::NodeTreeView tv = pk.view(v);
@@ -366,7 +367,7 @@ Case caseByName(const std::string& name) {
     Case c;
     c.algo = [](const graph::Graph& g) {
       compile::RewindOptions opts;
-      opts.engine.rho = 1;
+      opts.rho = 1;
       const sim::Algorithm inner =
           algo::makePingPong(g, 0, 1, 3, 0x111, 0x222, 32);
       return compile::compileRewind(g, inner, weakPacking(g), 1, opts);

@@ -117,23 +117,6 @@ TEST(ByzCompiler, MismatchDecayLemma38) {
   }
 }
 
-TEST(ByzCompiler, ContractEngineEquivalence) {
-  const graph::Graph g = graph::clique(12);
-  const auto pk = cliquePackingKnowledge(g);
-  const Algorithm inner = gossipPayload(g, 2);
-  const std::uint64_t want = sim::faultFreeFingerprint(g, inner, 1);
-  ByzOptions opts;
-  opts.engine.mode = EngineMode::Contract;
-  auto shared = std::make_shared<ByzShared>();
-  shared->ledger = std::make_shared<adv::CorruptionLedger>();
-  const Algorithm compiled =
-      compileByzantineTree(g, inner, pk, 2, opts, shared);
-  adv::RandomByzantine adv(2, 31);
-  Network net(g, compiled, 17, &adv, {}, shared->ledger);
-  net.run(compiled.rounds);
-  EXPECT_EQ(net.outputsFingerprint(), want);
-}
-
 TEST(ByzCompiler, BfsPayloadWithAbsentMessages) {
   // BFS sends nothing on most slots: exercises the absent-message chunk
   // encoding.

@@ -2,12 +2,15 @@
 // compiler knobs -- each instantiation checks one invariant end-to-end.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "adv/strategies.h"
 #include "algo/payloads.h"
 #include "compile/byz_tree_compiler.h"
 #include "compile/expander_packing.h"
 #include "compile/jain_unicast.h"
 #include "compile/keypool.h"
+#include "compile/rewind_compiler.h"
 #include "compile/static_to_mobile.h"
 #include "graph/bfs.h"
 #include "graph/generators.h"
@@ -142,30 +145,95 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- invariant: byz schedule arithmetic is internally consistent -------------
 
-class ScheduleSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
+/// A compiler schedule pinned at capture time, so a change to the tuning
+/// constants in byz_tree_compiler.h or rewind_compiler.cc shows here.
+struct ByzPin {
+  int z = 0;
+  int chunks = 0;
+  int totalRounds = 0;
+  std::size_t hopWords = 0;  // widest message of the sketch block: the up-wave
+};
+struct RewindPin {
+  int initRounds = 0;
+  int correctionRounds = 0;
+  int totalRounds = 0;
+};
+/// Clique n, f: both byz correction modes (3 inner rounds) and, at the
+/// rewind_secure_mix points (pingpong rounds=2, f=1), rewind.
+struct ScheduleCase {
+  int n = 0;
+  int f = 0;
+  ByzPin l0;
+  ByzPin sparse;
+  std::optional<RewindPin> rewind;
+};
+
+void PrintTo(const ScheduleCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " f=" << c.f;
+}
+
+class ScheduleSweep : public ::testing::TestWithParam<ScheduleCase> {};
 
 TEST_P(ScheduleSweep, RoundDecompositionConsistent) {
-  const auto [n, f] = GetParam();
-  const graph::Graph g = graph::clique(n);
+  const ScheduleCase& c = GetParam();
+  const graph::Graph g = graph::clique(c.n);
   const auto packing = cliquePackingKnowledge(g);
   for (const auto mode :
        {CorrectionMode::L0Iterative, CorrectionMode::SparseOneShot}) {
+    const ByzPin& want = mode == CorrectionMode::L0Iterative ? c.l0 : c.sparse;
     ByzOptions opts;
     opts.correction = mode;
-    const ByzSchedule s = ByzSchedule::compute(*packing, 3, f, opts);
+    const ByzSchedule s = ByzSchedule::compute(*packing, 3, c.f, opts);
     EXPECT_EQ(s.roundsPerSimRound, 1 + s.z * s.roundsPerIteration);
     EXPECT_EQ(s.totalRounds, 3 * s.roundsPerSimRound);
-    const SlotSchedule slots{packing->eta, opts.engine.effectiveRho()};
+    const SlotSchedule slots{packing->eta, kByzRho};
     EXPECT_EQ(s.roundsPerIteration,
               slots.blockRounds(s.sketchSteps + s.eccSteps));
-    EXPECT_GT(s.chunks, 0);
+    EXPECT_EQ(s.z, want.z);
+    EXPECT_EQ(s.chunks, want.chunks);
+    EXPECT_EQ(s.totalRounds, want.totalRounds);
+    // The exchange step and the sketch block of the first iteration.
+    const Algorithm compiled = compileByzantineTree(
+        g, algo::makeFloodMax(g, 3), packing, c.f, opts);
+    Network net(g, compiled, 1);
+    net.runExact(1 + slots.blockRounds(s.sketchSteps));
+    EXPECT_EQ(net.maxWordsObserved(), want.hopWords);
+  }
+  if (c.rewind) {
+    const Algorithm inner = algo::makePingPong(g, 0, 1, 2, 0x111, 0x222, 32);
+    const RewindSchedule r =
+        rewindSchedule(*packing, inner.rounds, c.f, RewindOptions{});
+    EXPECT_EQ(r.initRounds, c.rewind->initRounds);
+    EXPECT_EQ(r.correctionRounds, c.rewind->correctionRounds);
+    EXPECT_EQ(r.totalRounds, c.rewind->totalRounds);
   }
 }
 
+// The grid n x f = {8, 16, 32} x {1, 2, 4, 8}, the byz_clique_adv points
+// (n = 12, 16; f = 1..3) and the rewind_secure_mix rewind points (n = 6,
+// 8; f = 1).
 INSTANTIATE_TEST_SUITE_P(
     Grid, ScheduleSweep,
-    ::testing::Combine(::testing::Values(8, 16, 32),
-                       ::testing::Values(1, 2, 4, 8)));
+    ::testing::Values(
+        ScheduleCase{6, 1, {3, 21, 3675, 630}, {1, 21, 1227, 240},
+                     RewindPin{8, 48, 860}},
+        ScheduleCase{8, 1, {3, 21, 3675, 630}, {1, 21, 1227, 240},
+                     RewindPin{8, 48, 860}},
+        ScheduleCase{8, 2, {4, 25, 5763, 630}, {1, 25, 1443, 480}, {}},
+        ScheduleCase{8, 4, {5, 33, 9363, 630}, {1, 33, 1875, 960}, {}},
+        ScheduleCase{8, 8, {6, 49, 16419, 630}, {1, 49, 2739, 1920}, {}},
+        ScheduleCase{12, 1, {3, 11, 2055, 630}, {1, 11, 687, 240}, {}},
+        ScheduleCase{12, 2, {4, 13, 3171, 630}, {1, 13, 795, 480}, {}},
+        ScheduleCase{12, 3, {5, 15, 4503, 630}, {1, 15, 903, 720}, {}},
+        ScheduleCase{16, 1, {3, 9, 1731, 630}, {1, 9, 579, 240}, {}},
+        ScheduleCase{16, 2, {4, 10, 2523, 630}, {1, 10, 633, 480}, {}},
+        ScheduleCase{16, 3, {5, 12, 3693, 630}, {1, 12, 741, 720}, {}},
+        ScheduleCase{16, 4, {5, 13, 3963, 630}, {1, 13, 795, 960}, {}},
+        ScheduleCase{16, 8, {6, 20, 7023, 630}, {1, 20, 1173, 1920}, {}},
+        ScheduleCase{32, 1, {3, 5, 1083, 630}, {1, 5, 363, 240}, {}},
+        ScheduleCase{32, 2, {4, 5, 1443, 630}, {1, 5, 363, 480}, {}},
+        ScheduleCase{32, 4, {5, 7, 2343, 630}, {1, 7, 471, 960}, {}},
+        ScheduleCase{32, 8, {6, 10, 3783, 630}, {1, 10, 633, 1920}, {}}));
 
 }  // namespace
 }  // namespace mobile::compile

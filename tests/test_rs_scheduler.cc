@@ -4,6 +4,7 @@
 
 #include "adv/strategies.h"
 #include "compile/expander_packing.h"
+#include "compile/rs_engine.h"
 #include "compile/rs_scheduler.h"
 #include "graph/generators.h"
 #include "graph/tree_packing.h"
@@ -19,7 +20,7 @@ TEST(RsScheduler, AllTreesCorrectWithoutAdversary) {
   const graph::Graph g = graph::clique(10);
   const auto pk = cliquePackingKnowledge(g);
   auto shared = std::make_shared<ScheduledBroadcastShared>();
-  const Algorithm a = makeScheduledTreeBroadcast(g, pk, {}, shared);
+  const Algorithm a = makeScheduledTreeBroadcast(g, pk, /*rho=*/3, shared);
   Network net(g, a, 1);
   net.run(a.rounds);
   EXPECT_EQ(countCorrectTrees(*shared, *pk), pk->k);
@@ -43,9 +44,8 @@ TEST_P(SchedulerAdversarySweep, MostTreesSurviveMobileAttack) {
   const int f = GetParam();
   const graph::Graph g = graph::clique(16);
   const auto pk = cliquePackingKnowledge(g);
-  EngineOptions engine;  // hop repetition, rho = 3
   auto shared = std::make_shared<ScheduledBroadcastShared>();
-  const Algorithm a = makeScheduledTreeBroadcast(g, pk, engine, shared);
+  const Algorithm a = makeScheduledTreeBroadcast(g, pk, /*rho=*/3, shared);
   adv::RandomByzantine adv(f, 42 + static_cast<std::uint64_t>(f));
   Network net(g, a, 7, &adv);
   net.run(a.rounds);
@@ -64,38 +64,13 @@ TEST_P(SchedulerAdversarySweep, MostTreesSurviveMobileAttack) {
 INSTANTIATE_TEST_SUITE_P(Fs, SchedulerAdversarySweep,
                          ::testing::Values(1, 2, 4));
 
-TEST(RsScheduler, ContractEngineIdealizes) {
-  const graph::Graph g = graph::clique(12);
-  const auto pk = cliquePackingKnowledge(g);
-  EngineOptions engine;
-  engine.mode = EngineMode::Contract;
-  engine.cRS = 2;
-  auto shared = std::make_shared<ScheduledBroadcastShared>();
-  shared->ledger = std::make_shared<adv::CorruptionLedger>();
-  const Algorithm a = makeScheduledTreeBroadcast(g, pk, engine, shared);
-  adv::RandomByzantine adv(2, 5);
-  Network net(g, a, 3, &adv, {}, shared->ledger);
-  net.run(a.rounds);
-  // Trees that the oracle says survived must be correct.
-  int survivors = 0;
-  for (int t = 0; t < pk->k; ++t) {
-    if (shared->oracle->survives(t, 1, a.rounds, pk->depthBound, engine.cRS)) {
-      ++survivors;
-      for (const auto& row : shared->received)
-        EXPECT_EQ(row[static_cast<std::size_t>(t)],
-                  shared->truth[static_cast<std::size_t>(t)]);
-    }
-  }
-  EXPECT_GT(survivors, 0);
-}
-
 TEST(RsScheduler, CampingAdversaryKillsOnlyTouchedTrees) {
   // A camping adversary on one edge can only damage the <= eta trees using
   // that edge.
   const graph::Graph g = graph::clique(12);
   const auto pk = cliquePackingKnowledge(g);
   auto shared = std::make_shared<ScheduledBroadcastShared>();
-  const Algorithm a = makeScheduledTreeBroadcast(g, pk, {}, shared);
+  const Algorithm a = makeScheduledTreeBroadcast(g, pk, /*rho=*/3, shared);
   adv::CampingByzantine adv({0}, 1, 9);
   Network net(g, a, 11, &adv);
   net.run(a.rounds);

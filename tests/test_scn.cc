@@ -235,6 +235,37 @@ TEST(TrialBuilder, CongestionBitWidthsOutOfRangeAreRejected) {
     EXPECT_NO_THROW((void)builder.build(point(tail), "bits")) << tail;
 }
 
+TEST(TrialBuilder, CompilerKnobsOutOfRangeAreRejected) {
+  // multiplier < 1 builds a 0-round rewind algorithm and a negative dmcap
+  // used to run silently as the auto cap; both are read before narrowing,
+  // so 2^31 is refused rather than wrapped.
+  scn::TrialBuilder builder;
+  const auto point = [](const std::string& tail) {
+    return scn::Params::fromTokens(
+        "graph=clique n=6 algo=pingpong rounds=2 mask=32 f=1 adv=random_byz " +
+        tail);
+  };
+  const std::pair<const char*, const char*> rejected[] = {
+      {"compile=rewind multiplier=0", "multiplier"},
+      {"compile=rewind multiplier=-3", "multiplier"},
+      {"compile=rewind multiplier=2147483648", "multiplier"},
+      {"compile=byz_tree dmcap=-1", "dmcap"},
+  };
+  for (const auto& [tail, key] : rejected) {
+    try {
+      (void)builder.build(point(tail), "knobs");
+      ADD_FAILURE() << tail << ": expected ScnError";
+    } catch (const scn::ScnError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << tail << ": " << e.what();
+    }
+  }
+  for (const char* tail :
+       {"compile=rewind multiplier=1", "compile=rewind multiplier=5",
+        "compile=byz_tree dmcap=0", "compile=byz_tree dmcap=2"})
+    EXPECT_NO_THROW((void)builder.build(point(tail), "knobs")) << tail;
+}
+
 TEST(TrialBuilder, KeyPoolsPastTheFieldSizeAreRejected) {
   // A key pool extracts at the points alpha^(i+1) of GF(2^16); past
   // KeyPool::kMaxSymbols = 65534 symbols they repeat and Theorem 2.1's
