@@ -92,7 +92,8 @@ int main(int argc, char** argv) {
     auto shared = std::make_shared<compile::RewindShared>();
     const compile::RewindSchedule sched =
         compile::rewindSchedule(*pk, inner.rounds, 1, opts);
-    compile::computeGamma(g, inner, 1, sched.globalRounds + inner.rounds,
+    compile::computeGamma(g, inner, 1,
+                          static_cast<int>(sched.globalRounds) + inner.rounds,
                           shared.get());
     adv::BurstByzantine adv(1, sched.totalRounds / 4, 9, 40, 11);
     const sim::Algorithm compiled =

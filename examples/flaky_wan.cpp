@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
   const compile::RewindSchedule sched =
       compile::rewindSchedule(*packing, handshake.rounds, 1, opts);
   compile::computeGamma(g, handshake, 1,
-                        sched.globalRounds + handshake.rounds, shared.get());
+                        static_cast<int>(sched.globalRounds) + handshake.rounds,
+                        shared.get());
   const sim::Algorithm compiled =
       compile::compileRewind(g, handshake, packing, 1, opts, shared);
 
@@ -58,8 +59,9 @@ int main(int argc, char** argv) {
   net.run(compiled.rounds);
 
   std::printf("handshake rounds       : %d\n", handshake.rounds);
-  std::printf("compiled global rounds : %d (%d network rounds)\n",
-              sched.globalRounds, sched.totalRounds);
+  std::printf("compiled global rounds : %ld (%ld network rounds)\n",
+              static_cast<long>(sched.globalRounds),
+              static_cast<long>(sched.totalRounds));
   std::printf("link flaps (bursts)    : %ld edge-rounds\n",
               net.ledger().total());
   int rewinds = 0;

@@ -41,7 +41,7 @@ ByzSchedule ByzSchedule::compute(const PackingKnowledge& pk, int innerRounds,
   const SlotSchedule slots{pk.eta, kByzRho};
   s.roundsPerIteration = slots.blockRounds(s.sketchSteps + s.eccSteps);
   s.roundsPerSimRound = 1 + s.z * s.roundsPerIteration;
-  s.totalRounds = innerRounds * s.roundsPerSimRound;
+  s.totalRounds = std::int64_t{innerRounds} * s.roundsPerSimRound;
   return s;
 }
 
@@ -124,17 +124,16 @@ class ByzNode final : public NodeState {
       return;
     }
     const int D = pk_->depthBound;
-    votes_.receive(view_, p.hop, in,
-                   [&](int tree, NodeId from, const Msg& m) {
-                     if (!p.inSketch)
-                       down_.receive(view_, tree, from, p.hop.step, m);
-                     else if (p.hop.step <= D)
-                       seeds_.receive(view_, tree, from, p.hop.step, m);
-                     else
-                       std::visit(
-                           [&](auto& up) { up.receive(view_, tree, from, m); },
-                           up_);
-                   });
+    if (!p.inSketch)
+      votes_.receive(view_, p.hop, in, down_, p.hop.step);
+    else if (p.hop.step <= D)
+      votes_.receive(view_, p.hop, in, seeds_, p.hop.step);
+    else
+      std::visit(
+          [&](auto& up) {
+            votes_.receive(view_, p.hop, in, up, p.hop.step - D);
+          },
+          up_);
     if (!p.inSketch && p.hop.step == sched_.eccSteps &&
         p.hop.rep == slots_.rho - 1 && p.hop.slot == pk_->eta - 1) {
       finishIteration(p);
@@ -377,7 +376,7 @@ sim::Algorithm compileByzantineTree(const graph::Graph& g,
                                     std::shared_ptr<ByzShared> shared) {
   const ByzSchedule sched = ByzSchedule::compute(*pk, inner.rounds, f, opts);
   sim::Algorithm out;
-  out.rounds = sched.totalRounds;
+  out.rounds = compiledRounds(sched.totalRounds);
   out.congestion = 0;
   out.makeNode = [&g, inner, pk, f, opts, sched, shared](
                      NodeId v, const Graph&, util::Rng rng) {

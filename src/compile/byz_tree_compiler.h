@@ -30,6 +30,7 @@
 // l0 bundle at the defaults).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 
@@ -88,7 +89,7 @@ struct ByzSchedule {
   int sharesPerHop = 1;    // ECC shares per hop message
   int roundsPerIteration = 0;
   int roundsPerSimRound = 0;
-  int totalRounds = 0;
+  std::int64_t totalRounds = 0;  // 64-bit: may pass INT_MAX
 
   [[nodiscard]] static ByzSchedule compute(const PackingKnowledge& pk,
                                            int innerRounds, int f,

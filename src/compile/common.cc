@@ -1,8 +1,20 @@
 #include "compile/common.h"
 
 #include <cassert>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace mobile::compile {
+
+int compiledRounds(std::int64_t total) {
+  constexpr std::int64_t kMax = std::numeric_limits<int>::max();
+  if (total > kMax)
+    throw std::overflow_error("compiles to " + std::to_string(total) +
+                              " rounds (at most " + std::to_string(kMax) +
+                              ")");
+  return static_cast<int>(total);
+}
 
 namespace {
 

@@ -249,4 +249,8 @@ void freezePackingViews(PackingKnowledge& pk, const Graph& g,
 [[nodiscard]] std::shared_ptr<PackingKnowledge> distributePacking(
     const Graph& g, const graph::TreePacking& packing, int depthBound);
 
+/// A compiler schedule's 64-bit round total as sim::Algorithm::rounds,
+/// which counts in int.  Throws std::overflow_error past INT_MAX.
+[[nodiscard]] int compiledRounds(std::int64_t total);
+
 }  // namespace mobile::compile

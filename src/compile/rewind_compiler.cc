@@ -82,6 +82,7 @@ class RewindNode final : public NodeState {
                 pk_->depthBound, ChildRule::ParentExcluded),
         down_(pk_->k, 8 * correctionCap(f), 3, sched.sharesPerHop,
               pk_->depthBound, ChildRule::ParentExcluded),
+        consUp_(pk_->depthBound, ChildRule::ParentExcluded),
         verdicts_(ChildRule::ParentExcluded, 2) {
     for (const auto& nb : g_.neighbors(self_)) {
       inTrans_[nb.node] = {};
@@ -250,14 +251,12 @@ class RewindNode final : public NodeState {
     const int sketchRounds = slots_.blockRounds(2 * D + 1);
     const bool inSketch = cr < sketchRounds;
     const SlotPos h = slots_.at(inSketch ? cr : cr - sketchRounds);
-    votes_.receive(view_, h, in, [&](int tree, NodeId from, const Msg& m) {
-      if (!inSketch)
-        down_.receive(view_, tree, from, h.step, m);
-      else if (h.step <= D)
-        seeds_.receive(view_, tree, from, h.step, m);
-      else
-        sparse_.receive(view_, tree, from, m);
-    });
+    if (!inSketch)
+      votes_.receive(view_, h, in, down_, h.step);
+    else if (h.step <= D)
+      votes_.receive(view_, h, in, seeds_, h.step);
+    else
+      votes_.receive(view_, h, in, sparse_, h.step - D);
     if (!inSketch && h.step == down_.steps() && h.rep == slots_.rho - 1 &&
         h.slot == pk_->eta - 1) {
       down_.finish(view_, self_, isRoot_,
@@ -289,18 +288,6 @@ class RewindNode final : public NodeState {
     return {good, gammaLen()};
   }
 
-  /// (min GoodState, max length) over this node's subtree of `tree`.
-  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> aggregate(
-      int tree) const {
-    auto [good, len] = localVote();
-    const auto up = consUp_.find(tree);
-    if (up != consUp_.end()) {
-      good = std::min(good, up->second.first);
-      len = std::max(len, up->second.second);
-    }
-    return {good, len};
-  }
-
   // Steps 1..D are the up-wave of the subtree aggregates; steps D+1..2D+1
   // flood the root's per-tree verdict back down.
 
@@ -308,22 +295,20 @@ class RewindNode final : public NodeState {
     const int D = pk_->depthBound;
     const SlotPos h = slots_.at(cr);
     if (cr == 0) {
-      consUp_.clear();
+      consUp_.start();
       verdicts_.start(pk_->k);
     }
     if (isRoot_ && h.step == D + 1 && h.rep == 0 && h.slot == 0) {
+      const auto own = localVote();
       for (int t = 0; t < pk_->k; ++t) {
-        const auto [good, len] = aggregate(t);
+        const auto [good, len] = consUp_.subtree(t, own);
         verdicts_.seed(t, {good, len});
       }
     }
     sendScheduled(view_, h.slot, out, [&](int tree, NodeId to) -> const Msg* {
       if (h.step > D) return verdicts_.send(view_, tree, to, h.step - D);
-      // Depth d sends (min good, max len) to its parent at step D - d + 1.
-      const int d = view_.depth(tree);
-      if (d <= 0 || h.step != D - d + 1 || to != view_.parent(tree))
-        return nullptr;
-      const auto [good, len] = aggregate(tree);
+      if (!consUp_.sends(view_, tree, to, h.step)) return nullptr;
+      const auto [good, len] = consUp_.subtree(tree, localVote());
       return &sim::resetScratch(hopScratch()).push(good).push(len);
     });
   }
@@ -331,21 +316,10 @@ class RewindNode final : public NodeState {
   void consensusReceive(int cr, const Inbox& in) {
     const int D = pk_->depthBound;
     const SlotPos h = slots_.at(cr);
-    votes_.receive(view_, h, in, [&](int tree, NodeId from, const Msg& m) {
-      if (h.step > D) {
-        verdicts_.receive(view_, tree, from, h.step - D, m);
-        return;
-      }
-      // A child's aggregate.
-      if (m.size() < 2 || view_.depth(tree) != D - h.step ||
-          !isChild(view_, tree, from, ChildRule::ParentExcluded))
-        return;
-      const auto [agg, fresh] = consUp_.try_emplace(tree, m.at(0), m.at(1));
-      if (!fresh) {
-        agg->second.first = std::min(agg->second.first, m.at(0));
-        agg->second.second = std::max(agg->second.second, m.at(1));
-      }
-    });
+    if (h.step > D)
+      votes_.receive(view_, h, in, verdicts_, h.step - D);
+    else
+      votes_.receive(view_, h, in, consUp_, h.step);
   }
 
   void finishGlobalRound() {
@@ -438,7 +412,7 @@ class RewindNode final : public NodeState {
   TreeFlood seeds_;  // sketch seed R(T) per tree
   SparseConvergecast sparse_;
   ShareDowncast down_;
-  std::map<int, std::pair<std::uint64_t, std::uint64_t>> consUp_;
+  ConsensusUpcast consUp_;
   TreeFlood verdicts_;  // (good, len) per tree
 
   bool done_ = false;
@@ -454,7 +428,7 @@ RewindSchedule rewindSchedule(const PackingKnowledge& pk, int innerRounds,
   const int D = pk.depthBound;
   // Every chunk's share rides in one hop message: a single down-wave.
   s.sharesPerHop = DmCodec(pk.k, 8 * correctionCap(f), 3).chunks();
-  s.globalRounds = opts.multiplier * innerRounds;
+  s.globalRounds = std::int64_t{opts.multiplier} * innerRounds;
   s.initRounds = 2 * (D + 2);
   s.correctionRounds =
       slots.blockRounds(2 * D + 1) + slots.blockRounds(D + 1);
@@ -470,7 +444,7 @@ sim::Algorithm compileRewind(const graph::Graph& g, const sim::Algorithm& inner,
                              std::shared_ptr<RewindShared> shared) {
   const RewindSchedule sched = rewindSchedule(*pk, inner.rounds, f, opts);
   sim::Algorithm out;
-  out.rounds = sched.totalRounds;
+  out.rounds = compiledRounds(sched.totalRounds);
   out.congestion = 0;
   out.makeNode = [&g, inner, pk, f, opts, sched, shared](
                      NodeId v, const Graph&, util::Rng rng) {

@@ -32,6 +32,7 @@
 // (Lemma 4.10).  The shared instrumentation records Phi per global round.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 
@@ -47,14 +48,17 @@ struct RewindOptions {
   int rho = 3;
 };
 
+/// Round layout of the compiled algorithm.  The totals are 64-bit, so a
+/// multiplier too large for sim::Algorithm::rounds shows as a total past
+/// INT_MAX instead of wrapping.
 struct RewindSchedule {
-  int globalRounds = 0;
+  std::int64_t globalRounds = 0;  // multiplier * inner rounds
   int initRounds = 0;  // Round-Initialization repetitions 2t = 2(DTP + 2)
   int correctionRounds = 0;
   int consensusRounds = 0;
   int sharesPerHop = 0;  // ECC shares per hop message (all chunks)
   int roundsPerGlobal = 0;
-  int totalRounds = 0;
+  std::int64_t totalRounds = 0;
 };
 
 /// Instrumentation shared across nodes.

@@ -7,7 +7,6 @@ namespace mobile::compile {
 using graph::Graph;
 using graph::NodeId;
 using sim::Inbox;
-using sim::Msg;
 using sim::NodeState;
 using sim::Outbox;
 
@@ -56,14 +55,7 @@ class SchedNode final : public NodeState {
   void receive(int round, const Inbox& in) override {
     const SlotPos h = slots_.at(round - 1);
     if (h.step > pk_->depthBound) return;
-    votes_.receive(
-        view_, h, in,
-        [&](int tree, NodeId from, const Msg& m) {
-          flood_.receive(view_, tree, from, h.step, m);
-        },
-        [&](int tree, NodeId from) {
-          return flood_.expects(view_, tree, from, h.step);
-        });
+    votes_.receive(view_, h, in, flood_, h.step);
     if (round == slots_.blockRounds(pk_->depthBound)) publish();
   }
 

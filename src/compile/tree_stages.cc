@@ -81,8 +81,9 @@ const sim::Msg* SketchConvergecast<Sketch>::send(
 
 template <class Sketch>
 bool SketchConvergecast<Sketch>::receive(const NodeTreeView& view, int tree,
-                                         NodeId from, const sim::Msg& m) {
-  if (view.depth(tree) < 0 || !isChild(view, tree, from, rule_) ||
+                                         NodeId from, int step,
+                                         const sim::Msg& m) {
+  if (!expects(view, tree, from, step) ||
       m.size() != Sketch::serializedWords(shape_))
     return false;
   const auto [acc, fresh] = accum_.try_emplace(tree, m.words);
@@ -183,11 +184,10 @@ const sim::Msg* ShareDowncast::send(const NodeTreeView& view, int tree,
 
 void ShareDowncast::receive(const NodeTreeView& view, int tree, NodeId from,
                             int step, const sim::Msg& m) {
-  const int wave = (step - 1) / (depthBound_ + 1);
-  if (view.depth(tree) != step - wave * (depthBound_ + 1) ||
-      view.parent(tree) != from ||
+  if (!expects(view, tree, from, step) ||
       m.size() != static_cast<std::size_t>(perHop_))
     return;
+  const int wave = (step - 1) / (depthBound_ + 1);
   for (int i = 0; i < perHop_; ++i) {
     const int c = wave * perHop_ + i;
     const auto sym = static_cast<std::uint16_t>(m.at(static_cast<std::size_t>(i)));

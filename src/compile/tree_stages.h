@@ -4,11 +4,14 @@
 // stash, shares per hop and which compiler uses which stage.
 //
 // Each stage offers a send step, which returns the message for one
-// (tree, neighbor) hop or nullptr, and a receive step, which consumes one
-// decoded hop.  Wave steps are 1-based and local to the stage.  Sends
-// build into one thread-local buffer (hopScratch), valid until the next
-// stage send on the same thread; the arc loop hands it to the outbox at
-// once, so engine lanes never share it.  The flood and share stages
+// (tree, neighbor) hop or nullptr; expects(view, tree, from, step), whether
+// a hop on that arc could change the stage at that step; and a receive
+// step, which consumes one decoded hop.  Each receive is built on its own
+// expects, and ArcVotes decodes only the arcs expects accepts.  Wave steps
+// are 1-based and local to the stage.  Sends build into one thread-local
+// buffer (hopScratch), valid until the next stage send on the same thread;
+// the arc loop hands it to the outbox at once, so engine lanes never share
+// it.  The flood and share stages
 // rebuild every repetition of a hop, which costs a few words.  The sketch
 // up-wave builds each hop once per step instead and holds it for the
 // other repetitions (SketchConvergecast::send).
@@ -65,11 +68,6 @@ void sendScheduled(const NodeTreeView& view, int slot, sim::Outbox& out,
   }
 }
 
-/// Decodes every scheduled arc.
-struct AcceptAll {
-  bool operator()(int /*tree*/, NodeId /*from*/) const { return true; }
-};
-
 /// The hop-repetition decoder: one VoteSlot per (arc, schedule slot),
 /// rewritten in place every scheduled round.
 class ArcVotes {
@@ -79,19 +77,21 @@ class ArcVotes {
         votes_(static_cast<std::size_t>(degree) *
                static_cast<std::size_t>(slots.eta)) {}
 
-  /// Adds this repetition's copy on every scheduled arc that
-  /// expects(tree, neighbor) accepts; at the last repetition calls
-  /// onHop(tree, neighbor, majority) for each present majority.  A stage
-  /// that ignores most arcs passes a filter so their copies are never
-  /// read.
-  template <class OnHop, class Expects = AcceptAll>
+  /// Decodes the hops `stage` consumes at its wave step `step`: adds this
+  /// repetition's copy on every scheduled arc that
+  /// stage.expects(view, tree, neighbor, step) accepts, and at the last
+  /// repetition calls stage.receive(view, tree, neighbor, step, majority)
+  /// for each present majority.  Other arcs are never read.  expects()
+  /// depends on the step, not the repetition, so an accepted arc's slot
+  /// is reset at repetition 0 and never carries a vote across steps.
+  template <class Stage>
   void receive(const NodeTreeView& view, SlotPos pos, const sim::Inbox& in,
-               OnHop&& onHop, Expects&& expects = {}) {
+               Stage& stage, int step) {
     for (int i = 0; i < view.degree(); ++i) {
       const int tree = view.treeAt(i, pos.slot);
       if (tree < 0) continue;
       const NodeId from = view.neighborAt(i);
-      if (!expects(tree, from)) continue;
+      if (!stage.expects(view, tree, from, step)) continue;
       VoteSlot& vs = votes_[static_cast<std::size_t>(i) *
                                 static_cast<std::size_t>(slots_.eta) +
                             static_cast<std::size_t>(pos.slot)];
@@ -99,7 +99,7 @@ class ArcVotes {
       vs.add(in.from(from));
       if (pos.rep != slots_.rho - 1) continue;
       const sim::Msg& m = vs.winner();
-      if (m.present) onHop(tree, from, m);
+      if (m.present) stage.receive(view, tree, from, step, m);
     }
   }
 
@@ -206,9 +206,15 @@ class SketchConvergecast {
   [[nodiscard]] const sim::Msg* send(const NodeTreeView& view, int tree,
                                      NodeId to, int step, std::uint64_t seed,
                                      const StreamEntries& entries);
+  /// Whether a hop of `tree` from `from` is a child's.  Deliberately
+  /// step-free: a child's hop merges at any up-wave step.
+  [[nodiscard]] bool expects(const NodeTreeView& view, int tree, NodeId from,
+                             int /*step*/) const {
+    return view.depth(tree) >= 0 && isChild(view, tree, from, rule_);
+  }
   /// Merges a child's hop for `tree`, at any up-wave step.  Returns false,
-  /// merging nothing, for a hop from a non-child or of the wrong size.
-  bool receive(const NodeTreeView& view, int tree, NodeId from,
+  /// merging nothing, for a hop expects() rejects or of the wrong size.
+  bool receive(const NodeTreeView& view, int tree, NodeId from, int step,
                const sim::Msg& m);
 
   /// The root's readout: the node's sketch of `entries` merged with its
@@ -271,6 +277,14 @@ class ShareDowncast {
 
   [[nodiscard]] const sim::Msg* send(const NodeTreeView& view, int tree,
                                      NodeId to, int step) const;
+  /// Whether a hop of `tree` from `from` carries shares at `step`: the
+  /// node sits one below the current down-wave's front, under `from`.
+  [[nodiscard]] bool expects(const NodeTreeView& view, int tree, NodeId from,
+                             int step) const {
+    const int wave = (step - 1) / (depthBound_ + 1);
+    return view.depth(tree) == step - wave * (depthBound_ + 1) &&
+           view.parent(tree) == from;
+  }
   void receive(const NodeTreeView& view, int tree, NodeId from, int step,
                const sim::Msg& m);
 
@@ -304,6 +318,55 @@ class ShareDowncast {
   std::vector<std::uint64_t> dm_;             // root: the DM keys
   std::vector<std::vector<gf::F16>> shares_;  // [chunk][tree] to decode
   std::vector<std::int32_t> held_;  // [chunk][tree] forwarded symbol; -1 none
+};
+
+/// Rewind's consensus up-wave (Rewind-If-Error): per tree, the minimum
+/// GoodState and the maximum transcript length over the node's subtree,
+/// one (good, len) pair per hop.  Depth d >= 1 sends to its parent at
+/// step depthBound + 1 - d, and a child's hop merges only at that step.
+class ConsensusUpcast {
+ public:
+  using Vote = std::pair<std::uint64_t, std::uint64_t>;  // (good, len)
+
+  ConsensusUpcast(int depthBound, ChildRule rule)
+      : depthBound_(depthBound), rule_(rule) {}
+
+  /// Drops the children's votes.
+  void start() { children_.clear(); }
+
+  [[nodiscard]] bool sends(const NodeTreeView& view, int tree, NodeId to,
+                           int step) const {
+    const int d = view.depth(tree);
+    return d > 0 && step == depthBound_ + 1 - d && to == view.parent(tree);
+  }
+  /// Whether a hop of `tree` from `from` is a child's vote due at `step`.
+  [[nodiscard]] bool expects(const NodeTreeView& view, int tree, NodeId from,
+                             int step) const {
+    return view.depth(tree) == depthBound_ - step &&
+           isChild(view, tree, from, rule_);
+  }
+  void receive(const NodeTreeView& view, int tree, NodeId from, int step,
+               const sim::Msg& m) {
+    if (!expects(view, tree, from, step) || m.size() < 2) return;
+    const Vote vote{m.at(0), m.at(1)};
+    const auto [child, fresh] = children_.try_emplace(tree, vote);
+    if (!fresh) child->second = merge(child->second, vote);
+  }
+
+  /// `own` merged with the children's votes for `tree`.
+  [[nodiscard]] Vote subtree(int tree, Vote own) const {
+    const auto child = children_.find(tree);
+    return child == children_.end() ? own : merge(own, child->second);
+  }
+
+ private:
+  [[nodiscard]] static Vote merge(Vote a, Vote b) {
+    return {std::min(a.first, b.first), std::max(a.second, b.second)};
+  }
+
+  int depthBound_;
+  ChildRule rule_;
+  std::map<int, Vote> children_;  // children's merged vote per tree
 };
 
 }  // namespace mobile::compile

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 
 #include "adv/strategies.h"
@@ -301,8 +302,13 @@ void registerCompilers(Registry<CompileFactory>& r) {
           // whole ECC chunk of (DTP + 1) scheduled steps -- the difference
           // between the n=10^5 scale campaign finishing in CI or not.
           opts.dmCap = intInRange(p, "byz_tree", "dmcap", 0, 0);
-          return compile::compileByzantineTree(g, inner, packingFor(g, p),
-                                               advF(p), opts);
+          try {
+            return compile::compileByzantineTree(g, inner, packingFor(g, p),
+                                                 advF(p), opts);
+          } catch (const std::overflow_error& e) {
+            throw ScnError("byz_tree over " + std::to_string(inner.rounds) +
+                           " payload rounds " + e.what());
+          }
         });
   r.add("rewind",
         "Theorem 4.1 rewind-if-error compiler (f, packing, multiplier)",
@@ -311,8 +317,13 @@ void registerCompilers(Registry<CompileFactory>& r) {
           compile::RewindOptions opts;
           opts.multiplier =
               intInRange(p, "rewind", "multiplier", opts.multiplier, 1);
-          return compile::compileRewind(g, inner, packingFor(g, p), advF(p),
-                                        opts);
+          try {
+            return compile::compileRewind(g, inner, packingFor(g, p),
+                                          advF(p), opts);
+          } catch (const std::overflow_error& e) {
+            throw ScnError("rewind multiplier=" +
+                           std::to_string(opts.multiplier) + " " + e.what());
+          }
         });
   r.add("static_to_mobile",
         "Theorem 1.2 key-pool masking compiler "

@@ -76,7 +76,9 @@ TEST(Rewind, PotentialRisesWithoutAdversary) {
   const Algorithm inner = pingPayload(g, 2);
   auto shared = std::make_shared<RewindShared>();
   const RewindSchedule sched = rewindSchedule(*pk, inner.rounds, 1, {});
-  computeGamma(g, inner, 1, sched.globalRounds + inner.rounds, shared.get());
+  computeGamma(g, inner, 1,
+               static_cast<int>(sched.globalRounds) + inner.rounds,
+               shared.get());
   const Algorithm compiled = compileRewind(g, inner, pk, 1, {}, shared);
   Network net(g, compiled, 7);
   net.run(compiled.rounds);
@@ -112,7 +114,9 @@ TEST(Rewind, PotentialNetProgressUnderAdversary) {
   RewindOptions opts;
   auto shared = std::make_shared<RewindShared>();
   const RewindSchedule sched = rewindSchedule(*pk, inner.rounds, 1, opts);
-  computeGamma(g, inner, 1, sched.globalRounds + inner.rounds, shared.get());
+  computeGamma(g, inner, 1,
+               static_cast<int>(sched.globalRounds) + inner.rounds,
+               shared.get());
   adv::BurstByzantine adv(1, sched.totalRounds / 4, /*quiet=*/9, /*width=*/40,
                           11);
   const Algorithm compiled = compileRewind(g, inner, pk, 1, opts, shared);
@@ -196,7 +200,9 @@ TEST(Rewind, ScriptedOverloadForcesRewindsAndRecovers) {
   RewindOptions opts;
   auto shared = std::make_shared<RewindShared>();
   const RewindSchedule sched = rewindSchedule(*pk, inner.rounds, 1, opts);
-  computeGamma(g, inner, 1, sched.globalRounds + inner.rounds, shared.get());
+  computeGamma(g, inner, 1,
+               static_cast<int>(sched.globalRounds) + inner.rounds,
+               shared.get());
   std::map<int, std::vector<graph::EdgeId>> outage;
   for (int gr = 0; gr < 2; ++gr)
     for (int r = 1; r <= sched.initRounds; ++r)

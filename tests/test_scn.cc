@@ -266,6 +266,28 @@ TEST(TrialBuilder, CompilerKnobsOutOfRangeAreRejected) {
     EXPECT_NO_THROW((void)builder.build(point(tail), "knobs")) << tail;
 }
 
+TEST(TrialBuilder, CompiledTotalsPastIntMaxAreRejected) {
+  // multiplier=10^8 is within the knob's range, but on this point the
+  // rewind schedule comes to 200000000 global rounds of 86 rounds each,
+  // past INT_MAX.  It is refused when built, naming the key, instead of
+  // overflowing the round count or running for hours.
+  scn::TrialBuilder builder;
+  try {
+    (void)builder.build(
+        scn::Params::fromTokens("graph=clique n=6 algo=pingpong rounds=2 "
+                                "mask=32 f=1 adv=random_byz compile=rewind "
+                                "multiplier=100000000"),
+        "total");
+    ADD_FAILURE() << "expected ScnError";
+  } catch (const scn::ScnError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "rewind multiplier=100000000 compiles to 17200000000 "
+                  "rounds"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(TrialBuilder, KeyPoolsPastTheFieldSizeAreRejected) {
   // A key pool extracts at the points alpha^(i+1) of GF(2^16); past
   // KeyPool::kMaxSymbols = 65534 symbols they repeat and Theorem 2.1's

@@ -1,12 +1,24 @@
-// SketchConvergecast, the up-wave sketch stage, over both sketch types on a
-// hand-built two-tree packing: the root's merged sketch equals one sketch
-// of every node's entries, also once every non-root has dropped its
-// children's sums; a hop is built once per step and rebuilt after a child
-// merges mid-step; wrong-sized or non-child hops are not merged; and the
-// thread-local scratch keeps stages of different shapes apart,
-// interleaved on one thread or run on two threads at once.
+// The scheduled tree stages on a hand-built two-tree packing.
+//
+// Receive predicates: for every stage, expects(view, tree, from, step) is
+// true exactly when a right-sized hop on that arc at that step changes the
+// stage; the down-wave and consensus filters accept exactly the hops their
+// senders send, and the sketch up-wave filter alone is step-free.  ArcVotes
+// never reads an arc its stage rejects, and an arc accepted after a
+// rejected step decodes a fresh majority.
+//
+// SketchConvergecast, the up-wave sketch stage, over both sketch types:
+// the root's merged sketch equals one sketch of every node's entries, also
+// once every non-root has dropped its children's sums; a hop is built once
+// per step and rebuilt after a child merges mid-step; wrong-sized or
+// non-child hops are not merged; and the thread-local scratch keeps stages
+// of different shapes apart, interleaved on one thread or run on two
+// threads at once.
 #include <cstdint>
+#include <map>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,17 +39,25 @@ using sketch::SparseRecovery;
 constexpr NodeId kN = 6;
 constexpr int kDepthBound = 3;
 
-/// Six nodes, two spanning trees rooted at 0:
-///   tree 0: the path 0-1-2-3 with 4 under 1 and 5 under 2 (depth 3);
-///   tree 1: the star 0-{1,2,3} with 4 under 3 and 5 under 4.
-const PackingKnowledge& packing() {
-  static const std::shared_ptr<PackingKnowledge> pk = [] {
+const Graph& graphOf() {
+  static const Graph graph = [] {
     Graph g(kN);
     for (const auto& [u, v] : std::vector<std::pair<NodeId, NodeId>>{
              {0, 1}, {1, 2}, {2, 3}, {1, 4}, {2, 5}, {0, 2}, {0, 3}, {3, 4},
              {4, 5}})
       g.addEdge(u, v);
     g.finalize();
+    return g;
+  }();
+  return graph;
+}
+
+/// Six nodes, two spanning trees rooted at 0:
+///   tree 0: the path 0-1-2-3 with 4 under 1 and 5 under 2 (depth 3);
+///   tree 1: the star 0-{1,2,3} with 4 under 3 and 5 under 4.
+const PackingKnowledge& packing() {
+  static const std::shared_ptr<PackingKnowledge> pk = [] {
+    const Graph& g = graphOf();
     graph::TreePacking p;
     p.commonRoot = 0;
     for (const std::vector<NodeId>& parents :
@@ -97,7 +117,7 @@ class Upcast {
           const sim::Msg* m =
               stage(v).send(view, t, to, step, seedOf(t), entriesOf(v));
           if (m == nullptr) continue;
-          EXPECT_TRUE(stage(to).receive(pk.view(to), t, v, *m));
+          EXPECT_TRUE(stage(to).receive(pk.view(to), t, v, step, *m));
         }
       }
     }
@@ -123,8 +143,282 @@ class Upcast {
 };
 
 const SparseRecovery::Shape kSparseA{4, 3};
-const SparseRecovery::Shape kSparseB{8, 5};
 const L0Bundle::Shape kL0A{2, 10};
+
+// --- receive predicates ------------------------------------------------------
+
+/// Over every node, tree, neighbor and `step` in [1, steps]: a fresh stage
+/// from makeStage() changes, as changed(stage, tree) reads it, exactly when
+/// its expects() accepts the arc; the stage receives hop(tree, from).  At
+/// least one arc must be accepted and one rejected.
+template <class MakeStage, class Hop, class Changed>
+void expectExpectsMatchesReceive(int steps, MakeStage makeStage, Hop hop,
+                                 Changed changed) {
+  const PackingKnowledge& pk = packing();
+  int accepted = 0, rejected = 0;
+  for (NodeId v = 0; v < kN; ++v) {
+    const NodeTreeView view = pk.view(v);
+    for (int t = 0; t < pk.k; ++t) {
+      for (int i = 0; i < view.degree(); ++i) {
+        const NodeId from = view.neighborAt(i);
+        for (int step = 1; step <= steps; ++step) {
+          auto stage = makeStage();
+          const bool expects = stage.expects(view, t, from, step);
+          stage.receive(view, t, from, step, hop(t, from));
+          EXPECT_EQ(changed(stage, t), expects)
+              << "node " << v << " tree " << t << " from " << from
+              << " step " << step;
+          ++(expects ? accepted : rejected);
+        }
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(ReceivePredicate, TreeFlood) {
+  constexpr int kWidth = 2;
+  expectExpectsMatchesReceive(
+      kDepthBound + 1,
+      [] {
+        TreeFlood flood(ChildRule::AsListed, kWidth);
+        flood.start(packing().k);
+        return flood;
+      },
+      [](int, NodeId) { return sim::Msg().push(5).push(6); },
+      [](const TreeFlood& flood, int tree) { return flood.has(tree); });
+}
+
+TEST(ReceivePredicate, ShareDowncast) {
+  // k = 2 trees and a cap of one key make 5 chunks, one share per hop:
+  // five down-waves of kDepthBound + 1 steps.
+  const auto make = [] {
+    ShareDowncast down(packing().k, 1, 3, 1, kDepthBound,
+                       ChildRule::AsListed);
+    down.start();
+    return down;
+  };
+  expectExpectsMatchesReceive(
+      make().steps(), make, [](int, NodeId) { return sim::Msg::of(0xabc); },
+      [](ShareDowncast& down, int tree) {
+        for (const auto& chunk : down.shares())
+          if (chunk[static_cast<std::size_t>(tree)] != gf::F16(0))
+            return true;
+        return false;
+      });
+}
+
+template <class Sketch>
+void expectSketchExpectsMatchesReceive(typename Sketch::Shape shape) {
+  expectExpectsMatchesReceive(
+      kDepthBound + 1,
+      [shape] {
+        SketchConvergecast<Sketch> up(shape, kDepthBound, ChildRule::AsListed);
+        up.start();
+        return up;
+      },
+      [shape](int tree, NodeId from) {
+        SketchConvergecast<Sketch> child(shape, kDepthBound,
+                                         ChildRule::AsListed);
+        sim::Msg m;
+        child.build(tree, seedOf(tree), entriesOf(from), m);
+        return m;
+      },
+      [](const SketchConvergecast<Sketch>& up, int) {
+        return up.heldWords() > 0;
+      });
+}
+
+TEST(ReceivePredicate, SparseConvergecast) {
+  expectSketchExpectsMatchesReceive<SparseRecovery>(kSparseA);
+}
+
+TEST(ReceivePredicate, L0Convergecast) {
+  expectSketchExpectsMatchesReceive<L0Bundle>(kL0A);
+}
+
+TEST(ReceivePredicate, ConsensusUpcast) {
+  using Vote = ConsensusUpcast::Vote;
+  const Vote own{1, 0};
+  expectExpectsMatchesReceive(
+      kDepthBound,
+      [] {
+        ConsensusUpcast up(kDepthBound, ChildRule::ParentExcluded);
+        up.start();
+        return up;
+      },
+      [](int, NodeId) { return sim::Msg().push(0).push(99); },
+      [own](const ConsensusUpcast& up, int tree) {
+        return up.subtree(tree, own) != own;
+      });
+}
+
+/// Over every arc u -> v, tree and `step` in [1, steps]: expects(view of
+/// v, tree, u, step) holds exactly when sends(view of u, tree, v, step)
+/// does.
+template <class Sends, class Expects>
+void expectFilterMatchesSender(int steps, Sends sends, Expects expects) {
+  const PackingKnowledge& pk = packing();
+  int hops = 0;
+  for (NodeId v = 0; v < kN; ++v) {
+    const NodeTreeView view = pk.view(v);
+    for (int i = 0; i < view.degree(); ++i) {
+      const NodeId u = view.neighborAt(i);
+      for (int t = 0; t < pk.k; ++t) {
+        for (int step = 1; step <= steps; ++step) {
+          const bool sent = sends(pk.view(u), t, v, step);
+          EXPECT_EQ(expects(view, t, u, step), sent)
+              << u << " -> " << v << " tree " << t << " step " << step;
+          hops += sent ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(hops, 0);
+}
+
+TEST(ReceivePredicate, DownWaveAndConsensusFiltersMatchTheSender) {
+  // Every node holds every tree's value and every share, so a send is
+  // decided by the hop rule alone.
+  TreeFlood flood(ChildRule::AsListed);
+  flood.start(packing().k);
+  for (int t = 0; t < packing().k; ++t) flood.seed(t, {1});
+  expectFilterMatchesSender(
+      kDepthBound + 1,
+      [&](const NodeTreeView& from, int t, NodeId to, int step) {
+        return flood.send(from, t, to, step) != nullptr;
+      },
+      [&](const NodeTreeView& at, int t, NodeId from, int step) {
+        return flood.expects(at, t, from, step);
+      });
+
+  ShareDowncast down(packing().k, 1, 3, 1, kDepthBound, ChildRule::AsListed);
+  down.start();
+  down.encode({0x1234});
+  expectFilterMatchesSender(
+      down.steps(),
+      [&](const NodeTreeView& from, int t, NodeId to, int step) {
+        return down.send(from, t, to, step) != nullptr;
+      },
+      [&](const NodeTreeView& at, int t, NodeId from, int step) {
+        return down.expects(at, t, from, step);
+      });
+
+  const ConsensusUpcast votes(kDepthBound, ChildRule::ParentExcluded);
+  expectFilterMatchesSender(
+      kDepthBound,
+      [&](const NodeTreeView& from, int t, NodeId to, int step) {
+        return votes.sends(from, t, to, step);
+      },
+      [&](const NodeTreeView& at, int t, NodeId from, int step) {
+        return votes.expects(at, t, from, step);
+      });
+}
+
+TEST(ReceivePredicate, UpWaveFiltersAreStepFreeOnlyForSketches) {
+  // A child's sketch hop merges at any up-wave step; a consensus vote only
+  // at the step its depth sends.  Node 3 is node 2's child in tree 0 and
+  // sends at step 1.
+  const NodeTreeView view = packing().view(2);
+  const SparseConvergecast sketches(kSparseA, kDepthBound,
+                                    ChildRule::AsListed);
+  const ConsensusUpcast votes(kDepthBound, ChildRule::ParentExcluded);
+  for (int step = 1; step <= kDepthBound; ++step) {
+    EXPECT_TRUE(sketches.expects(view, 0, 3, step)) << step;
+    EXPECT_EQ(votes.expects(view, 0, 3, step), step == 1) << step;
+  }
+}
+
+// --- ArcVotes ----------------------------------------------------------------
+
+/// A neighbor-keyed inbox that counts how often each sender is read.
+class CountingInbox final : public sim::Inbox {
+ public:
+  explicit CountingInbox(NodeId self) : Inbox(graphOf(), self) {}
+  std::map<NodeId, sim::Msg> msgs;
+  mutable std::map<NodeId, int> reads;
+
+  [[nodiscard]] sim::MsgView from(NodeId from) const override {
+    ++reads[from];
+    const auto it = msgs.find(from);
+    return it == msgs.end() ? sim::MsgView() : sim::MsgView(it->second);
+  }
+};
+
+/// A stage that accepts the arcs from `accepted` and records every hop.
+struct ProbeStage {
+  std::set<NodeId> accepted;
+  std::vector<std::pair<NodeId, std::uint64_t>> hops;  // (from, word 0)
+
+  bool expects(const NodeTreeView&, int, NodeId from, int) const {
+    return accepted.count(from) != 0;
+  }
+  void receive(const NodeTreeView&, int, NodeId from, int,
+               const sim::Msg& m) {
+    hops.emplace_back(from, m.at(0));
+  }
+};
+
+/// Runs one step of every slot and repetition at `self`; neighbor u sends
+/// word(u, rep) in repetition `rep`.
+template <class Word>
+void runStep(ArcVotes& votes, const SlotSchedule& slots, NodeId self,
+             int step, ProbeStage& stage, CountingInbox& in, Word word) {
+  const NodeTreeView view = packing().view(self);
+  for (int rep = 0; rep < slots.rho; ++rep) {
+    for (int i = 0; i < view.degree(); ++i) {
+      const NodeId u = view.neighborAt(i);
+      in.msgs[u] = sim::Msg::of(word(u, rep));
+    }
+    for (int slot = 0; slot < slots.eta; ++slot)
+      votes.receive(view, {step, rep, slot}, in, stage, step);
+  }
+}
+
+TEST(ArcVotes, RejectedArcIsNeverRead) {
+  // Node 2 hears 1, 3 and 5 over tree 0 and 0 over tree 1.
+  const NodeId self = 2;
+  const SlotSchedule slots{packing().eta, 3};
+  ArcVotes votes(packing().view(self).degree(), slots);
+  ProbeStage stage{{1, 5}, {}};
+  CountingInbox in(self);
+  runStep(votes, slots, self, 1, stage, in,
+          [](NodeId u, int) { return static_cast<std::uint64_t>(u); });
+  EXPECT_EQ(stage.hops,
+            (std::vector<std::pair<NodeId, std::uint64_t>>{{1, 1}, {5, 5}}));
+  EXPECT_EQ(in.reads[1], slots.rho);
+  EXPECT_EQ(in.reads[5], slots.rho);
+  EXPECT_EQ(in.reads.count(0), 0u);
+  EXPECT_EQ(in.reads.count(3), 0u);
+}
+
+TEST(ArcVotes, ArcAcceptedAfterARejectedStepDecodesAFreshMajority) {
+  // Node 3 sends A = 7 in all three repetitions of steps 1 and 2, then B,
+  // A, B in step 3; the arc is accepted in steps 1 and 3 only.  A vote
+  // carried over from an earlier step would make A the majority of step 3
+  // (at least 4 to 2); a fresh slot reads B.
+  const NodeId self = 2;
+  const SlotSchedule slots{packing().eta, 3};
+  ArcVotes votes(packing().view(self).degree(), slots);
+  CountingInbox in(self);
+  ProbeStage stage{{3}, {}};
+  const auto sendA = [](NodeId, int) { return 7u; };
+  runStep(votes, slots, self, 1, stage, in, sendA);
+  stage.accepted.clear();
+  runStep(votes, slots, self, 2, stage, in, sendA);
+  EXPECT_EQ(stage.hops,
+            (std::vector<std::pair<NodeId, std::uint64_t>>{{3, 7}}));
+  stage.accepted = {3};
+  runStep(votes, slots, self, 3, stage, in,
+          [](NodeId, int rep) { return rep == 1 ? 7u : 9u; });
+  EXPECT_EQ(stage.hops,
+            (std::vector<std::pair<NodeId, std::uint64_t>>{{3, 7}, {3, 9}}));
+}
+
+// --- SketchConvergecast ------------------------------------------------------
+
+const SparseRecovery::Shape kSparseB{8, 5};
 const L0Bundle::Shape kL0B{3, 12};
 
 template <class Sketch>
@@ -188,7 +482,7 @@ void expectHopBuiltOncePerStep(typename Sketch::Shape shape) {
   // A child's hop merges between two sends of the hop.
   sim::Msg child;
   up.stage(3).build(0, seedOf(0), StreamEntries{{31337, +1}}, child);
-  EXPECT_TRUE(up.stage(2).receive(view, 0, 3, child));
+  EXPECT_TRUE(up.stage(2).receive(view, 0, 3, 1, child));
   const std::vector<std::uint64_t> second = sendUp();
   EXPECT_NE(second, first);
   EXPECT_EQ(second, buildUp());
@@ -214,14 +508,14 @@ void expectWrongHopsDropped(typename Sketch::Shape shape) {
   shorter.words.pop_back();
   sim::Msg longer = good;
   longer.words.push_back(0);
-  EXPECT_FALSE(up.stage(0).receive(pk.view(0), 0, 1, shorter));
-  EXPECT_FALSE(up.stage(0).receive(pk.view(0), 0, 1, longer));
-  EXPECT_FALSE(up.stage(0).receive(pk.view(0), 0, 4, good));
+  EXPECT_FALSE(up.stage(0).receive(pk.view(0), 0, 1, 3, shorter));
+  EXPECT_FALSE(up.stage(0).receive(pk.view(0), 0, 1, 3, longer));
+  EXPECT_FALSE(up.stage(0).receive(pk.view(0), 0, 4, 3, good));
 
   Sketch own(seedOf(0), shape);
   for (const auto& [key, freq] : entriesOf(0)) own.update(key, freq);
   EXPECT_EQ(up.rootWords(0), wordsOf(own));
-  EXPECT_TRUE(up.stage(0).receive(pk.view(0), 0, 1, good));
+  EXPECT_TRUE(up.stage(0).receive(pk.view(0), 0, 1, 3, good));
   EXPECT_NE(up.rootWords(0), wordsOf(own));
 }
 
