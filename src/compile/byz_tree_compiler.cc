@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <variant>
+#include <type_traits>
 
 #include "compile/tree_stages.h"
 #include "util/rng.h"
@@ -22,44 +22,30 @@ namespace {
 
 constexpr std::uint64_t kAbsentChunk = 1;  // chunk=1 encodes "no message"
 
-}  // namespace
-
-ByzSchedule ByzSchedule::compute(const PackingKnowledge& pk, int innerRounds,
-                                 int f, const ByzOptions& opts) {
-  ByzSchedule s;
-  const int fEff = std::max(1, f);
-  if (opts.correction == CorrectionMode::SparseOneShot) {
-    s.z = 1;  // one-shot recovery (Section 1.2.2)
-  } else {
-    s.z = static_cast<int>(std::ceil(std::log2(2.0 * fEff))) + 2;
-  }
-  const int dmCap = opts.dmCap > 0 ? opts.dmCap : 2 * fEff + 8;
-  const DmCodec codec(pk.k, dmCap, kCPP);
-  s.chunks = codec.chunks();
-  s.sketchSteps = 2 * pk.depthBound + 1;
-  s.eccSteps = s.chunks / s.sharesPerHop * (pk.depthBound + 1);
-  const SlotSchedule slots{pk.eta, kByzRho};
-  s.roundsPerIteration = slots.blockRounds(s.sketchSteps + s.eccSteps);
-  s.roundsPerSimRound = 1 + s.z * s.roundsPerIteration;
-  s.totalRounds = std::int64_t{innerRounds} * s.roundsPerSimRound;
-  return s;
+int dmCapFor(const ByzOptions& opts, int fEff) {
+  return opts.dmCap > 0 ? opts.dmCap : 2 * fEff + 8;
 }
 
-namespace {
-
 struct Pos {
-  int simRound;   // 1-based inner round being simulated
+  int simRound;  // 1-based inner round being simulated
   bool exchange;
-  int j;          // iteration, 0-based
-  bool inSketch;  // sketch block vs ECC block
-  SlotPos hop;    // step (1-based within the block), rep, slot
+  int j;         // iteration, 0-based
+  int r;         // round within the iteration's correction block, 0-based
 };
 
+/// A node of the compiled algorithm; `Sketch` is the correction mode's
+/// sketch: sketch::L0Bundle (L0Iterative) or sketch::SparseRecovery
+/// (SparseOneShot).
+template <class Sketch>
 class ByzNode final : public NodeState {
+  using Correction = MismatchCorrection<Sketch>;
+  static constexpr bool kSparse =
+      std::is_same_v<Sketch, sketch::SparseRecovery>;
+
  public:
   ByzNode(NodeId self, const Graph& g, util::Rng rng,
           std::unique_ptr<NodeState> inner, int innerRounds,
-          std::shared_ptr<const PackingKnowledge> pk, int f, ByzOptions opts,
+          std::shared_ptr<const PackingKnowledge> pk, int f, int dmCap,
           ByzSchedule sched, std::shared_ptr<ByzShared> shared)
       : self_(self),
         g_(g),
@@ -69,17 +55,13 @@ class ByzNode final : public NodeState {
         pk_(std::move(pk)),
         view_(pk_->view(self)),
         f_(std::max(1, f)),
-        mode_(opts.correction),
         sched_(sched),
-        slots_{pk_->eta, kByzRho},
         shared_(std::move(shared)),
         isRoot_(self == pk_->root),
         innerSlots_(g, self),
-        votes_(view_.degree(), slots_),
-        seeds_(ChildRule::AsListed),
-        up_(makeUpcast(opts.correction, f_, pk_->depthBound)),
-        down_(pk_->k, opts.dmCap > 0 ? opts.dmCap : 2 * f_ + 8, kCPP,
-              sched.sharesPerHop, pk_->depthBound, ChildRule::AsListed) {
+        votes_(view_.degree(), SlotSchedule{pk_->eta, kByzRho}),
+        correction_(*pk_, SlotSchedule{pk_->eta, kByzRho}, shapeFor(f_), dmCap,
+                    ShareBundle::OnePerHop, ChildRule::AsListed) {
     // Exchange-step key tables are adjacency-indexed and fully rewritten
     // by every exchange, so the shape is fixed up front.
     sentKey_.assign(g_.degree(self_), 0);
@@ -93,24 +75,10 @@ class ByzNode final : public NodeState {
       sendExchange(p, out);
       return;
     }
-    const bool blockStart =
-        p.hop.step == 1 && p.hop.rep == 0 && p.hop.slot == 0;
-    if (blockStart && p.inSketch) startIteration(p);
-    if (blockStart && !p.inSketch && isRoot_) computeDm(p.j);
-    const int D = pk_->depthBound;
-    sendScheduled(view_, p.hop.slot, out,
-                  [&](int tree, NodeId to) -> const Msg* {
-                    if (!p.inSketch)
-                      return down_.send(view_, tree, to, p.hop.step);
-                    if (p.hop.step <= D)
-                      return seeds_.send(view_, tree, to, p.hop.step);
-                    return std::visit(
-                        [&](auto& up) {
-                          return up.send(view_, tree, to, p.hop.step - D,
-                                         seeds_.word(tree), entries_);
-                        },
-                        up_);
-                  });
+    if (p.r == 0) startIteration();
+    correction_.send(view_, p.r, isRoot_, out, [&](const Correction& mc) {
+      return dominatingMismatches(mc, p.j);
+    });
   }
 
   void receive(int round, const Inbox& in) override {
@@ -123,22 +91,17 @@ class ByzNode final : public NodeState {
       receiveExchange(p, in);
       return;
     }
-    const int D = pk_->depthBound;
-    if (!p.inSketch)
-      votes_.receive(view_, p.hop, in, down_, p.hop.step);
-    else if (p.hop.step <= D)
-      votes_.receive(view_, p.hop, in, seeds_, p.hop.step);
-    else
-      std::visit(
-          [&](auto& up) {
-            votes_.receive(view_, p.hop, in, up, p.hop.step - D);
-          },
-          up_);
-    if (!p.inSketch && p.hop.step == sched_.eccSteps &&
-        p.hop.rep == slots_.rho - 1 && p.hop.slot == pk_->eta - 1) {
-      finishIteration(p);
-      if (p.j == sched_.z - 1) deliverToInner(p);
-    }
+    // Patch estimates (Step 3 of the iteration) at the block's end.
+    if (!correction_.receive(view_, p.r, in, votes_, self_, isRoot_,
+                             [&](int idx, const DecodedKey& dec) {
+                               if (dec.chunk > kAbsentChunk) return;
+                               estKey_[static_cast<std::size_t>(idx)] =
+                                   encodeKey(dec.sender, self_, dec.chunk,
+                                             dec.payload);
+                             }))
+      return;
+    if (shared_) recordMismatches(p.simRound, p.j + 1);
+    if (p.j == sched_.z - 1) deliverToInner(p);
   }
 
   [[nodiscard]] bool done() const override { return done_; }
@@ -150,40 +113,21 @@ class ByzNode final : public NodeState {
   // --- round arithmetic ----------------------------------------------------
 
   [[nodiscard]] Pos position(int round) const {
-    Pos p{};
     const int g = round - 1;
-    p.simRound = g / sched_.roundsPerSimRound + 1;
     const int offset = g % sched_.roundsPerSimRound;
-    p.exchange = (offset == 0);
-    if (p.exchange) return p;
-    const int q = offset - 1;
-    p.j = q / sched_.roundsPerIteration;
-    const int r = q % sched_.roundsPerIteration;
-    const int sketchRounds = slots_.blockRounds(sched_.sketchSteps);
-    p.inSketch = r < sketchRounds;
-    p.hop = slots_.at(p.inSketch ? r : r - sketchRounds);
-    return p;
+    const int q = std::max(0, offset - 1);  // round within the iterations
+    return {g / sched_.roundsPerSimRound + 1, offset == 0,
+            q / sched_.roundsPerIteration, q % sched_.roundsPerIteration};
   }
 
-  [[nodiscard]] bool sparseMode() const {
-    return mode_ == CorrectionMode::SparseOneShot;
-  }
-
-  /// The correction mode's up-wave stage: one sparse-recovery sketch or t
+  /// The correction mode's sketch: one sparse-recovery sketch or t
   /// l0-samplers per tree.
-  using Upcast = std::variant<SparseConvergecast, L0Convergecast>;
-  [[nodiscard]] static Upcast makeUpcast(CorrectionMode mode, int f,
-                                         int depthBound) {
-    if (mode == CorrectionMode::SparseOneShot)
-      return Upcast(std::in_place_type<SparseConvergecast>,
-                    sketch::SparseRecovery::Shape{
-                        static_cast<std::size_t>(kSparseSlack * 4 * f),
-                        static_cast<std::size_t>(kSparseRows)},
-                    depthBound, ChildRule::AsListed);
-    return Upcast(std::in_place_type<L0Convergecast>,
-                  sketch::L0Bundle::Shape{
-                      static_cast<std::size_t>(kTSketches), kSketchLevels},
-                  depthBound, ChildRule::AsListed);
+  [[nodiscard]] static typename Sketch::Shape shapeFor(int f) {
+    if constexpr (kSparse)
+      return {static_cast<std::size_t>(kSparseSlack * 4 * f),
+              static_cast<std::size_t>(kSparseRows)};
+    else
+      return {static_cast<std::size_t>(kTSketches), kSketchLevels};
   }
 
   // --- exchange step -------------------------------------------------------
@@ -210,7 +154,6 @@ class ByzNode final : public NodeState {
   }
 
   void receiveExchange(const Pos& p, const Inbox& in) {
-    currentSimRound_ = p.simRound;
     const auto& nbs = g_.neighbors(self_);
     for (std::size_t i = 0; i < nbs.size(); ++i) {
       const MsgView m = in.from(nbs[i].node);
@@ -221,102 +164,75 @@ class ByzNode final : public NodeState {
           nbs[i].node, self_,
           present ? 0u : static_cast<unsigned>(kAbsentChunk), payload);
     }
-    if (shared_) recordMismatches(0);
+    if (shared_) recordMismatches(p.simRound, 0);
   }
 
-  void recordMismatches(int afterIteration) {
+  void recordMismatches(int simRound, int afterIteration) {
     // Instrumentation for Lemma 3.8: count this node's wrong estimates.
     auto& bj = shared_->bj;
-    while (static_cast<int>(bj.size()) < currentSimRound_)
+    while (static_cast<int>(bj.size()) < simRound)
       bj.emplace_back(static_cast<std::size_t>(sched_.z + 1), 0);
     const auto& nbs = g_.neighbors(self_);
     for (std::size_t i = 0; i < nbs.size(); ++i) {
       const auto truth = shared_->sentTruth.find({nbs[i].node, self_});
       if (truth == shared_->sentTruth.end()) continue;
       if (estKey_[i] != truth->second)
-        ++bj[static_cast<std::size_t>(currentSimRound_ - 1)]
+        ++bj[static_cast<std::size_t>(simRound - 1)]
             [static_cast<std::size_t>(afterIteration)];
     }
   }
 
   // --- iteration lifecycle ---------------------------------------------------
 
-  void startIteration(const Pos& p) {
-    currentSimRound_ = p.simRound;
-    seeds_.start(pk_->k);
-    std::visit([](auto& up) { up.start(); }, up_);
-    down_.start();
-    down_.forget();
-    buildEntries();
-    if (isRoot_) {
-      // The root draws every tree's sketch seed and knows it immediately.
-      for (int t = 0; t < pk_->k; ++t) seeds_.seed(t, {rng_.next()});
-    }
-  }
-
-  /// Refills entries_ (clear + push, capacity kept) from the exchange key
-  /// tables; both tables were fully rewritten by this sim round's exchange
-  /// before any iteration starts.
-  void buildEntries() {
-    entries_.clear();
+  /// Starts the iteration's correction block (the root draws every tree's
+  /// sketch seed), drops the shares held from the last one and refills the
+  /// stream entries (capacity kept) from the exchange key tables; both
+  /// were fully rewritten by this sim round's exchange.
+  void startIteration() {
+    correction_.start(isRoot_, rng_);
+    correction_.forget();
+    StreamEntries& entries = correction_.entries();
     const std::size_t deg = g_.degree(self_);
     for (std::size_t i = 0; i < deg; ++i) {
-      entries_.push_back({sentKey_[i], +1});
-      entries_.push_back({estKey_[i], -1});
+      entries.push_back({sentKey_[i], +1});
+      entries.push_back({estKey_[i], -1});
     }
   }
 
   // --- root: dominating mismatches -------------------------------------------
 
-  /// Root, at the start of the ECC block: recovers the DM keys and hands
-  /// them to the share downcast.
-  void computeDm(int j) {
-    if (sparseMode())
-      down_.encode(recoverMajority(std::get<SparseConvergecast>(up_), seeds_,
-                                   pk_->k, entries_));
-    else
-      down_.encode(l0Dm(j));
-  }
-
-  /// Section 3.2: the observed mismatches with support >= Delta_j across
+  /// Root, at the start of the ECC block: the DM keys of iteration `j`.
+  /// SparseOneShot takes the majority support across trees; L0Iterative
+  /// (Section 3.2) the observed mismatches with support >= Delta_j across
   /// all trees' merged l0-sketches.
-  [[nodiscard]] std::vector<std::uint64_t> l0Dm(int j) {
-    std::map<std::uint64_t, int> supp;
-    std::map<std::uint64_t, bool> positive;
-    const L0Convergecast& up = std::get<L0Convergecast>(up_);
-    for (int t = 0; t < pk_->k; ++t) {
-      const sketch::L0Bundle& merged = up.merged(t, seeds_.word(t), entries_);
-      for (const auto& s : merged.samplers()) {
-        const auto r = s.query();
-        if (r.has_value()) {
-          ++supp[r->key];
-          if (r->frequency > 0) positive[r->key] = true;
+  [[nodiscard]] std::vector<std::uint64_t> dominatingMismatches(
+      const Correction& mc, int j) const {
+    if constexpr (kSparse) {
+      return recoverMajority(mc);
+    } else {
+      std::map<std::uint64_t, std::pair<int, bool>> supp;  // (count, > 0)
+      for (int t = 0; t < pk_->k; ++t) {
+        for (const auto& s : mc.merged(t).samplers()) {
+          const auto r = s.query();
+          if (!r.has_value()) continue;
+          auto& [count, positive] = supp[r->key];
+          ++count;
+          positive = positive || r->frequency > 0;
         }
       }
+      // Threshold Delta_j (Eq. 8 with tuned constants; see kTheta).
+      const double dj = kTheta * std::pow(2.0, j + 1) *
+                        static_cast<double>(pk_->k) * kTSketches /
+                        static_cast<double>(f_);
+      const int delta = std::max(1, static_cast<int>(std::ceil(dj)));
+      std::vector<std::uint64_t> dm;  // sorted, as supp is
+      for (const auto& [key, s] : supp)
+        if (s.first >= delta && s.second) dm.push_back(key);
+      return dm;
     }
-    // Threshold Delta_j (Eq. 8 with tuned constants; see kTheta).
-    const double dj = kTheta * std::pow(2.0, j + 1) *
-                      static_cast<double>(pk_->k) * kTSketches /
-                      static_cast<double>(f_);
-    const int delta = std::max(1, static_cast<int>(std::ceil(dj)));
-    std::vector<std::uint64_t> dm;
-    for (const auto& [key, s] : supp)
-      if (s >= delta && positive.count(key)) dm.push_back(key);
-    std::sort(dm.begin(), dm.end());
-    return dm;
   }
 
   // --- end of iteration --------------------------------------------------------
-
-  void finishIteration(const Pos& p) {
-    // Patch estimates (Step 3 of the iteration).
-    down_.finish(view_, self_, isRoot_, [&](int idx, const DecodedKey& dec) {
-      if (dec.chunk > kAbsentChunk) return;
-      estKey_[static_cast<std::size_t>(idx)] =
-          encodeKey(dec.sender, self_, dec.chunk, dec.payload);
-    });
-    if (shared_) recordMismatches(p.j + 1);
-  }
 
   void deliverToInner(const Pos& p) {
     // Redeliver through the member slots the exchange captured into:
@@ -341,13 +257,10 @@ class ByzNode final : public NodeState {
   std::shared_ptr<const PackingKnowledge> pk_;
   NodeTreeView view_;  // value proxy into pk_'s flat arrays
   int f_;
-  CorrectionMode mode_;
   ByzSchedule sched_;
-  SlotSchedule slots_;
   std::shared_ptr<ByzShared> shared_;
   bool isRoot_;
   bool done_ = false;
-  int currentSimRound_ = 1;
 
   /// Exchange-step surfaces, adjacency-indexed and rewritten in place each
   /// sim round: the neighbor slots capture the inner algorithm's sends and
@@ -358,16 +271,50 @@ class ByzNode final : public NodeState {
   Msg exchMsg_;
   std::vector<std::uint64_t> sentKey_;  // [nbIndex] my round-i sends
   std::vector<std::uint64_t> estKey_;   // [nbIndex] estimates of receipts
-  StreamEntries entries_;
 
-  // The tree stages of one iteration (docs/architecture.md section 7).
+  // The tree stages of one iteration (docs/architecture.md section 7.1).
   ArcVotes votes_;
-  TreeFlood seeds_;  // sketch seed R(T) per tree
-  Upcast up_;
-  ShareDowncast down_;
+  Correction correction_;
 };
 
+/// The compiled nodes over sketch type `Sketch`.
+template <class Sketch>
+auto nodesOf(const Graph& g, const sim::Algorithm& inner,
+             std::shared_ptr<const PackingKnowledge> pk, int f, int dmCap,
+             ByzSchedule sched, std::shared_ptr<ByzShared> shared) {
+  return [&g, inner, pk, f, dmCap, sched, shared](NodeId v, const Graph&,
+                                                  util::Rng rng) {
+    auto innerNode = inner.makeNode(v, g, rng.split(0xb12));
+    return std::make_unique<ByzNode<Sketch>>(v, g, rng.split(0x3a7),
+                                             std::move(innerNode),
+                                             inner.rounds, pk, f, dmCap, sched,
+                                             shared);
+  };
+}
+
 }  // namespace
+
+ByzSchedule ByzSchedule::compute(const PackingKnowledge& pk, int innerRounds,
+                                 int f, const ByzOptions& opts) {
+  ByzSchedule s;
+  const int fEff = std::max(1, f);
+  s.z = opts.correction == CorrectionMode::SparseOneShot
+            ? 1  // one-shot recovery (Section 1.2.2)
+            : static_cast<int>(std::ceil(std::log2(2.0 * fEff))) + 2;
+  const int dmCap = dmCapFor(opts, fEff);
+  const std::int64_t steps =
+      correctionSteps(pk.k, pk.depthBound, dmCap, ShareBundle::OnePerHop);
+  const std::int64_t perIteration =
+      std::int64_t{SlotSchedule{pk.eta, kByzRho}.roundsPerStep()} * steps;
+  // Checked first: every count below is at most roundsPerSimRound.
+  s.roundsPerSimRound = compiledRounds(1 + s.z * perIteration);
+  s.roundsPerIteration = static_cast<int>(perIteration);
+  s.chunks = static_cast<int>(DmCodec::chunksFor(pk.k, dmCap));
+  s.sketchSteps = correctionSketchSteps(pk.depthBound);
+  s.eccSteps = static_cast<int>(steps) - s.sketchSteps;
+  s.totalRounds = std::int64_t{innerRounds} * s.roundsPerSimRound;
+  return s;
+}
 
 sim::Algorithm compileByzantineTree(const graph::Graph& g,
                                     const sim::Algorithm& inner,
@@ -375,16 +322,16 @@ sim::Algorithm compileByzantineTree(const graph::Graph& g,
                                     int f, ByzOptions opts,
                                     std::shared_ptr<ByzShared> shared) {
   const ByzSchedule sched = ByzSchedule::compute(*pk, inner.rounds, f, opts);
+  const int dmCap = dmCapFor(opts, std::max(1, f));
   sim::Algorithm out;
   out.rounds = compiledRounds(sched.totalRounds);
   out.congestion = 0;
-  out.makeNode = [&g, inner, pk, f, opts, sched, shared](
-                     NodeId v, const Graph&, util::Rng rng) {
-    auto innerNode = inner.makeNode(v, g, rng.split(0xb12));
-    return std::make_unique<ByzNode>(v, g, rng.split(0x3a7),
-                                     std::move(innerNode), inner.rounds, pk, f,
-                                     opts, sched, shared);
-  };
+  if (opts.correction == CorrectionMode::SparseOneShot)
+    out.makeNode = nodesOf<sketch::SparseRecovery>(g, inner, pk, f, dmCap,
+                                                   sched, shared);
+  else
+    out.makeNode =
+        nodesOf<sketch::L0Bundle>(g, inner, pk, f, dmCap, sched, shared);
   return out;
 }
 

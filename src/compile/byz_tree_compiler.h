@@ -11,12 +11,12 @@
 //       seeds flood down every tree, the sketches merge up, the root
 //       extracts the dominating mismatches (DM) and ECC-broadcasts them
 //       down all k trees (Lemma 3.6), and every node patches its
-//       estimates.  CorrectionMode picks the sketch: t l0-samplers per
-//       tree (sketch::L0Bundle) with the Delta_j support threshold of
-//       Eq. 8, or one O(f)-sparse recovery sketch with a majority across
-//       trees.  Both ride one up-wave stage, SketchConvergecast; it and
-//       the other tree stages are shared with the rewind compiler
-//       (docs/architecture.md section 7.1).
+//       estimates: one block of the MismatchCorrection stage, which rewind
+//       runs too (tree_stages.h, docs/architecture.md section 7.1).
+//       CorrectionMode picks its sketch, once per compiled algorithm: t
+//       l0-samplers per tree (sketch::L0Bundle) with the Delta_j support
+//       threshold of Eq. 8, or one O(f)-sparse recovery sketch with a
+//       majority across trees.
 //       Real mismatches halve each iteration w.h.p. (Lemma 3.8), so after
 //       z = O(log f) iterations all estimates are exact.
 //   Step 3  deliver the corrected messages to the inner A instance.
@@ -54,13 +54,12 @@ enum class CorrectionMode {
 };
 
 // The compiler's tuning constants: the paper's Theta-constants, fixed for
-// every run.
+// every run.  The ECC margin c'' is kCPP (compile/ecc_broadcast.h), shared
+// with the rewind compiler.
 
 /// t: independent l0-sketches per tree per iteration (paper: Theta(log n)).
 /// The one place t is set.
 inline constexpr int kTSketches = 5;
-/// ECC margin c'': block length k >= kCPP * chunk message length.
-inline constexpr int kCPP = 3;
 /// Geometric levels per l0-sketch (supports up to ~2^(levels-2) keys).
 inline constexpr unsigned kSketchLevels = 14;
 /// Support threshold scale: Delta_j = max(1, theta * 2^j * k * t / f).
@@ -84,9 +83,8 @@ struct ByzSchedule {
   /// z: correction iterations, ceil(log2(2f)) + 2 (1 for SparseOneShot).
   int z = 0;
   int sketchSteps = 0;     // 2*DTP + 1
-  int eccSteps = 0;        // chunks / sharesPerHop * (DTP + 1)
+  int eccSteps = 0;        // chunks * (DTP + 1): one share per hop
   int chunks = 0;
-  int sharesPerHop = 1;    // ECC shares per hop message
   int roundsPerIteration = 0;
   int roundsPerSimRound = 0;
   std::int64_t totalRounds = 0;  // 64-bit: may pass INT_MAX

@@ -8,31 +8,38 @@ namespace mobile::compile {
 namespace {
 // A 61-bit key serializes into four 16-bit symbols.
 constexpr int kSymbolsPerKey = 4;
+
+int lmaxFor(int k) { return std::max(1, k / kCPP); }
 }  // namespace
 
-DmCodec::DmCodec(int k, int dmCap, int cPP)
+std::int64_t DmCodec::chunksFor(int k, int dmCap) {
+  const std::int64_t lmax = lmaxFor(k);
+  return (1 + kSymbolsPerKey * std::int64_t{dmCap} + lmax - 1) / lmax;
+}
+
+DmCodec::DmCodec(int k, int dmCap)
     : k_(k),
       dmCap_(dmCap),
-      lmax_(std::max(1, k / std::max(1, cPP))),
-      chunks_((1 + kSymbolsPerKey * dmCap + lmax_ - 1) / lmax_),
+      lmax_(lmaxFor(k)),
+      chunks_(static_cast<int>(chunksFor(k, dmCap))),
       rs_(static_cast<std::size_t>(lmax_), static_cast<std::size_t>(k)) {
   assert(k >= 1);
+  assert(dmCap <= kMaxDmKeys);
   assert(lmax_ <= k_);
 }
 
 std::vector<std::vector<gf::F16>> DmCodec::encode(
     const std::vector<std::uint64_t>& dmKeys) const {
-  std::vector<std::uint64_t> keys = dmKeys;
-  if (static_cast<int>(keys.size()) > dmCap_)
-    keys.resize(static_cast<std::size_t>(dmCap_));
+  const std::size_t count =
+      std::min(dmKeys.size(), static_cast<std::size_t>(dmCap_));
   // Symbol stream: [count][key symbols...] zero-padded to chunks*lmax.
   std::vector<gf::F16> stream;
   stream.reserve(static_cast<std::size_t>(chunks_ * lmax_));
-  stream.push_back(gf::F16(static_cast<std::uint16_t>(keys.size())));
-  for (const std::uint64_t key : keys)
+  stream.push_back(gf::F16(static_cast<std::uint16_t>(count)));
+  for (std::size_t i = 0; i < count; ++i)
     for (int s = 0; s < kSymbolsPerKey; ++s)
       stream.push_back(
-          gf::F16(static_cast<std::uint16_t>(key >> (16 * s))));
+          gf::F16(static_cast<std::uint16_t>(dmKeys[i] >> (16 * s))));
   stream.resize(static_cast<std::size_t>(chunks_ * lmax_), gf::F16(0));
 
   std::vector<std::vector<gf::F16>> shares;

@@ -7,7 +7,7 @@
 // tree broadcast.  Every node collects the k shares per chunk (some
 // corrupted -- at most a ~0.15k minority, by Lemma 3.3 plus the weak
 // packing guarantee) and decodes the nearest codeword; with
-// k >= cPP * lmax the unique-decoding radius (k - lmax)/2 dominates the
+// k >= kCPP * lmax the unique-decoding radius (k - lmax)/2 dominates the
 // corrupted-share count, so every node recovers DM exactly.
 //
 // The chunk count is *fixed* from the cap on |DM| (= O(f), Section 3.2.2)
@@ -22,11 +22,20 @@
 
 namespace mobile::compile {
 
+/// The c'' margin of Lemma 3.6: block length k >= kCPP * lmax.
+inline constexpr int kCPP = 3;
+/// The largest DM cap the codec carries: encode writes the key count as
+/// one 16-bit symbol, so a larger count would wrap.
+inline constexpr int kMaxDmKeys = 65535;
+
 class DmCodec {
  public:
   /// `k` = number of trees (block length), `dmCap` = maximum number of DM
-  /// entries transported, `cPP` = the c'' margin (k >= cPP * lmax).
-  DmCodec(int k, int dmCap, int cPP = 3);
+  /// entries transported (at most kMaxDmKeys).
+  DmCodec(int k, int dmCap);
+
+  /// The chunk count of DmCodec(k, dmCap), in 64 bits.
+  [[nodiscard]] static std::int64_t chunksFor(int k, int dmCap);
 
   [[nodiscard]] int chunks() const { return chunks_; }
   [[nodiscard]] int lmax() const { return lmax_; }

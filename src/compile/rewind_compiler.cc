@@ -58,6 +58,10 @@ constexpr int kSketchRows = 5;
 /// The correction capacity d = 4f of Lemma 4.2.
 int correctionCap(int f) { return 4 * std::max(1, f); }
 
+/// DM keys the correction transports: 8d, the sent and received chunk
+/// entries of d corrupted tuples.
+int dmCapOf(int f) { return 8 * correctionCap(f); }
+
 class RewindNode final : public NodeState {
  public:
   RewindNode(NodeId self, const Graph& g, util::Rng rng, sim::Algorithm inner,
@@ -76,12 +80,11 @@ class RewindNode final : public NodeState {
         shared_(std::move(shared)),
         replaySlots_(g, self),
         votes_(view_.degree(), slots_),
-        seeds_(ChildRule::ParentExcluded),
-        sparse_({static_cast<std::size_t>(16 * correctionCap(f)),
-                 static_cast<std::size_t>(kSketchRows)},
-                pk_->depthBound, ChildRule::ParentExcluded),
-        down_(pk_->k, 8 * correctionCap(f), 3, sched.sharesPerHop,
-              pk_->depthBound, ChildRule::ParentExcluded),
+        correction_(*pk_, slots_,
+                    {static_cast<std::size_t>(16 * correctionCap(f)),
+                     static_cast<std::size_t>(kSketchRows)},
+                    dmCapOf(f), ShareBundle::AllChunks,
+                    ChildRule::ParentExcluded),
         consUp_(pk_->depthBound, ChildRule::ParentExcluded),
         verdicts_(ChildRule::ParentExcluded, 2) {
     for (const auto& nb : g_.neighbors(self_)) {
@@ -110,7 +113,9 @@ class RewindNode final : public NodeState {
       return;
     }
     if (o < sched_.initRounds + sched_.correctionRounds) {
-      correctionSend(o - sched_.initRounds, out);
+      const int cr = o - sched_.initRounds;
+      if (cr == 0) startCorrection();
+      correction_.send(view_, cr, isRoot_, out, recoverMajority);
       return;
     }
     consensusSend(o - sched_.initRounds - sched_.correctionRounds, out);
@@ -134,7 +139,11 @@ class RewindNode final : public NodeState {
       return;
     }
     if (o < sched_.initRounds + sched_.correctionRounds) {
-      correctionReceive(o - sched_.initRounds, in);
+      correction_.receive(view_, o - sched_.initRounds, in, votes_, self_,
+                          isRoot_, [&](int idx, const DecodedKey& dec) {
+                            setChunk(recvTuple_[static_cast<std::size_t>(idx)],
+                                     static_cast<int>(dec.chunk), dec.payload);
+                          });
       return;
     }
     consensusReceive(o - sched_.initRounds - sched_.correctionRounds, in);
@@ -201,91 +210,41 @@ class RewindNode final : public NodeState {
 
   // --- correction phase (Lemma 4.2) ------------------------------------------
 
-  /// Starts the correction stages: the tuples are final once the init
+  /// Starts the correction block: the tuples are final once the init
   /// phase is decoded, so the chunked stream entries are built once, and
   /// the root draws every tree's sketch seed.  Held ECC shares are never
   /// forgotten: a node that misses this round's shares forwards the last
   /// ones it held.
   void startCorrection() {
-    seeds_.start(pk_->k);
-    sparse_.start();
-    down_.start();
-    entries_.clear();
+    correction_.start(isRoot_, rng_);
+    StreamEntries& entries = correction_.entries();
     const auto& nbs = g_.neighbors(self_);
     for (std::size_t i = 0; i < nbs.size(); ++i) {
+      const NodeId u = nbs[i].node;
       const Tuple& s = sendTuple_[i];
       const Tuple& r = recvTuple_[i];
       for (int c = 0; c < kChunksPerTuple; ++c) {
-        entries_.push_back(
-            {encodeKey(self_, nbs[i].node, static_cast<unsigned>(c),
-                       chunkOf(s, c)),
-             +1});
-        entries_.push_back(
-            {encodeKey(nbs[i].node, self_, static_cast<unsigned>(c),
-                       chunkOf(r, c)),
-             -1});
+        const auto cu = static_cast<unsigned>(c);
+        entries.push_back({encodeKey(self_, u, cu, chunkOf(s, c)), +1});
+        entries.push_back({encodeKey(u, self_, cu, chunkOf(r, c)), -1});
       }
-    }
-    if (isRoot_)
-      for (int t = 0; t < pk_->k; ++t) seeds_.seed(t, {rng_.next()});
-  }
-
-  void correctionSend(int cr, Outbox& out) {
-    const int D = pk_->depthBound;
-    const int sketchRounds = slots_.blockRounds(2 * D + 1);
-    const bool inSketch = cr < sketchRounds;
-    const SlotPos h = slots_.at(inSketch ? cr : cr - sketchRounds);
-    if (cr == 0) startCorrection();
-    if (cr == sketchRounds && isRoot_)
-      down_.encode(recoverMajority(sparse_, seeds_, pk_->k, entries_));
-    sendScheduled(view_, h.slot, out, [&](int tree, NodeId to) -> const Msg* {
-      if (!inSketch) return down_.send(view_, tree, to, h.step);
-      if (h.step <= D) return seeds_.send(view_, tree, to, h.step);
-      return sparse_.send(view_, tree, to, h.step - D, seeds_.word(tree),
-                          entries_);
-    });
-  }
-
-  void correctionReceive(int cr, const Inbox& in) {
-    const int D = pk_->depthBound;
-    const int sketchRounds = slots_.blockRounds(2 * D + 1);
-    const bool inSketch = cr < sketchRounds;
-    const SlotPos h = slots_.at(inSketch ? cr : cr - sketchRounds);
-    if (!inSketch)
-      votes_.receive(view_, h, in, down_, h.step);
-    else if (h.step <= D)
-      votes_.receive(view_, h, in, seeds_, h.step);
-    else
-      votes_.receive(view_, h, in, sparse_, h.step - D);
-    if (!inSketch && h.step == down_.steps() && h.rep == slots_.rho - 1 &&
-        h.slot == pk_->eta - 1) {
-      down_.finish(view_, self_, isRoot_,
-                   [&](int idx, const DecodedKey& dec) {
-                     setChunk(recvTuple_[static_cast<std::size_t>(idx)],
-                              static_cast<int>(dec.chunk), dec.payload);
-                   });
     }
   }
 
   // --- consensus phase (Rewind-If-Error) -------------------------------------
 
-  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> localVote() const {
-    // (GoodState(v), gamma(v)).
-    std::uint64_t good = 1;
+  /// (GoodState(v), gamma(v)): fixed for the whole consensus phase, since
+  /// recvTuple_ and the transcripts change only outside it.
+  [[nodiscard]] ConsensusUpcast::Vote localVote() const {
     const auto& nbs = g_.neighbors(self_);
     for (std::size_t i = 0; i < nbs.size(); ++i) {
       const Tuple& t = recvTuple_[i];
       const auto& trans = inTrans_.at(nbs[i].node);
-      if (t.len != trans.size()) {
-        good = 0;
-        break;
-      }
-      if (hash::TranscriptFingerprint(t.r).hash(trans) != t.hash) {
-        good = 0;
-        break;
-      }
+      if (t.len != trans.size() ||
+          hash::TranscriptFingerprint(t.r).hash(trans) != t.hash)
+        return {0, gammaLen()};
     }
-    return {good, gammaLen()};
+    return {1, gammaLen()};
   }
 
   // Steps 1..D are the up-wave of the subtree aggregates; steps D+1..2D+1
@@ -297,18 +256,18 @@ class RewindNode final : public NodeState {
     if (cr == 0) {
       consUp_.start();
       verdicts_.start(pk_->k);
+      ownVote_ = localVote();
     }
     if (isRoot_ && h.step == D + 1 && h.rep == 0 && h.slot == 0) {
-      const auto own = localVote();
       for (int t = 0; t < pk_->k; ++t) {
-        const auto [good, len] = consUp_.subtree(t, own);
+        const auto [good, len] = consUp_.subtree(t, ownVote_);
         verdicts_.seed(t, {good, len});
       }
     }
     sendScheduled(view_, h.slot, out, [&](int tree, NodeId to) -> const Msg* {
       if (h.step > D) return verdicts_.send(view_, tree, to, h.step - D);
       if (!consUp_.sends(view_, tree, to, h.step)) return nullptr;
-      const auto [good, len] = consUp_.subtree(tree, localVote());
+      const auto [good, len] = consUp_.subtree(tree, ownVote_);
       return &sim::resetScratch(hopScratch()).push(good).push(len);
     });
   }
@@ -329,14 +288,9 @@ class RewindNode final : public NodeState {
     for (int t = 0; t < pk_->k; ++t)
       if (verdicts_.has(t))
         ++votes[{verdicts_.word(t, 0), verdicts_.word(t, 1)}];
-    std::pair<std::uint64_t, std::uint64_t> verdict{0, gammaLen()};
-    int best = 0;
-    for (const auto& [v, count] : votes) {
-      if (count > best) {
-        best = count;
-        verdict = v;
-      }
-    }
+    const std::pair<std::uint64_t, std::uint64_t> verdict =
+        votes.empty() ? std::pair{std::uint64_t{0}, gammaLen()}
+                      : mostVoted(votes);
     // Rewind-if-error update (Section 4.1).
     if (verdict.first == 1) {
       const auto& nbs = g_.neighbors(self_);
@@ -406,13 +360,11 @@ class RewindNode final : public NodeState {
   /// replayed node's sends, then redelivers the estimated transcripts.
   sim::NeighborSlots replaySlots_;
 
-  // The tree stages (docs/architecture.md section 7).
+  // The tree stages (docs/architecture.md section 7.1).
   ArcVotes votes_;  // shared by the correction and consensus phases
-  StreamEntries entries_;
-  TreeFlood seeds_;  // sketch seed R(T) per tree
-  SparseConvergecast sparse_;
-  ShareDowncast down_;
+  MismatchCorrection<sketch::SparseRecovery> correction_;
   ConsensusUpcast consUp_;
+  ConsensusUpcast::Vote ownVote_{};  // localVote() of this consensus phase
   TreeFlood verdicts_;  // (good, len) per tree
 
   bool done_ = false;
@@ -426,12 +378,11 @@ RewindSchedule rewindSchedule(const PackingKnowledge& pk, int innerRounds,
   RewindSchedule s;
   const SlotSchedule slots{pk.eta, opts.rho};
   const int D = pk.depthBound;
-  // Every chunk's share rides in one hop message: a single down-wave.
-  s.sharesPerHop = DmCodec(pk.k, 8 * correctionCap(f), 3).chunks();
   s.globalRounds = std::int64_t{opts.multiplier} * innerRounds;
   s.initRounds = 2 * (D + 2);
-  s.correctionRounds =
-      slots.blockRounds(2 * D + 1) + slots.blockRounds(D + 1);
+  // Every chunk's share rides in one hop message: a single down-wave.
+  s.correctionRounds = slots.blockRounds(static_cast<int>(
+      correctionSteps(pk.k, D, dmCapOf(f), ShareBundle::AllChunks)));
   s.consensusRounds = slots.blockRounds(2 * D + 1);
   s.roundsPerGlobal = s.initRounds + s.correctionRounds + s.consensusRounds;
   s.totalRounds = s.globalRounds * s.roundsPerGlobal;

@@ -14,9 +14,9 @@
 //   Message-Correction (Lemma 4.2)  the d-message correction procedure:
 //     tuples are chunked into 32-bit stream elements, and every node feeds
 //     (sent, +1) / (received, -1) into the ~O(DTP + f) sparse-recovery
-//     correction of Section 1.2.2 -- the same tree stages the byzantine
-//     compiler runs (docs/architecture.md section 7.1), with all ECC
-//     chunks bundled per hop; nodes patch their tuples.
+//     correction of Section 1.2.2 -- one block of the MismatchCorrection
+//     stage that byz_tree runs too (tree_stages.h, docs/architecture.md
+//     section 7.1), all ECC chunks in one hop; nodes patch their tuples.
 //
 //   Rewind-If-Error  every node checks its neighbors' transcript
 //     fingerprints against its own estimates; the network min(GoodState)
@@ -56,7 +56,6 @@ struct RewindSchedule {
   int initRounds = 0;  // Round-Initialization repetitions 2t = 2(DTP + 2)
   int correctionRounds = 0;
   int consensusRounds = 0;
-  int sharesPerHop = 0;  // ECC shares per hop message (all chunks)
   int roundsPerGlobal = 0;
   std::int64_t totalRounds = 0;
 };

@@ -1,24 +1,9 @@
 #include "compile/tree_stages.h"
 
 #include <algorithm>
-#include <cassert>
 #include <optional>
 
 namespace mobile::compile {
-
-// --- TreeFlood ---------------------------------------------------------------
-
-void TreeFlood::start(int k) {
-  words_.assign(static_cast<std::size_t>(k * width_), 0);
-  have_.assign(static_cast<std::size_t>(k), 0);
-}
-
-void TreeFlood::seed(int tree, std::initializer_list<std::uint64_t> words) {
-  assert(static_cast<int>(words.size()) == width_);
-  std::copy(words.begin(), words.end(),
-            words_.begin() + static_cast<std::ptrdiff_t>(tree * width_));
-  have_[static_cast<std::size_t>(tree)] = 1;
-}
 
 // --- SketchConvergecast -----------------------------------------------------
 
@@ -73,7 +58,9 @@ const sim::Msg* SketchConvergecast<Sketch>::send(
       return d > 0 && depthBound_ + 1 - d < step;
     });
   }
-  if (!sends(view, tree, to, step)) return nullptr;
+  const int d = view.depth(tree);
+  if (d <= 0 || step != depthBound_ + 1 - d || to != view.parent(tree))
+    return nullptr;
   const auto [hop, fresh] = sent_.try_emplace(tree);
   if (fresh) build(tree, seed, entries, hop->second);
   return &hop->second;
@@ -103,16 +90,15 @@ std::size_t SketchConvergecast<Sketch>::heldWords() const {
 template class SketchConvergecast<sketch::SparseRecovery>;
 template class SketchConvergecast<sketch::L0Bundle>;
 
-std::vector<std::uint64_t> recoverMajority(const SparseConvergecast& up,
-                                           const TreeFlood& seeds, int k,
-                                           const StreamEntries& entries) {
+std::vector<std::uint64_t> recoverMajority(
+    const MismatchCorrection<sketch::SparseRecovery>& mc) {
   // Most trees are uncorrupted, so the true support wins the vote; no
   // Delta threshold is needed (Section 1.2.2).
   constexpr std::uint64_t kFailed = ~0ULL;
   std::map<std::vector<std::uint64_t>, int> votes;
-  for (int t = 0; t < k; ++t) {
+  for (int t = 0; t < mc.k(); ++t) {
     std::vector<std::uint64_t> canon;
-    const auto rec = up.merged(t, seeds.word(t), entries).recoverAll();
+    const auto rec = mc.merged(t).recoverAll();
     if (rec.has_value()) {
       for (const auto& e : *rec)
         if (e.frequency > 0) canon.push_back(e.key);
@@ -122,29 +108,12 @@ std::vector<std::uint64_t> recoverMajority(const SparseConvergecast& up,
     }
     ++votes[canon];
   }
-  std::vector<std::uint64_t> winner;
-  int best = 0;
-  for (const auto& [canon, count] : votes) {
-    if (count > best) {
-      best = count;
-      winner = canon;
-    }
-  }
+  std::vector<std::uint64_t> winner = mostVoted(votes);  // k >= 1 trees
   if (!winner.empty() && winner[0] == kFailed) winner.clear();
   return winner;
 }
 
 // --- ShareDowncast -----------------------------------------------------------
-
-ShareDowncast::ShareDowncast(int k, int dmCap, int cPP, int sharesPerHop,
-                             int depthBound, ChildRule rule)
-    : k_(k),
-      codec_(k, dmCap, cPP),
-      perHop_(sharesPerHop),
-      depthBound_(depthBound),
-      rule_(rule) {
-  assert(perHop_ >= 1 && codec_.chunks() % perHop_ == 0);
-}
 
 void ShareDowncast::start() {
   dm_.clear();
@@ -152,8 +121,6 @@ void ShareDowncast::start() {
                  std::vector<gf::F16>(static_cast<std::size_t>(k_), gf::F16(0)));
   held_.resize(static_cast<std::size_t>(codec_.chunks() * k_), -1);
 }
-
-void ShareDowncast::forget() { std::fill(held_.begin(), held_.end(), -1); }
 
 void ShareDowncast::encode(std::vector<std::uint64_t> dm) {
   if (static_cast<int>(dm.size()) > codec_.dmCap())

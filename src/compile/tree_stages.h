@@ -11,13 +11,13 @@
 // are 1-based and local to the stage.  Sends build into one thread-local
 // buffer (hopScratch), valid until the next stage send on the same thread;
 // the arc loop hands it to the outbox at once, so engine lanes never share
-// it.  The flood and share stages
-// rebuild every repetition of a hop, which costs a few words.  The sketch
-// up-wave builds each hop once per step instead and holds it for the
-// other repetitions (SketchConvergecast::send).
+// it.  The flood and share stages rebuild every repetition of a hop, which
+// costs a few words.  The sketch up-wave builds each hop once per step
+// instead and holds it for the other repetitions (SketchConvergecast::send).
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <initializer_list>
 #include <map>
@@ -31,6 +31,7 @@
 #include "sim/node.h"
 #include "sketch/l0sampler.h"
 #include "sketch/sparse_recovery.h"
+#include "util/rng.h"
 
 namespace mobile::compile {
 
@@ -53,6 +54,16 @@ enum class ChildRule { AsListed, ParentExcluded };
 [[nodiscard]] inline sim::Msg& hopScratch() {
   static thread_local sim::Msg m;
   return m;
+}
+
+/// The first key of `votes` (key -> count) with the most votes; `votes`
+/// must not be empty.
+template <class Key>
+[[nodiscard]] const Key& mostVoted(const std::map<Key, int>& votes) {
+  return std::max_element(
+             votes.begin(), votes.end(),
+             [](const auto& a, const auto& b) { return a.second < b.second; })
+      ->first;
 }
 
 /// Sends msgFor(tree, neighbor) on every arc whose `slot` carries a tree,
@@ -115,9 +126,17 @@ class TreeFlood {
       : rule_(rule), width_(width) {}
 
   /// Clears every tree (value 0, not held).
-  void start(int k);
+  void start(int k) {
+    words_.assign(static_cast<std::size_t>(k * width_), 0);
+    have_.assign(static_cast<std::size_t>(k), 0);
+  }
   /// Root side: holds `words` for `tree` (exactly `width` of them).
-  void seed(int tree, std::initializer_list<std::uint64_t> words);
+  void seed(int tree, std::initializer_list<std::uint64_t> words) {
+    assert(static_cast<int>(words.size()) == width_);
+    std::copy(words.begin(), words.end(),
+              words_.begin() + static_cast<std::ptrdiff_t>(tree * width_));
+    have_[static_cast<std::size_t>(tree)] = 1;
+  }
 
   [[nodiscard]] const sim::Msg* send(const NodeTreeView& view, int tree,
                                      NodeId to, int step) const {
@@ -162,15 +181,14 @@ class TreeFlood {
   std::vector<char> have_;
 };
 
-/// Sketches of the node's stream entries, merged up every tree (Theorem
-/// 3.5's mismatch correction).  `Sketch` is sketch::SparseRecovery (byz
-/// SparseOneShot, rewind) or sketch::L0Bundle (byz L0Iterative); both
-/// offer Shape, reseed, update, merge and the wire form.  The stage keeps
-/// the sum of the children's hops per tree in wire form, and the hops it
-/// sent in the current step; the node's own sketch lives in one
-/// thread-local scratch per sketch type, rebuilt when the shape changes
-/// and reseeded otherwise.  docs/architecture.md section 7.1 gives the
-/// lifetimes.
+/// MismatchCorrection's up-wave: sketches of the node's stream entries,
+/// merged up every tree.  `Sketch` is sketch::SparseRecovery or
+/// sketch::L0Bundle; both offer Shape, reseed, update, merge and the wire
+/// form.  The stage keeps the sum of the children's hops per tree in wire
+/// form, and the hops it sent in the current step; the node's own sketch
+/// lives in one thread-local scratch per sketch type, rebuilt when the
+/// shape changes and reseeded otherwise.  docs/architecture.md section 7.1
+/// gives the lifetimes.
 template <class Sketch>
 class SketchConvergecast {
  public:
@@ -185,24 +203,17 @@ class SketchConvergecast {
     sent_.clear();
     sentStep_ = 0;
   }
-  [[nodiscard]] const Shape& shape() const { return shape_; }
 
-  /// Up-wave over depthBound + 1 steps: depth d >= 1 sends to its parent
-  /// at step depthBound + 1 - d.
-  [[nodiscard]] bool sends(const NodeTreeView& view, int tree, NodeId to,
-                           int step) const {
-    const int d = view.depth(tree);
-    return d > 0 && step == depthBound_ + 1 - d && to == view.parent(tree);
-  }
   /// Writes into `m` the node's sketch of `entries` (seeded `seed`) merged
   /// with its children's: the hop message up `tree`.
   void build(int tree, std::uint64_t seed, const StreamEntries& entries,
              sim::Msg& m) const;
-  /// The hop message up `tree`, or nullptr if none is due.  It is built at
-  /// the step's first send and held for the hop's other repetitions, until
-  /// a child hop merges into `tree` or the step changes.  A step change
-  /// also drops the children's sum of every tree whose send step has
-  /// passed; the root keeps all of them for merged().
+  /// The hop message up `tree`, or nullptr if none is due: depth d >= 1
+  /// sends to its parent at up-wave step depthBound + 1 - d.  The hop is
+  /// built at the step's first send and held for the hop's other
+  /// repetitions, until a child hop merges into `tree` or the step changes.
+  /// A step change also drops the children's sum of every tree whose send
+  /// step has passed; the root keeps all of them for merged().
   [[nodiscard]] const sim::Msg* send(const NodeTreeView& view, int tree,
                                      NodeId to, int step, std::uint64_t seed,
                                      const StreamEntries& entries);
@@ -239,40 +250,42 @@ class SketchConvergecast {
 // Instantiated in tree_stages.cc for the two sketch types.
 extern template class SketchConvergecast<sketch::SparseRecovery>;
 extern template class SketchConvergecast<sketch::L0Bundle>;
-using SparseConvergecast = SketchConvergecast<sketch::SparseRecovery>;
-using L0Convergecast = SketchConvergecast<sketch::L0Bundle>;
 
-/// Root: per tree, the positive support recovered from the merged sparse
-/// sketch; returns the majority support across trees (sorted; empty when
-/// the winning trees failed to recover).
-[[nodiscard]] std::vector<std::uint64_t> recoverMajority(
-    const SparseConvergecast& up, const TreeFlood& seeds, int k,
-    const StreamEntries& entries);
+/// How ShareDowncast bundles a tree's shares into hop messages.
+enum class ShareBundle {
+  OnePerHop,  // one share per hop, one down-wave per chunk (byz_tree)
+  AllChunks,  // every chunk's share in one hop, one down-wave (rewind)
+};
 
 /// ECCSafeBroadcast of the root's DM keys: chunk c's share for tree t
-/// travels down t.  Shares are bundled `sharesPerHop` per hop message, so
-/// the stage spans chunks / sharesPerHop down-waves of depthBound + 1
-/// steps each.
+/// travels down t.  The stage spans one down-wave of depthBound + 1 steps
+/// per hop message a tree's shares fill (see ShareBundle).
 class ShareDowncast {
  public:
-  ShareDowncast(int k, int dmCap, int cPP, int sharesPerHop, int depthBound,
-                ChildRule rule);
-
-  [[nodiscard]] int steps() const {
-    return codec_.chunks() / perHop_ * (depthBound_ + 1);
-  }
+  ShareDowncast(int k, int dmCap, ShareBundle bundle, int depthBound,
+                ChildRule rule)
+      : k_(k),
+        codec_(k, dmCap),
+        perHop_(bundle == ShareBundle::AllChunks ? codec_.chunks() : 1),
+        depthBound_(depthBound),
+        rule_(rule) {}
 
   /// Zeroes the received-share table and drops the root's DM; held
   /// shares survive.
   void start();
   /// Drops every held share.  Until then a node that misses a hop keeps
   /// forwarding the shares it last held.
-  void forget();
+  void forget() { std::fill(held_.begin(), held_.end(), -1); }
   /// Root side: truncates `dm` to the codec cap and holds its shares.
   void encode(std::vector<std::uint64_t> dm);
   /// Shares [chunk][tree]: encoded at the root, received elsewhere.
   [[nodiscard]] std::vector<std::vector<gf::F16>>& shares() {
     return shares_;
+  }
+  /// The DM keys: the root's own list, else the decoded shares (empty on a
+  /// decode failure).
+  [[nodiscard]] std::vector<std::uint64_t> keys(bool isRoot) const {
+    return isRoot ? dm_ : codec_.decode(shares_);
   }
 
   [[nodiscard]] const sim::Msg* send(const NodeTreeView& view, int tree,
@@ -287,22 +300,6 @@ class ShareDowncast {
   }
   void receive(const NodeTreeView& view, int tree, NodeId from, int step,
                const sim::Msg& m);
-
-  /// The DM keys (the root's own list, else the decoded shares; empty on
-  /// a decode failure); calls patch(arcIndex, key) for every key sent to
-  /// `self` by a neighbor.
-  template <class Patch>
-  void finish(const NodeTreeView& view, NodeId self, bool isRoot,
-              Patch&& patch) const {
-    const std::vector<std::uint64_t> dm =
-        isRoot ? dm_ : codec_.decode(shares_);
-    for (const std::uint64_t key : dm) {
-      const DecodedKey dec = decodeKey(key);
-      if (dec.receiver != self) continue;
-      const int idx = view.arcIndexOf(dec.sender);
-      if (idx >= 0) patch(idx, dec);
-    }
-  }
 
  private:
   [[nodiscard]] std::size_t at(int chunk, int tree) const {
@@ -319,6 +316,126 @@ class ShareDowncast {
   std::vector<std::vector<gf::F16>> shares_;  // [chunk][tree] to decode
   std::vector<std::int32_t> held_;  // [chunk][tree] forwarded symbol; -1 none
 };
+
+/// Steps of a MismatchCorrection block's sketch block: the seed flood's
+/// depthBound, then the up-wave's depthBound + 1.
+[[nodiscard]] constexpr int correctionSketchSteps(int depthBound) {
+  return 2 * depthBound + 1;
+}
+
+/// Steps of one MismatchCorrection block, in 64 bits: the sketch block,
+/// then one down-wave of depthBound + 1 steps per hop message of a tree's
+/// shares (chunks / sharesPerHop of them).
+[[nodiscard]] inline std::int64_t correctionSteps(int k, int depthBound,
+                                                  int dmCap,
+                                                  ShareBundle bundle) {
+  const std::int64_t waves =
+      bundle == ShareBundle::AllChunks ? 1 : DmCodec::chunksFor(k, dmCap);
+  return correctionSketchSteps(depthBound) + waves * (depthBound + 1);
+}
+
+/// The mismatch correction of Theorem 3.5's iterations and of rewind's
+/// d-message correction (Lemma 4.2), Hitron-Parter's sketch-and-broadcast:
+/// the root's sketch seeds flood down every tree, the sketches of every
+/// node's stream entries merge up, the root extracts the dominating
+/// mismatches (DM) and ECC-broadcasts them down all k trees (Lemma 3.6),
+/// and every node patches the estimates the DM keys name.  Rounds are
+/// 0-based within the block: the sketch block, then the ECC block, over
+/// slots.blockRounds(correctionSteps(...)) rounds in all.
+template <class Sketch>
+class MismatchCorrection {
+ public:
+  MismatchCorrection(const PackingKnowledge& pk, SlotSchedule slots,
+                     typename Sketch::Shape shape, int dmCap,
+                     ShareBundle bundle, ChildRule rule)
+      : k_(pk.k),
+        depthBound_(pk.depthBound),
+        slots_(slots),
+        sketchRounds_(slots.blockRounds(correctionSketchSteps(depthBound_))),
+        blockRounds_(slots.blockRounds(static_cast<int>(
+            correctionSteps(k_, depthBound_, dmCap, bundle)))),
+        seeds_(rule),
+        up_(shape, depthBound_, rule),
+        down_(k_, dmCap, bundle, depthBound_, rule) {}
+
+  /// Starts a block: clears the stages and the stream entries, and at the
+  /// root draws every tree's sketch seed from `rng`, tree 0 first.  The
+  /// caller refills entries() before the block's first send.
+  void start(bool isRoot, util::Rng& rng) {
+    seeds_.start(k_);
+    up_.start();
+    down_.start();
+    entries_.clear();
+    if (isRoot)
+      for (int t = 0; t < k_; ++t) seeds_.seed(t, {rng.next()});
+  }
+  /// Drops the held ECC shares (ShareDowncast::forget).
+  void forget() { down_.forget(); }
+  [[nodiscard]] StreamEntries& entries() { return entries_; }
+  [[nodiscard]] int k() const { return k_; }
+  /// The root's readout of `tree`'s merged sketch (SketchConvergecast::
+  /// merged): valid until the next stage call on this thread.
+  [[nodiscard]] const Sketch& merged(int tree) const {
+    return up_.merged(tree, seeds_.word(tree), entries_);
+  }
+
+  /// Sends block round `r`.  At the root, the first ECC round first hands
+  /// the DM keys recoverDm(*this) to the share downcast.
+  template <class RecoverDm>
+  void send(const NodeTreeView& view, int r, bool isRoot, sim::Outbox& out,
+            RecoverDm&& recoverDm) {
+    const bool ecc = r >= sketchRounds_;
+    const SlotPos h = slots_.at(ecc ? r - sketchRounds_ : r);
+    if (isRoot && r == sketchRounds_) down_.encode(recoverDm(*this));
+    sendScheduled(view, h.slot, out,
+                  [&](int tree, NodeId to) -> const sim::Msg* {
+                    if (ecc) return down_.send(view, tree, to, h.step);
+                    if (h.step <= depthBound_)
+                      return seeds_.send(view, tree, to, h.step);
+                    return up_.send(view, tree, to, h.step - depthBound_,
+                                    seeds_.word(tree), entries_);
+                  });
+  }
+
+  /// Receives block round `r` through `votes`.  At the block's last round
+  /// calls patch(arcIndex, key) for every DM key a neighbor sent to `self`
+  /// and returns true.
+  template <class Patch>
+  bool receive(const NodeTreeView& view, int r, const sim::Inbox& in,
+               ArcVotes& votes, NodeId self, bool isRoot, Patch&& patch) {
+    const SlotPos h = slots_.at(r < sketchRounds_ ? r : r - sketchRounds_);
+    if (r >= sketchRounds_)
+      votes.receive(view, h, in, down_, h.step);
+    else if (h.step <= depthBound_)
+      votes.receive(view, h, in, seeds_, h.step);
+    else
+      votes.receive(view, h, in, up_, h.step - depthBound_);
+    if (r != blockRounds_ - 1) return false;
+    for (const std::uint64_t key : down_.keys(isRoot)) {
+      const DecodedKey dec = decodeKey(key);
+      const int idx = dec.receiver == self ? view.arcIndexOf(dec.sender) : -1;
+      if (idx >= 0) patch(idx, dec);
+    }
+    return true;
+  }
+
+ private:
+  int k_;
+  int depthBound_;
+  SlotSchedule slots_;
+  int sketchRounds_;
+  int blockRounds_;
+  StreamEntries entries_;
+  TreeFlood seeds_;  // sketch seed R(T) per tree
+  SketchConvergecast<Sketch> up_;
+  ShareDowncast down_;
+};
+
+/// Root: per tree, the positive support recovered from the merged sparse
+/// sketch; returns the majority support across trees (sorted; empty when
+/// the winning trees failed to recover).
+[[nodiscard]] std::vector<std::uint64_t> recoverMajority(
+    const MismatchCorrection<sketch::SparseRecovery>& mc);
 
 /// Rewind's consensus up-wave (Rewind-If-Error): per tree, the minimum
 /// GoodState and the maximum transcript length over the node's subtree,

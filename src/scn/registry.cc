@@ -92,15 +92,15 @@ std::shared_ptr<const compile::PackingKnowledge> packingFor(const Graph& g,
   throw ScnError("unknown packing '" + kind + "' (star, greedy)");
 }
 
-/// Reads integer `key` and refuses it outside [lo, INT_MAX].  It is read
-/// as a long first, so a huge value is refused rather than wrapped.
+/// Reads integer `key` and refuses it outside [lo, hi].  It is read as a
+/// long first, so a huge value is refused rather than wrapped.
 int intInRange(const Params& p, const std::string& compiler,
-               const std::string& key, long dflt, long lo) {
-  constexpr long kMax = std::numeric_limits<int>::max();
+               const std::string& key, long dflt, long lo,
+               long hi = std::numeric_limits<int>::max()) {
   const long v = p.integer(key, dflt);
-  if (v < lo || v > kMax)
+  if (v < lo || v > hi)
     throw ScnError(compiler + " " + key + "=" + std::to_string(v) + " (" +
-                   std::to_string(lo) + ".." + std::to_string(kMax) + ")");
+                   std::to_string(lo) + ".." + std::to_string(hi) + ")");
   return static_cast<int>(v);
 }
 
@@ -301,7 +301,8 @@ void registerCompilers(Registry<CompileFactory>& r) {
           // bound is 2f, and on low-k packings every extra entry costs a
           // whole ECC chunk of (DTP + 1) scheduled steps -- the difference
           // between the n=10^5 scale campaign finishing in CI or not.
-          opts.dmCap = intInRange(p, "byz_tree", "dmcap", 0, 0);
+          opts.dmCap =
+              intInRange(p, "byz_tree", "dmcap", 0, 0, compile::kMaxDmKeys);
           try {
             return compile::compileByzantineTree(g, inner, packingFor(g, p),
                                                  advF(p), opts);

@@ -50,7 +50,7 @@ TEST(DmCodec, TruncatesAtCap) {
 }
 
 TEST(DmCodec, CapacityMatchesChunkMath) {
-  const DmCodec codec(30, 8, 3);
+  const DmCodec codec(30, 8);
   EXPECT_EQ(codec.lmax(), 10);
   // 1 + 4*8 = 33 symbols over lmax=10 -> 4 chunks.
   EXPECT_EQ(codec.chunks(), 4);

@@ -238,7 +238,9 @@ TEST(TrialBuilder, CongestionBitWidthsOutOfRangeAreRejected) {
 TEST(TrialBuilder, CompilerKnobsOutOfRangeAreRejected) {
   // multiplier < 1 builds a 0-round rewind algorithm and a negative dmcap
   // used to run silently as the auto cap; both are read before narrowing,
-  // so 2^31 is refused rather than wrapped.
+  // so 2^31 is refused rather than wrapped.  A dmcap past the 65535 keys
+  // the DM codec's count symbol holds would wrap the count (and 10^9 used
+  // to abort sizing its chunks).
   scn::TrialBuilder builder;
   const auto point = [](const std::string& tail) {
     return scn::Params::fromTokens(
@@ -250,6 +252,8 @@ TEST(TrialBuilder, CompilerKnobsOutOfRangeAreRejected) {
       {"compile=rewind multiplier=-3", "multiplier"},
       {"compile=rewind multiplier=2147483648", "multiplier"},
       {"compile=byz_tree dmcap=-1", "dmcap"},
+      {"compile=byz_tree dmcap=65536", "dmcap"},
+      {"compile=byz_tree dmcap=1000000000", "dmcap"},
   };
   for (const auto& [tail, key] : rejected) {
     try {
@@ -262,7 +266,8 @@ TEST(TrialBuilder, CompilerKnobsOutOfRangeAreRejected) {
   }
   for (const char* tail :
        {"compile=rewind multiplier=1", "compile=rewind multiplier=5",
-        "compile=byz_tree dmcap=0", "compile=byz_tree dmcap=2"})
+        "compile=byz_tree dmcap=0", "compile=byz_tree dmcap=2",
+        "compile=byz_tree dmcap=65535"})
     EXPECT_NO_THROW((void)builder.build(point(tail), "knobs")) << tail;
 }
 

@@ -14,8 +14,15 @@
 // non-child hops are not merged; and the thread-local scratch keeps stages
 // of different shapes apart, interleaved on one thread or run on two
 // threads at once.
+//
+// MismatchCorrection, the whole correction block: its step count is the
+// sketch block plus one down-wave per hop message of shares, in 64 bits;
+// on the fault-free packing one block with a planted mismatch hands the
+// root's DM key to the patch callable of its receiver alone, under both
+// child rules and both share bundles.
 #include <cstdint>
 #include <map>
+#include <tuple>
 #include <set>
 #include <thread>
 #include <utility>
@@ -38,6 +45,9 @@ using sketch::SparseRecovery;
 
 constexpr NodeId kN = 6;
 constexpr int kDepthBound = 3;
+/// k = 2 trees and a cap of one key make 5 chunks; at one share per hop,
+/// five down-waves of kDepthBound + 1 steps.
+constexpr int kShareSteps = 5 * (kDepthBound + 1);
 
 const Graph& graphOf() {
   static const Graph graph = [] {
@@ -191,16 +201,14 @@ TEST(ReceivePredicate, TreeFlood) {
 }
 
 TEST(ReceivePredicate, ShareDowncast) {
-  // k = 2 trees and a cap of one key make 5 chunks, one share per hop:
-  // five down-waves of kDepthBound + 1 steps.
   const auto make = [] {
-    ShareDowncast down(packing().k, 1, 3, 1, kDepthBound,
+    ShareDowncast down(packing().k, 1, ShareBundle::OnePerHop, kDepthBound,
                        ChildRule::AsListed);
     down.start();
     return down;
   };
   expectExpectsMatchesReceive(
-      make().steps(), make, [](int, NodeId) { return sim::Msg::of(0xabc); },
+      kShareSteps, make, [](int, NodeId) { return sim::Msg::of(0xabc); },
       [](ShareDowncast& down, int tree) {
         for (const auto& chunk : down.shares())
           if (chunk[static_cast<std::size_t>(tree)] != gf::F16(0))
@@ -293,11 +301,12 @@ TEST(ReceivePredicate, DownWaveAndConsensusFiltersMatchTheSender) {
         return flood.expects(at, t, from, step);
       });
 
-  ShareDowncast down(packing().k, 1, 3, 1, kDepthBound, ChildRule::AsListed);
+  ShareDowncast down(packing().k, 1, ShareBundle::OnePerHop, kDepthBound,
+                     ChildRule::AsListed);
   down.start();
   down.encode({0x1234});
   expectFilterMatchesSender(
-      down.steps(),
+      kShareSteps,
       [&](const NodeTreeView& from, int t, NodeId to, int step) {
         return down.send(from, t, to, step) != nullptr;
       },
@@ -321,8 +330,8 @@ TEST(ReceivePredicate, UpWaveFiltersAreStepFreeOnlyForSketches) {
   // at the step its depth sends.  Node 3 is node 2's child in tree 0 and
   // sends at step 1.
   const NodeTreeView view = packing().view(2);
-  const SparseConvergecast sketches(kSparseA, kDepthBound,
-                                    ChildRule::AsListed);
+  const SketchConvergecast<SparseRecovery> sketches(kSparseA, kDepthBound,
+                                                    ChildRule::AsListed);
   const ConsensusUpcast votes(kDepthBound, ChildRule::ParentExcluded);
   for (int step = 1; step <= kDepthBound; ++step) {
     EXPECT_TRUE(sketches.expects(view, 0, 3, step)) << step;
@@ -583,6 +592,113 @@ TEST(SketchConvergecast, TwoThreadsEachDriveAConvergecast) {
   tb.join();
   EXPECT_TRUE(okA);
   EXPECT_TRUE(okB);
+}
+
+// --- MismatchCorrection ------------------------------------------------------
+
+TEST(MismatchCorrection, StepsAreTheSketchBlockPlusOneDownWavePerHop) {
+  for (const auto& [k, depthBound, dmCap] :
+       std::vector<std::tuple<int, int, int>>{
+           {2, 3, 1}, {12, 1, 10}, {16, 4, 14}, {30, 7, 8}, {5, 2, 0}}) {
+    const std::int64_t chunks = DmCodec(k, dmCap).chunks();
+    const std::int64_t sketch = 2 * depthBound + 1;
+    EXPECT_EQ(correctionSketchSteps(depthBound), sketch);
+    EXPECT_EQ(correctionSteps(k, depthBound, dmCap, ShareBundle::OnePerHop),
+              sketch + chunks / 1 * (depthBound + 1))
+        << k << " " << depthBound << " " << dmCap;
+    EXPECT_EQ(correctionSteps(k, depthBound, dmCap, ShareBundle::AllChunks),
+              sketch + chunks / chunks * (depthBound + 1))
+        << k << " " << depthBound << " " << dmCap;
+  }
+  // Past INT_MAX at the codec's cap: 4 * 65535 + 1 one-symbol chunks of
+  // 20001 steps each.
+  EXPECT_EQ(correctionSteps(2, 20000, kMaxDmKeys, ShareBundle::OnePerHop),
+            std::int64_t{40001} + std::int64_t{262141} * 20001);
+}
+
+/// Runs one MismatchCorrection block over every node of the fault-free
+/// packing.  Every node streams (sent, +1) and (estimate, -1) for each
+/// neighbor, and node kReceiver holds a wrong estimate of kSender's
+/// message.  Returns the patches every node saw, as (node, arc index, key).
+std::vector<std::tuple<NodeId, int, std::uint64_t>> runPlantedBlock(
+    ChildRule rule, ShareBundle bundle, NodeId sender, NodeId receiver) {
+  const Graph& g = graphOf();
+  const PackingKnowledge& pk = packing();
+  const SlotSchedule slots{pk.eta, 3};
+  constexpr int kDmCap = 4;
+  const auto payload = [](NodeId from, NodeId to) {
+    return static_cast<std::uint64_t>(100 + 10 * from + to);
+  };
+  std::vector<MismatchCorrection<SparseRecovery>> mc;
+  std::vector<ArcVotes> votes;
+  std::vector<sim::NeighborSlots> out, in;
+  for (NodeId v = 0; v < kN; ++v) {
+    mc.emplace_back(pk, slots, SparseRecovery::Shape{8, 5}, kDmCap, bundle,
+                    rule);
+    votes.emplace_back(pk.view(v).degree(), slots);
+    out.emplace_back(g, v);
+    in.emplace_back(g, v);
+    util::Rng rng(0xb10c + static_cast<std::uint64_t>(v));
+    mc.back().start(v == pk.root, rng);
+    for (const auto& nb : g.neighbors(v)) {
+      const std::uint64_t est =
+          payload(nb.node, v) + (v == receiver && nb.node == sender ? 1 : 0);
+      mc.back().entries().push_back(
+          {encodeKey(v, nb.node, 0, payload(v, nb.node)), +1});
+      mc.back().entries().push_back({encodeKey(nb.node, v, 0, est), -1});
+    }
+  }
+  const int rounds = slots.blockRounds(static_cast<int>(
+      correctionSteps(pk.k, pk.depthBound, kDmCap, bundle)));
+  int recoveries = 0;
+  std::vector<std::tuple<NodeId, int, std::uint64_t>> patches;
+  for (int r = 0; r < rounds; ++r) {
+    for (NodeId v = 0; v < kN; ++v) {
+      auto& o = out[static_cast<std::size_t>(v)];
+      o.begin();
+      mc[static_cast<std::size_t>(v)].send(
+          pk.view(v), r, v == pk.root, o,
+          [&](const MismatchCorrection<SparseRecovery>& root) {
+            ++recoveries;
+            return recoverMajority(root);
+          });
+    }
+    for (NodeId v = 0; v < kN; ++v) {
+      auto& i = in[static_cast<std::size_t>(v)];
+      const auto& nbs = g.neighbors(v);
+      for (std::size_t j = 0; j < nbs.size(); ++j)
+        sim::assignMsg(i.slot(j),
+                       out[static_cast<std::size_t>(nbs[j].node)].from(v));
+      const bool last = mc[static_cast<std::size_t>(v)].receive(
+          pk.view(v), r, i, votes[static_cast<std::size_t>(v)], v,
+          v == pk.root, [&](int idx, const DecodedKey& dec) {
+            patches.emplace_back(
+                v, idx,
+                encodeKey(dec.sender, dec.receiver, dec.chunk, dec.payload));
+          });
+      EXPECT_EQ(last, r == rounds - 1) << "node " << v << " round " << r;
+    }
+  }
+  EXPECT_EQ(recoveries, 1);
+  return patches;
+}
+
+TEST(MismatchCorrection, PlantedMismatchPatchesItsReceiverOnly) {
+  // Node 4's estimate of node 3's message is off by one: the DM holds
+  // node 3's true send, and only node 4 patches, on its arc to node 3.
+  // Node 4 is a leaf of tree 0 and two levels deep in tree 1.
+  const NodeId sender = 3, receiver = 4;
+  const std::uint64_t want = encodeKey(sender, receiver, 0, 100 + 30 + 4);
+  for (const ChildRule rule : {ChildRule::AsListed, ChildRule::ParentExcluded})
+    for (const ShareBundle bundle :
+         {ShareBundle::OnePerHop, ShareBundle::AllChunks}) {
+      const auto patches = runPlantedBlock(rule, bundle, sender, receiver);
+      EXPECT_EQ(patches,
+                (std::vector<std::tuple<NodeId, int, std::uint64_t>>{
+                    {receiver, packing().view(receiver).arcIndexOf(sender),
+                     want}}))
+          << static_cast<int>(rule) << " " << static_cast<int>(bundle);
+    }
 }
 
 }  // namespace
