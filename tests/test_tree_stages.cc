@@ -618,7 +618,7 @@ TEST(MismatchCorrection, StepsAreTheSketchBlockPlusOneDownWavePerHop) {
 
 /// Runs one MismatchCorrection block over every node of the fault-free
 /// packing.  Every node streams (sent, +1) and (estimate, -1) for each
-/// neighbor, and node kReceiver holds a wrong estimate of kSender's
+/// neighbor, and node `receiver` holds a wrong estimate of `sender`'s
 /// message.  Returns the patches every node saw, as (node, arc index, key).
 std::vector<std::tuple<NodeId, int, std::uint64_t>> runPlantedBlock(
     ChildRule rule, ShareBundle bundle, NodeId sender, NodeId receiver) {
