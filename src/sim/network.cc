@@ -1,7 +1,6 @@
 #include "sim/network.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <stdexcept>
@@ -53,7 +52,8 @@ Network::Network(const graph::Graph& g, const Algorithm& algo,
       arcTraffic_(static_cast<std::size_t>(g.arcCount()), 0),
       nodeMsgs_(static_cast<std::size_t>(g.nodeCount()), 0),
       nodeMaxWords_(static_cast<std::size_t>(g.nodeCount()), 0),
-      nodeWords_(static_cast<std::size_t>(g.nodeCount()), 0) {
+      nodeWords_(static_cast<std::size_t>(g.nodeCount()), 0),
+      nodeDone_(static_cast<std::size_t>(g.nodeCount()), 1) {
   g_.finalize();  // lock the CSR layout before any parallel phase reads it
   plane_ = opts_.planeImpl ? opts_.planeImpl
                           : std::make_shared<MessagePlane>();
@@ -127,15 +127,13 @@ void Network::forEachLocalNode(const std::function<void(graph::NodeId)>& fn) {
   const graph::NodeId lo = plane_->localNodeLo();
   const auto n = static_cast<std::size_t>(plane_->localNodeHi() - lo);
   if (pool_) {
-    // Chunk so a lane claims a contiguous block of nodes per atomic fetch;
-    // per-node work is small, so amortize the cursor traffic.
+    // A lane claims a contiguous block of nodes per atomic fetch, and calls
+    // its own copy of this by-value closure (ThreadPool::parallelFor).
     const std::size_t grain = std::max<std::size_t>(
         1, n / (static_cast<std::size_t>(pool_->size()) * 4));
     pool_->parallelFor(
         n,
-        [&](std::size_t i) {
-          fn(lo + static_cast<graph::NodeId>(i));
-        },
+        [fn, lo](std::size_t i) { fn(lo + static_cast<graph::NodeId>(i)); },
         grain);
   } else {
     for (std::size_t i = 0; i < n; ++i)
@@ -286,19 +284,19 @@ void Network::adversaryPhase() {
 
 void Network::receivePhase() {
   // Safe to parallelize: receives read the (frozen) arena and mutate only
-  // per-node state.  Doneness is folded in here so run() never needs a
-  // second full-graph scan.
-  std::atomic<bool> allDone{true};
-  forEachLocalNode([&](graph::NodeId v) {
+  // per-node state.  Doneness is deposited per node here, so run() never
+  // needs a second pass over the nodes, only one over these bytes.
+  forEachLocalNode([this](graph::NodeId v) {
     ArcInbox in(g_, v, plane_->storage());
     NodeState& node = *nodes_[static_cast<std::size_t>(v)];
     node.receive(round_, in);
-    if (!node.done()) allDone.store(false, std::memory_order_relaxed);
+    nodeDone_[static_cast<std::size_t>(v)] = node.done() ? 1 : 0;
   });
   // The plane resolves across engines (arena: identity) so every rank
   // stops at the same round -- called unconditionally to keep partitioned
   // engines' barrier counts aligned.
-  allDone_ = plane_->resolveAllDone(allDone.load(std::memory_order_relaxed));
+  allDone_ = plane_->resolveAllDone(
+      std::find(nodeDone_.begin(), nodeDone_.end(), 0) == nodeDone_.end());
 }
 
 void Network::step() {

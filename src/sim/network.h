@@ -227,6 +227,7 @@ class Network {
   std::vector<long> nodeMsgs_;
   std::vector<std::size_t> nodeMaxWords_;
   std::vector<std::size_t> nodeWords_;  // total words sent, same contract
+  std::vector<char> nodeDone_;  // per node, from receive; 1 off this rank
   // Per-round adversary arena (touched set + copy-on-touch snapshots),
   // rewound in place by each round's TamperView -- steady state allocates
   // nothing.

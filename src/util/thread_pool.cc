@@ -21,12 +21,15 @@ struct Job {
   std::exception_ptr firstError;
 
   void drain() {
+    // Read per index off the caller's stack, the body could share a line the
+    // caller's lane writes per call: whole runs 1.7x slower, at random.
+    const std::function<void(std::size_t)> body = *fn;
     while (true) {
       const std::size_t begin = cursor.fetch_add(grain);
       if (begin >= n) break;
       const std::size_t end = std::min(n, begin + grain);
       try {
-        for (std::size_t i = begin; i < end; ++i) (*fn)(i);
+        for (std::size_t i = begin; i < end; ++i) body(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(errMutex);
         if (!firstError) firstError = std::current_exception();

@@ -11,7 +11,8 @@
 // `ThreadPool(1)` spawns no threads at all and runs everything inline --
 // the sequential path stays byte-for-byte the sequential path.  The
 // callback must be safe to invoke concurrently for distinct indices; the
-// pool guarantees each index in [0, n) is executed exactly once.
+// pool guarantees each index in [0, n) is executed exactly once.  Each
+// lane calls its own copy of the callback, so capture by value.
 // Exceptions thrown by the callback are captured and the first one is
 // rethrown on the calling thread after all workers go idle.
 #pragma once

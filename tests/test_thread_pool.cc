@@ -1,6 +1,8 @@
 // util::ThreadPool: exact-once index coverage, caller participation,
-// inline degeneration at 1 thread, exception propagation, and reuse.
+// inline degeneration at 1 thread, exception propagation, reuse, and
+// per-lane copies of the callback.
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -75,4 +77,26 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
 TEST(ThreadPool, ZeroItemsIsANoop) {
   ThreadPool pool(2);
   pool.parallelFor(0, [&](std::size_t) { FAIL(); });
+}
+
+// A lane that read the caller's callback object per index could share a
+// cache line with the caller's hot stack slots; each lane calls a copy.
+TEST(ThreadPool, EveryLaneCallsItsOwnCopy) {
+  struct Body {
+    const Body* const* original;
+    std::atomic<int>* onOriginal;
+    void operator()(std::size_t) const {
+      if (this == *original) onOriginal->fetch_add(1);
+    }
+  };
+  for (const int threads : {2, 4}) {
+    ThreadPool pool(threads);
+    std::atomic<int> onOriginal{0};
+    const Body* original = nullptr;
+    const std::function<void(std::size_t)> fn = Body{&original, &onOriginal};
+    original = fn.target<Body>();
+    ASSERT_NE(original, nullptr);
+    pool.parallelFor(1000, fn, /*grain=*/7);
+    EXPECT_EQ(onOriginal.load(), 0) << threads;
+  }
 }
