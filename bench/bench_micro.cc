@@ -181,6 +181,25 @@ static void BM_L0_Update(benchmark::State& state) {
 }
 BENCHMARK(BM_L0_Update);
 
+static void BM_L0Bundle_Build(benchmark::State& state) {
+  // One hop build of the n=16 clique's l0 correction: reseed the per-thread
+  // bundle of t = 5 samplers x 14 levels, then ingest a node's 2 * deg = 30
+  // stream entries (its sends and its estimates of its receipts).
+  sketch::L0Bundle s(42, {5, 14});
+  util::Rng rng(7);
+  std::vector<std::uint64_t> keys(30);
+  for (auto& k : keys) k = rng.next() % (1ULL << 59);
+  for (auto _ : state) {
+    s.reseed(rng.next());
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      s.update(keys[i], i % 2 == 0 ? 1 : -1);
+    benchmark::DoNotOptimize(s.samplers().data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(keys.size()));
+}
+BENCHMARK(BM_L0Bundle_Build);
+
 static void BM_L0_MergeSerialized(benchmark::State& state) {
   sketch::L0Sampler a(42, 60, 14), b(42, 60, 14);
   util::Rng rng(5);

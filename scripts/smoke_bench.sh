@@ -84,7 +84,7 @@ KERNELS_JSON="${3:-$BUILD_DIR/BENCH_kernels.json}"
 KERNEL_PROBES='BM_GF16_Mul|BM_GfSlabAxpy|BM_RsEncode|BM_RsDecode'
 KERNEL_PROBES="$KERNEL_PROBES|BM_VandermondeExtract|BM_KeyPoolExtract"
 KERNEL_PROBES="$KERNEL_PROBES|BM_TreePacking|BM_BfsLayering"
-KERNEL_PROBES="$KERNEL_PROBES|BM_L0_Update|BM_SparseRecovery"
+KERNEL_PROBES="$KERNEL_PROBES|BM_L0_Update|BM_L0Bundle_Build|BM_SparseRecovery"
 if [ -x "$BUILD_DIR/bench_micro" ]; then
   for rep in 1 2 3; do
     out="$KERNELS_JSON"

@@ -45,8 +45,9 @@ class ByzNode final : public NodeState {
  public:
   ByzNode(NodeId self, const Graph& g, util::Rng rng,
           std::unique_ptr<NodeState> inner, int innerRounds,
-          std::shared_ptr<const PackingKnowledge> pk, int f, int dmCap,
-          ByzSchedule sched, std::shared_ptr<ByzShared> shared)
+          std::shared_ptr<const PackingKnowledge> pk, int f,
+          std::shared_ptr<const DmCodec> codec, ByzSchedule sched,
+          std::shared_ptr<ByzShared> shared)
       : self_(self),
         g_(g),
         rng_(std::move(rng)),
@@ -60,8 +61,9 @@ class ByzNode final : public NodeState {
         isRoot_(self == pk_->root),
         innerSlots_(g, self),
         votes_(view_.degree(), SlotSchedule{pk_->eta, kByzRho}),
-        correction_(*pk_, SlotSchedule{pk_->eta, kByzRho}, shapeFor(f_), dmCap,
-                    ShareBundle::OnePerHop, ChildRule::AsListed) {
+        correction_(*pk_, SlotSchedule{pk_->eta, kByzRho}, shapeFor(f_),
+                    std::move(codec), ShareBundle::OnePerHop,
+                    ChildRule::AsListed) {
     // Exchange-step key tables are adjacency-indexed and fully rewritten
     // by every exchange, so the shape is fixed up front.
     sentKey_.assign(g_.degree(self_), 0);
@@ -277,18 +279,19 @@ class ByzNode final : public NodeState {
   Correction correction_;
 };
 
-/// The compiled nodes over sketch type `Sketch`.
+/// The compiled nodes over sketch type `Sketch`, sharing `codec`'s codec.
 template <class Sketch>
 auto nodesOf(const Graph& g, const sim::Algorithm& inner,
-             std::shared_ptr<const PackingKnowledge> pk, int f, int dmCap,
-             ByzSchedule sched, std::shared_ptr<ByzShared> shared) {
-  return [&g, inner, pk, f, dmCap, sched, shared](NodeId v, const Graph&,
+             std::shared_ptr<const PackingKnowledge> pk, int f,
+             std::shared_ptr<SharedDmCodec> codec, ByzSchedule sched,
+             std::shared_ptr<ByzShared> shared) {
+  return [&g, inner, pk, f, codec, sched, shared](NodeId v, const Graph&,
                                                   util::Rng rng) {
     auto innerNode = inner.makeNode(v, g, rng.split(0xb12));
     return std::make_unique<ByzNode<Sketch>>(v, g, rng.split(0x3a7),
                                              std::move(innerNode),
-                                             inner.rounds, pk, f, dmCap, sched,
-                                             shared);
+                                             inner.rounds, pk, f, codec->get(),
+                                             sched, shared);
   };
 }
 
@@ -322,16 +325,17 @@ sim::Algorithm compileByzantineTree(const graph::Graph& g,
                                     int f, ByzOptions opts,
                                     std::shared_ptr<ByzShared> shared) {
   const ByzSchedule sched = ByzSchedule::compute(*pk, inner.rounds, f, opts);
-  const int dmCap = dmCapFor(opts, std::max(1, f));
+  auto codec =
+      std::make_shared<SharedDmCodec>(pk->k, dmCapFor(opts, std::max(1, f)));
   sim::Algorithm out;
   out.rounds = compiledRounds(sched.totalRounds);
   out.congestion = 0;
   if (opts.correction == CorrectionMode::SparseOneShot)
-    out.makeNode = nodesOf<sketch::SparseRecovery>(g, inner, pk, f, dmCap,
+    out.makeNode = nodesOf<sketch::SparseRecovery>(g, inner, pk, f, codec,
                                                    sched, shared);
   else
     out.makeNode =
-        nodesOf<sketch::L0Bundle>(g, inner, pk, f, dmCap, sched, shared);
+        nodesOf<sketch::L0Bundle>(g, inner, pk, f, codec, sched, shared);
   return out;
 }
 

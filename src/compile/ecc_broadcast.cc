@@ -28,6 +28,13 @@ DmCodec::DmCodec(int k, int dmCap)
   assert(lmax_ <= k_);
 }
 
+std::shared_ptr<const DmCodec> SharedDmCodec::get() {
+  std::call_once(built_, [this] {
+    codec_ = std::make_shared<const DmCodec>(k_, dmCap_);
+  });
+  return codec_;
+}
+
 std::vector<std::vector<gf::F16>> DmCodec::encode(
     const std::vector<std::uint64_t>& dmKeys) const {
   const std::size_t count =

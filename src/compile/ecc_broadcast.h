@@ -12,9 +12,14 @@
 //
 // The chunk count is *fixed* from the cap on |DM| (= O(f), Section 3.2.2)
 // so all nodes share a deterministic round schedule.
+//
+// A codec is read-only once built, so one instance per compiled algorithm
+// serves every node of it, on any thread (SharedDmCodec).
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "coding/reed_solomon.h"
@@ -37,6 +42,7 @@ class DmCodec {
   /// The chunk count of DmCodec(k, dmCap), in 64 bits.
   [[nodiscard]] static std::int64_t chunksFor(int k, int dmCap);
 
+  [[nodiscard]] int k() const { return k_; }
   [[nodiscard]] int chunks() const { return chunks_; }
   [[nodiscard]] int lmax() const { return lmax_; }
   [[nodiscard]] int dmCap() const { return dmCap_; }
@@ -61,6 +67,23 @@ class DmCodec {
   int lmax_;
   int chunks_;
   coding::ReedSolomon rs_;
+};
+
+/// The one DmCodec of a compiled algorithm, built with its first node:
+/// compiling alone (a campaign's set-up compiles every point to read its
+/// round count) builds no Reed-Solomon tables.  Every node then holds the
+/// same read-only codec; the build runs once, whichever thread asks.
+class SharedDmCodec {
+ public:
+  SharedDmCodec(int k, int dmCap) : k_(k), dmCap_(dmCap) {}
+
+  [[nodiscard]] std::shared_ptr<const DmCodec> get();
+
+ private:
+  int k_;
+  int dmCap_;
+  std::once_flag built_;
+  std::shared_ptr<const DmCodec> codec_;
 };
 
 }  // namespace mobile::compile

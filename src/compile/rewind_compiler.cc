@@ -65,9 +65,9 @@ int dmCapOf(int f) { return 8 * correctionCap(f); }
 class RewindNode final : public NodeState {
  public:
   RewindNode(NodeId self, const Graph& g, util::Rng rng, sim::Algorithm inner,
-             std::shared_ptr<const PackingKnowledge> pk, int f,
-             RewindOptions opts, RewindSchedule sched,
-             std::shared_ptr<RewindShared> shared)
+             std::shared_ptr<const PackingKnowledge> pk,
+             std::shared_ptr<const DmCodec> codec, int f, RewindOptions opts,
+             RewindSchedule sched, std::shared_ptr<RewindShared> shared)
       : self_(self),
         g_(g),
         rng_(std::move(rng)),
@@ -83,7 +83,7 @@ class RewindNode final : public NodeState {
         correction_(*pk_, slots_,
                     {static_cast<std::size_t>(16 * correctionCap(f)),
                      static_cast<std::size_t>(kSketchRows)},
-                    dmCapOf(f), ShareBundle::AllChunks,
+                    std::move(codec), ShareBundle::AllChunks,
                     ChildRule::ParentExcluded),
         consUp_(pk_->depthBound, ChildRule::ParentExcluded),
         verdicts_(ChildRule::ParentExcluded, 2) {
@@ -397,10 +397,11 @@ sim::Algorithm compileRewind(const graph::Graph& g, const sim::Algorithm& inner,
   sim::Algorithm out;
   out.rounds = compiledRounds(sched.totalRounds);
   out.congestion = 0;
-  out.makeNode = [&g, inner, pk, f, opts, sched, shared](
+  auto codec = std::make_shared<SharedDmCodec>(pk->k, dmCapOf(f));
+  out.makeNode = [&g, inner, pk, codec, f, opts, sched, shared](
                      NodeId v, const Graph&, util::Rng rng) {
-    return std::make_unique<RewindNode>(v, g, rng.split(0x4e), inner,
-                                        pk, f, opts, sched, shared);
+    return std::make_unique<RewindNode>(v, g, rng.split(0x4e), inner, pk,
+                                        codec->get(), f, opts, sched, shared);
   };
   return out;
 }

@@ -117,17 +117,17 @@ std::vector<std::uint64_t> recoverMajority(
 
 void ShareDowncast::start() {
   dm_.clear();
-  shares_.assign(static_cast<std::size_t>(codec_.chunks()),
+  shares_.assign(static_cast<std::size_t>(codec_->chunks()),
                  std::vector<gf::F16>(static_cast<std::size_t>(k_), gf::F16(0)));
-  held_.resize(static_cast<std::size_t>(codec_.chunks() * k_), -1);
+  held_.resize(static_cast<std::size_t>(codec_->chunks() * k_), -1);
 }
 
 void ShareDowncast::encode(std::vector<std::uint64_t> dm) {
-  if (static_cast<int>(dm.size()) > codec_.dmCap())
-    dm.resize(static_cast<std::size_t>(codec_.dmCap()));
-  shares_ = codec_.encode(dm);
+  if (static_cast<int>(dm.size()) > codec_->dmCap())
+    dm.resize(static_cast<std::size_t>(codec_->dmCap()));
+  shares_ = codec_->encode(dm);
   dm_ = std::move(dm);
-  for (int c = 0; c < codec_.chunks(); ++c)
+  for (int c = 0; c < codec_->chunks(); ++c)
     for (int t = 0; t < k_; ++t)
       held_[at(c, t)] =
           shares_[static_cast<std::size_t>(c)][static_cast<std::size_t>(t)]

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <map>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -259,14 +260,15 @@ enum class ShareBundle {
 
 /// ECCSafeBroadcast of the root's DM keys: chunk c's share for tree t
 /// travels down t.  The stage spans one down-wave of depthBound + 1 steps
-/// per hop message a tree's shares fill (see ShareBundle).
+/// per hop message a tree's shares fill (see ShareBundle).  The codec is
+/// shared read-only by every node of a compiled algorithm.
 class ShareDowncast {
  public:
-  ShareDowncast(int k, int dmCap, ShareBundle bundle, int depthBound,
-                ChildRule rule)
-      : k_(k),
-        codec_(k, dmCap),
-        perHop_(bundle == ShareBundle::AllChunks ? codec_.chunks() : 1),
+  ShareDowncast(std::shared_ptr<const DmCodec> codec, ShareBundle bundle,
+                int depthBound, ChildRule rule)
+      : k_(codec->k()),
+        codec_(std::move(codec)),
+        perHop_(bundle == ShareBundle::AllChunks ? codec_->chunks() : 1),
         depthBound_(depthBound),
         rule_(rule) {}
 
@@ -285,7 +287,7 @@ class ShareDowncast {
   /// The DM keys: the root's own list, else the decoded shares (empty on a
   /// decode failure).
   [[nodiscard]] std::vector<std::uint64_t> keys(bool isRoot) const {
-    return isRoot ? dm_ : codec_.decode(shares_);
+    return isRoot ? dm_ : codec_->decode(shares_);
   }
 
   [[nodiscard]] const sim::Msg* send(const NodeTreeView& view, int tree,
@@ -308,7 +310,7 @@ class ShareDowncast {
   }
 
   int k_;
-  DmCodec codec_;
+  std::shared_ptr<const DmCodec> codec_;
   int perHop_;
   int depthBound_;
   ChildRule rule_;
@@ -339,24 +341,26 @@ class ShareDowncast {
 /// the root's sketch seeds flood down every tree, the sketches of every
 /// node's stream entries merge up, the root extracts the dominating
 /// mismatches (DM) and ECC-broadcasts them down all k trees (Lemma 3.6),
-/// and every node patches the estimates the DM keys name.  Rounds are
-/// 0-based within the block: the sketch block, then the ECC block, over
+/// and every node patches the estimates the DM keys name; `codec` sizes
+/// the DM and is shared by every node.  Rounds are 0-based within the
+/// block: the sketch block, then the ECC block, over
 /// slots.blockRounds(correctionSteps(...)) rounds in all.
 template <class Sketch>
 class MismatchCorrection {
  public:
   MismatchCorrection(const PackingKnowledge& pk, SlotSchedule slots,
-                     typename Sketch::Shape shape, int dmCap,
-                     ShareBundle bundle, ChildRule rule)
+                     typename Sketch::Shape shape,
+                     std::shared_ptr<const DmCodec> codec, ShareBundle bundle,
+                     ChildRule rule)
       : k_(pk.k),
         depthBound_(pk.depthBound),
         slots_(slots),
         sketchRounds_(slots.blockRounds(correctionSketchSteps(depthBound_))),
         blockRounds_(slots.blockRounds(static_cast<int>(
-            correctionSteps(k_, depthBound_, dmCap, bundle)))),
+            correctionSteps(k_, depthBound_, codec->dmCap(), bundle)))),
         seeds_(rule),
         up_(shape, depthBound_, rule),
-        down_(k_, dmCap, bundle, depthBound_, rule) {}
+        down_(std::move(codec), bundle, depthBound_, rule) {}
 
   /// Starts a block: clears the stages and the stream entries, and at the
   /// root draws every tree's sketch seed from `rng`, tree 0 first.  The

@@ -54,10 +54,10 @@ inline constexpr std::uint64_t kP61 = (1ULL << 61) - 1;
 inline constexpr std::size_t kPowBatch = 16;
 
 /// out[i] = bases[i]^e for a *shared* exponent -- the batched form of the
-/// sketch fingerprint update sum f * z^key, where one key hits one cell
-/// per hash row / sampling level and each cell carries its own point z.
+/// sparse-recovery fingerprint update sum f * z^key, where one key hits one
+/// cell per hash row and each cell carries its own point z.
 /// A lone powP61 is a serial chain of ~61 dependent squarings; running the
-/// chains of a whole row/level batch in lockstep (square step across all
+/// chains of a whole row batch in lockstep (square step across all
 /// bases, then multiply step across all bases) fills the multiplier
 /// pipeline instead.  Exact same mulP61 algebra, so results are
 /// bit-identical to per-base powP61 calls.

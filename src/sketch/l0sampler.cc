@@ -1,5 +1,6 @@
 #include "sketch/l0sampler.h"
 
+#include <bit>
 #include <cassert>
 
 #include "gf/fp61.h"
@@ -11,16 +12,18 @@ L0Sampler::L0Sampler(std::uint64_t seed, unsigned universeBits,
                      unsigned levels)
     : seed_(seed),
       levels_(levels == 0 ? universeBits + 1 : levels),
-      scratch_(levels_) {
-  cells_.resize(static_cast<std::size_t>(levels_) * kBucketsPerLevel);
+      cells_(static_cast<std::size_t>(levels_) * kBucketsPerLevel),
+      chains_(cells_.size() * kChainBits),
+      stamps_(cells_.size(), 0) {
   reseed(seed);
 }
 
 void L0Sampler::reseed(std::uint64_t seed) {
   // Same derivation chain as construction: hash parameters first, then one
   // fingerprint point per cell.  Assigning value-type cells reuses the
-  // existing storage.
+  // existing storage.  The new generation invalidates every cell's chain.
   seed_ = seed;
+  ++generation_;
   std::uint64_t st = seed;
   hashA_ = util::splitmix64(st) % gf::kP61;
   if (hashA_ == 0) hashA_ = 1;
@@ -54,20 +57,48 @@ std::size_t L0Sampler::bucketOf(std::uint64_t key, unsigned level) const {
 
 void L0Sampler::update(std::uint64_t key, std::int64_t freq) {
   assert(key < gf::kP61);
-  const unsigned topLevel = levelOf(key);
+  batch_.clear();
+  gather(key, batch_);
+  ingest(batch_, key, freq);
+}
+
+void L0Sampler::gather(std::uint64_t key, Batch& batch) {
   // Key participates in all levels <= its sampled level (nested sampling).
-  // One cell per level, each with its own fingerprint point: batch the
-  // shared-exponent powers across the levels (gf::powP61Many) instead of
-  // walking one serial squaring chain per cell.
-  std::size_t n = 0;
-  for (unsigned l = 0; l <= topLevel && l < levels_; ++l, ++n) {
-    scratch_.idx[n] =
+  const unsigned topLevel = levelOf(key);
+  for (unsigned l = 0; l <= topLevel; ++l) {
+    const std::size_t c =
         static_cast<std::size_t>(l) * kBucketsPerLevel + bucketOf(key, l);
-    scratch_.base[n] = cells_[scratch_.idx[n]].zPoint();
+    std::uint64_t* chain = chains_.data() + c * kChainBits;
+    if (stamps_[c] != generation_) {
+      stamps_[c] = generation_;
+      chain[0] = cells_[c].zPoint();
+      batch.unfilled.push_back(chain);
+    }
+    batch.cells.push_back(&cells_[c]);
+    batch.chains.push_back(chain);
   }
-  gf::powP61Many(scratch_.base.data(), n, key, scratch_.pow.data());
-  for (std::size_t i = 0; i < n; ++i)
-    cells_[scratch_.idx[i]].updateWithPow(key, freq, scratch_.pow[i]);
+}
+
+void L0Sampler::ingest(Batch& batch, std::uint64_t key, std::int64_t freq) {
+  // Every cell carries its own point z and the key is the shared exponent.
+  // A lone gf::powP61 is a serial chain of ~61 dependent squarings; here a
+  // cell's chain is squared once per reseed, in lockstep with the others
+  // first hit by the same key, and z^key is the product of the chain
+  // entries at the key's set bits, multiplied in lockstep across the
+  // batch.  F_p elements are canonical, so the product is bit-identical to
+  // gf::powP61(z, key).
+  for (std::size_t b = 1; b < kChainBits; ++b)
+    for (std::uint64_t* chain : batch.unfilled)
+      chain[b] = gf::mulP61(chain[b - 1], chain[b - 1]);
+  std::vector<std::uint64_t>& pows = batch.pows;
+  pows.assign(batch.cells.size(), 1);
+  for (std::uint64_t rem = key; rem != 0; rem &= rem - 1) {
+    const auto b = static_cast<std::size_t>(std::countr_zero(rem));
+    for (std::size_t i = 0; i < pows.size(); ++i)
+      pows[i] = gf::mulP61(pows[i], batch.chains[i][b]);
+  }
+  for (std::size_t i = 0; i < pows.size(); ++i)
+    batch.cells[i]->updateWithPow(key, freq, pows[i]);
 }
 
 void L0Sampler::merge(const L0Sampler& other) {
@@ -105,6 +136,13 @@ std::uint64_t L0Bundle::memberSeed(std::uint64_t seed, std::size_t h) {
 void L0Bundle::reseed(std::uint64_t seed) {
   for (std::size_t h = 0; h < samplers_.size(); ++h)
     samplers_[h].reseed(memberSeed(seed, h));
+}
+
+void L0Bundle::update(std::uint64_t key, std::int64_t freq) {
+  assert(key < gf::kP61);
+  batch_.clear();
+  for (auto& s : samplers_) s.gather(key, batch_);
+  L0Sampler::ingest(batch_, key, freq);
 }
 
 void L0Bundle::merge(const L0Bundle& other) {

@@ -35,6 +35,9 @@ class L0Sampler {
   explicit L0Sampler(std::uint64_t seed, unsigned universeBits = 60,
                      unsigned levels = 0);
 
+  /// Adds freq to every cell `key` hits: one per level up to its sampled
+  /// level.  The cells' fingerprint powers z^key come from one lockstep
+  /// batch over their squaring chains (see Batch).
   void update(std::uint64_t key, std::int64_t freq);
   void merge(const L0Sampler& other);
 
@@ -65,21 +68,54 @@ class L0Sampler {
   }
   /// Re-derive all randomness from a new seed and clear the cells, without
   /// reallocating -- turns one sampler object into a per-(tree, iteration)
-  /// scratch slot.  Equivalent to *this = L0Sampler(seed, ..same dims..).
+  /// scratch slot.  Equivalent to *this = L0Sampler(seed, ..same dims..),
+  /// cached squaring chains included: all of them are dropped.
   void reseed(std::uint64_t seed);
 
  private:
+  friend class L0Bundle;
+
+  /// One key's lockstep power batch, gathered across one or more samplers:
+  /// the cells the key hits, their squaring chains, and the chains not yet
+  /// filled since their sampler's last reseed.  Cleared per key; the
+  /// vectors keep their capacity.
+  struct Batch {
+    std::vector<OneSparseCell*> cells;
+    std::vector<const std::uint64_t*> chains;
+    std::vector<std::uint64_t*> unfilled;
+    std::vector<std::uint64_t> pows;
+    void clear() {
+      cells.clear();
+      chains.clear();
+      unfilled.clear();
+    }
+  };
+
+  /// Appends the cells `key` hits to `batch`, and their chains if unfilled.
+  void gather(std::uint64_t key, Batch& batch);
+  /// Fills the batch's unfilled chains, then adds (key, freq) to each of
+  /// its cells with z^key taken from the cell's chain.
+  static void ingest(Batch& batch, std::uint64_t key, std::int64_t freq);
+
   [[nodiscard]] unsigned levelOf(std::uint64_t key) const;
   [[nodiscard]] std::size_t bucketOf(std::uint64_t key, unsigned level) const;
 
   static constexpr std::size_t kBucketsPerLevel = 3;
+  /// Entries of a squaring chain: one per bit of a 64-bit exponent, so any
+  /// key gets exactly gf::powP61's value.
+  static constexpr std::size_t kChainBits = 64;
 
   std::uint64_t seed_;
   unsigned levels_;
   std::uint64_t hashA_, hashB_;   // level hash (pairwise independent)
   std::uint64_t bucketA_, bucketB_;  // bucket hash
   std::vector<OneSparseCell> cells_;  // levels_ x kBucketsPerLevel
-  PowScratch scratch_;                // batched-update reuse (<= levels_)
+  // The squaring chain z^(2^b) of cell c is chains_[c * kChainBits + b],
+  // valid iff stamps_[c] == generation_; reseed bumps generation_.
+  std::vector<std::uint64_t> chains_;
+  std::vector<std::uint64_t> stamps_;
+  std::uint64_t generation_ = 0;
+  Batch batch_;  // update() reuse
 };
 
 /// t independent samplers over one stream, sampler h seeded by
@@ -98,9 +134,9 @@ class L0Bundle {
   L0Bundle(std::uint64_t seed, Shape shape);
 
   void reseed(std::uint64_t seed);
-  void update(std::uint64_t key, std::int64_t freq) {
-    for (auto& s : samplers_) s.update(key, freq);
-  }
+  /// Every sampler's update, as one power batch over all the cells the key
+  /// hits (L0Sampler::update).
+  void update(std::uint64_t key, std::int64_t freq);
   void merge(const L0Bundle& other);
 
   [[nodiscard]] std::size_t serializedWords() const {
@@ -125,6 +161,7 @@ class L0Bundle {
   static constexpr unsigned kUniverseBits = 60;
 
   std::vector<L0Sampler> samplers_;
+  L0Sampler::Batch batch_;  // update() reuse
 };
 
 }  // namespace mobile::sketch

@@ -23,17 +23,6 @@ struct Recovered {
   std::int64_t frequency = 0;
 };
 
-/// Reusable buffers for the batched fingerprint-power computation (one
-/// entry per hash row / sampling level); sized once, reused every update
-/// by the sketches that scatter a key into one cell per row/level.
-struct PowScratch {
-  PowScratch() = default;
-  explicit PowScratch(std::size_t n) : idx(n), base(n), pow(n) {}
-  std::vector<std::size_t> idx;
-  std::vector<std::uint64_t> base;
-  std::vector<std::uint64_t> pow;
-};
-
 class OneSparseCell {
  public:
   OneSparseCell() = default;
@@ -44,8 +33,8 @@ class OneSparseCell {
   }
 
   /// Update with z^key already computed -- the batched ingestion path: one
-  /// key hits one cell per hash row / sampling level, and gf::powP61Many
-  /// produces the whole batch of per-cell powers in lockstep.
+  /// key hits one cell per hash row or sampling level, and the sketch
+  /// computes the whole batch of per-cell powers in lockstep.
   void updateWithPow(std::uint64_t key, std::int64_t freq, std::uint64_t zk) {
     count_ += freq;
     const std::uint64_t k = key % gf::kP61;

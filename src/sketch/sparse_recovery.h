@@ -64,6 +64,14 @@ class SparseRecovery {
   void reseed(std::uint64_t seed);
 
  private:
+  /// Reusable buffers of one batched update, one entry per hash row.
+  struct PowScratch {
+    explicit PowScratch(std::size_t n) : idx(n), base(n), pow(n) {}
+    std::vector<std::size_t> idx;
+    std::vector<std::uint64_t> base;
+    std::vector<std::uint64_t> pow;
+  };
+
   [[nodiscard]] std::size_t bucketOf(std::uint64_t key, std::size_t row) const;
 
   /// Applies (key, freq) to the one cell per row of `cells`, with the

@@ -1,8 +1,12 @@
+#include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "gf/fp61.h"
 #include "sketch/l0sampler.h"
 #include "sketch/onesparse.h"
 #include "sketch/sparse_recovery.h"
@@ -266,6 +270,146 @@ TEST(Sketches, ShapeGivesTheWireSize) {
        {L0Bundle::Shape{1, 0}, L0Bundle::Shape{5, 14}})
     EXPECT_EQ(L0Bundle::serializedWords(shape),
               L0Bundle(1, shape).serializedWords());
+}
+
+// --- L0Bundle's batched ingest ---------------------------------------------
+
+/// An L0 bundle by the derivation of l0sampler.cc written out cell by cell:
+/// sampler h is seeded splitmix64(seed ^ 0xabcdef12345678 * (h + 1)) and
+/// draws its level hash, its bucket hash and then one point per cell from
+/// that seed's splitmix64 stream; a key feeds, at every level up to its
+/// sampled one, one bucket's cell through OneSparseCell::update, that is
+/// one serial gf::powP61 per cell.
+class ReferenceBundle {
+ public:
+  ReferenceBundle(std::uint64_t seed, L0Bundle::Shape shape)
+      : levels_(shape.levels) {
+    for (std::size_t h = 0; h < shape.count; ++h) {
+      std::uint64_t st = seed ^ (std::uint64_t{0xabcdef12345678u} * (h + 1));
+      st = util::splitmix64(st);
+      Sampler s;
+      s.seed = st;
+      s.hashA = std::max<std::uint64_t>(util::splitmix64(st) % gf::kP61, 1);
+      s.hashB = util::splitmix64(st) % gf::kP61;
+      s.bucketA = std::max<std::uint64_t>(util::splitmix64(st) % gf::kP61, 1);
+      s.bucketB = util::splitmix64(st) % gf::kP61;
+      for (std::size_t c = 0; c < std::size_t{levels_} * 3; ++c)
+        s.cells.emplace_back(util::splitmix64(st));
+      samplers_.push_back(std::move(s));
+    }
+  }
+
+  void update(std::uint64_t key, std::int64_t freq) {
+    for (Sampler& s : samplers_) {
+      const std::uint64_t h =
+          gf::addP61(gf::mulP61(s.hashA, key), s.hashB) & ((1ULL << 60) - 1);
+      unsigned top = 0;
+      while (top + 1 < levels_ && (h & (1ULL << (59 - top))) == 0) ++top;
+      for (unsigned l = 0; l <= top; ++l) {
+        const std::uint64_t b =
+            gf::addP61(gf::mulP61(s.bucketA, gf::addP61(key, l)), s.bucketB) %
+            3;
+        s.cells[l * 3 + b].update(key, freq);
+      }
+    }
+  }
+
+  /// Sampler h's seed: a standalone L0Sampler of it matches sampler h.
+  [[nodiscard]] std::uint64_t seedOf(std::size_t h) const {
+    return samplers_[h].seed;
+  }
+  [[nodiscard]] std::vector<std::uint64_t> words() const {
+    std::vector<std::uint64_t> out;
+    for (const Sampler& s : samplers_) appendCells(s.cells, out);
+    return out;
+  }
+  [[nodiscard]] std::vector<std::uint64_t> words(std::size_t h) const {
+    std::vector<std::uint64_t> out;
+    appendCells(samplers_[h].cells, out);
+    return out;
+  }
+
+ private:
+  struct Sampler {
+    std::uint64_t seed = 0, hashA = 0, hashB = 0, bucketA = 0, bucketB = 0;
+    std::vector<OneSparseCell> cells;  // [level][bucket]
+  };
+  unsigned levels_;
+  std::vector<Sampler> samplers_;
+};
+
+/// Edge keys of the exponent: 0, 1, the largest key below p, keys with
+/// every bit 32..58 set (where encodeKey puts the sender, receiver and
+/// chunk), and random keys over those bits.
+std::vector<std::pair<std::uint64_t, std::int64_t>> edgeEntries() {
+  const std::uint64_t high = ((1ULL << 59) - 1) & ~((1ULL << 32) - 1);
+  std::vector<std::pair<std::uint64_t, std::int64_t>> entries = {
+      {0, 1},         {1, 2},         {gf::kP61 - 1, -1},
+      {high, 1},      {high | 1, -3}, {high | 0xffffffffu, 1},
+      {1ULL << 58, 1}, {1ULL << 32, -1}};
+  util::Rng rng(29);
+  for (int i = 0; i < 40; ++i)
+    entries.emplace_back(rng.next() % (1ULL << 59),
+                         static_cast<std::int64_t>(i % 5) - 2);
+  entries.emplace_back(1, -2);  // a key again: its cells are cached
+  return entries;
+}
+
+TEST(L0Bundle, BatchedIngestMatchesPerCellPowers) {
+  for (const L0Bundle::Shape shape :
+       {L0Bundle::Shape{5, 14}, L0Bundle::Shape{3, 61},
+        L0Bundle::Shape{1, 2}}) {
+    L0Bundle bundle(0xb0b, shape);
+    ReferenceBundle ref(0xb0b, shape);
+    for (const auto& [key, freq] : edgeEntries()) {
+      bundle.update(key, freq);
+      ref.update(key, freq);
+      ASSERT_EQ(wordsOf(bundle), ref.words())
+          << "shape {" << shape.count << ", " << shape.levels << "} key "
+          << key;
+    }
+    // A standalone sampler runs the same gather and power code.
+    for (std::size_t h = 0; h < shape.count; ++h) {
+      L0Sampler one(ref.seedOf(h), 60, shape.levels);
+      for (const auto& [key, freq] : edgeEntries()) one.update(key, freq);
+      EXPECT_EQ(wordsOf(one), ref.words(h)) << h;
+    }
+  }
+}
+
+TEST(L0Bundle, ReseedDropsCachedChains) {
+  // One object through seeds A, B, A, each state compared with a fresh
+  // bundle fed the same entries: a chain cached under one seed's points
+  // must never serve another's.
+  const L0Bundle::Shape shape{5, 14};
+  constexpr std::uint64_t kA = 0xa, kB = 0xb;
+  const auto entries = edgeEntries();
+  const auto fresh = [&](std::uint64_t seed, std::size_t from,
+                         std::size_t to) {
+    L0Bundle b(seed, shape);
+    for (std::size_t i = from; i < to; ++i)
+      b.update(entries[i].first, entries[i].second);
+    return wordsOf(b);
+  };
+  const std::size_t half = entries.size() / 2;
+  L0Bundle s(kA, shape);
+  for (const auto& [key, freq] : entries) s.update(key, freq);
+  EXPECT_EQ(wordsOf(s), fresh(kA, 0, entries.size()));
+
+  s.reseed(kB);
+  for (std::size_t i = 0; i < half; ++i)
+    s.update(entries[i].first, entries[i].second);
+  EXPECT_EQ(wordsOf(s), fresh(kB, 0, half));
+  // Loading a wire form keeps the points, and so the chains.
+  const auto second = fresh(kB, half, entries.size());
+  s.loadWords(second.data(), second.size());
+  for (std::size_t i = 0; i < half; ++i)
+    s.update(entries[i].first, entries[i].second);
+  EXPECT_EQ(wordsOf(s), fresh(kB, 0, entries.size()));
+
+  s.reseed(kA);
+  for (const auto& [key, freq] : entries) s.update(key, freq);
+  EXPECT_EQ(wordsOf(s), fresh(kA, 0, entries.size()));
 }
 
 }  // namespace

@@ -13,15 +13,17 @@
 // per step and rebuilt after a child merges mid-step; wrong-sized or
 // non-child hops are not merged; and the thread-local scratch keeps stages
 // of different shapes apart, interleaved on one thread or run on two
-// threads at once.
+// threads at once, and keeps an l0 bundle reseeded on each thread exact.
 //
 // MismatchCorrection, the whole correction block: its step count is the
 // sketch block plus one down-wave per hop message of shares, in 64 bits;
 // on the fault-free packing one block with a planted mismatch hands the
 // root's DM key to the patch callable of its receiver alone, under both
-// child rules and both share bundles.
+// child rules and both share bundles.  SharedDmCodec hands every node,
+// on any thread, the one codec it builds.
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <tuple>
 #include <set>
 #include <thread>
@@ -79,14 +81,20 @@ const PackingKnowledge& packing() {
   return *pk;
 }
 
-std::uint64_t seedOf(int tree) {
-  return 0x5eed00 + static_cast<std::uint64_t>(tree);
+/// Tree `tree`'s sketch seed in run `run` (runs draw disjoint seeds).
+std::uint64_t seedOf(int tree, std::uint64_t run = 0) {
+  return 0x5eed00 + 0x100 * run + static_cast<std::uint64_t>(tree);
 }
 
 /// Node v's stream: two keys of its own and one shared by every node.
 StreamEntries entriesOf(NodeId v) {
   const auto k = static_cast<std::uint64_t>(v);
   return {{1000 + 10 * k, +1}, {2000 + 10 * k, -2}, {7, +1}};
+}
+
+/// The DM codec of the packing's k trees at cap `dmCap`.
+std::shared_ptr<const DmCodec> codecOf(int dmCap) {
+  return std::make_shared<const DmCodec>(packing().k, dmCap);
 }
 
 template <class Sketch>
@@ -107,11 +115,13 @@ std::vector<std::uint64_t> referenceWords(int tree,
 }
 
 /// Every node's stage of one convergecast, with hops delivered at once:
-/// a node's children all send at earlier up-wave steps than it does.
+/// a node's children all send at earlier up-wave steps than it does.  The
+/// trees' seeds are those of run `run`.
 template <class Sketch>
 class Upcast {
  public:
-  explicit Upcast(typename Sketch::Shape shape) {
+  explicit Upcast(typename Sketch::Shape shape, std::uint64_t run = 0)
+      : run_(run) {
     for (NodeId v = 0; v < kN; ++v)
       stages_.emplace_back(shape, kDepthBound, ChildRule::AsListed);
     for (auto& s : stages_) s.start();
@@ -124,8 +134,8 @@ class Upcast {
       for (int t = 0; t < pk.k; ++t) {
         for (int i = 0; i < view.degree(); ++i) {
           const NodeId to = view.neighborAt(i);
-          const sim::Msg* m =
-              stage(v).send(view, t, to, step, seedOf(t), entriesOf(v));
+          const sim::Msg* m = stage(v).send(view, t, to, step,
+                                            seedOf(t, run_), entriesOf(v));
           if (m == nullptr) continue;
           EXPECT_TRUE(stage(to).receive(pk.view(to), t, v, step, *m));
         }
@@ -138,7 +148,7 @@ class Upcast {
   }
 
   [[nodiscard]] std::vector<std::uint64_t> rootWords(int tree) const {
-    return wordsOf(stage(0).merged(tree, seedOf(tree), entriesOf(0)));
+    return wordsOf(stage(0).merged(tree, seedOf(tree, run_), entriesOf(0)));
   }
 
   [[nodiscard]] SketchConvergecast<Sketch>& stage(NodeId v) {
@@ -149,6 +159,7 @@ class Upcast {
   }
 
  private:
+  std::uint64_t run_;
   std::vector<SketchConvergecast<Sketch>> stages_;
 };
 
@@ -202,7 +213,7 @@ TEST(ReceivePredicate, TreeFlood) {
 
 TEST(ReceivePredicate, ShareDowncast) {
   const auto make = [] {
-    ShareDowncast down(packing().k, 1, ShareBundle::OnePerHop, kDepthBound,
+    ShareDowncast down(codecOf(1), ShareBundle::OnePerHop, kDepthBound,
                        ChildRule::AsListed);
     down.start();
     return down;
@@ -301,7 +312,7 @@ TEST(ReceivePredicate, DownWaveAndConsensusFiltersMatchTheSender) {
         return flood.expects(at, t, from, step);
       });
 
-  ShareDowncast down(packing().k, 1, ShareBundle::OnePerHop, kDepthBound,
+  ShareDowncast down(codecOf(1), ShareBundle::OnePerHop, kDepthBound,
                      ChildRule::AsListed);
   down.start();
   down.encode({0x1234});
@@ -536,10 +547,12 @@ TEST(SketchConvergecast, WrongSizedOrNonChildHopIsDroppedL0) {
   expectWrongHopsDropped<L0Bundle>(kL0A);
 }
 
-/// Both trees' root words of a full convergecast of this shape.
+/// Both trees' root words of a full convergecast of this shape, seeded as
+/// run `run`.
 template <class Sketch>
-std::vector<std::vector<std::uint64_t>> alone(typename Sketch::Shape shape) {
-  Upcast<Sketch> up(shape);
+std::vector<std::vector<std::uint64_t>> alone(typename Sketch::Shape shape,
+                                              std::uint64_t run = 0) {
+  Upcast<Sketch> up(shape, run);
   up.run();
   return {up.rootWords(0), up.rootWords(1)};
 }
@@ -572,21 +585,33 @@ TEST(SketchConvergecast, InterleavedShapesOnOneThreadL0) {
 TEST(SketchConvergecast, TwoThreadsEachDriveAConvergecast) {
   // The threads run the same sketch types in different shapes: a scratch
   // shared across threads would be rebuilt under the other's feet (and
-  // race under TSan); a thread-local one keeps each run intact.
+  // race under TSan); a thread-local one keeps each run intact.  They also
+  // run L0 bundles of one shape under different seeds, so each thread's
+  // scratch is reseeded, not rebuilt: the bundle's cached squaring chains
+  // must stay with their thread and their seed.
   const auto wantSparseA = alone<SparseRecovery>(kSparseA);
   const auto wantSparseB = alone<SparseRecovery>(kSparseB);
   const auto wantL0A = alone<L0Bundle>(kL0A);
   const auto wantL0B = alone<L0Bundle>(kL0B);
+  std::vector<std::vector<std::vector<std::uint64_t>>> wantRun;
+  for (std::uint64_t run = 1; run <= 4; ++run)
+    wantRun.push_back(alone<L0Bundle>(kL0B, run));
+  const auto runs = [&](std::uint64_t first) {
+    bool ok = true;
+    for (std::uint64_t run = first; run <= 4; run += 2)
+      ok = ok && alone<L0Bundle>(kL0B, run) == wantRun[run - 1];
+    return ok;
+  };
   bool okA = true, okB = true;
   std::thread ta([&] {
     for (int rep = 0; rep < 10; ++rep)
       okA = okA && alone<SparseRecovery>(kSparseA) == wantSparseA &&
-            alone<L0Bundle>(kL0A) == wantL0A;
+            alone<L0Bundle>(kL0A) == wantL0A && runs(1);
   });
   std::thread tb([&] {
     for (int rep = 0; rep < 10; ++rep)
       okB = okB && alone<SparseRecovery>(kSparseB) == wantSparseB &&
-            alone<L0Bundle>(kL0B) == wantL0B;
+            alone<L0Bundle>(kL0B) == wantL0B && runs(2);
   });
   ta.join();
   tb.join();
@@ -629,11 +654,12 @@ std::vector<std::tuple<NodeId, int, std::uint64_t>> runPlantedBlock(
   const auto payload = [](NodeId from, NodeId to) {
     return static_cast<std::uint64_t>(100 + 10 * from + to);
   };
+  const auto codec = codecOf(kDmCap);
   std::vector<MismatchCorrection<SparseRecovery>> mc;
   std::vector<ArcVotes> votes;
   std::vector<sim::NeighborSlots> out, in;
   for (NodeId v = 0; v < kN; ++v) {
-    mc.emplace_back(pk, slots, SparseRecovery::Shape{8, 5}, kDmCap, bundle,
+    mc.emplace_back(pk, slots, SparseRecovery::Shape{8, 5}, codec, bundle,
                     rule);
     votes.emplace_back(pk.view(v).degree(), slots);
     out.emplace_back(g, v);
@@ -699,6 +725,22 @@ TEST(MismatchCorrection, PlantedMismatchPatchesItsReceiverOnly) {
                      want}}))
           << static_cast<int>(rule) << " " << static_cast<int>(bundle);
     }
+}
+
+TEST(SharedDmCodec, EveryNodeOnAnyThreadGetsTheOneCodec) {
+  // A compiled algorithm's nodes hold one codec, built at the first get(),
+  // whichever thread builds them.
+  SharedDmCodec shared(packing().k, 4);
+  const DmCodec* seen[2] = {nullptr, nullptr};
+  std::thread a([&] { seen[0] = shared.get().get(); });
+  std::thread b([&] { seen[1] = shared.get().get(); });
+  a.join();
+  b.join();
+  ASSERT_NE(seen[0], nullptr);
+  EXPECT_EQ(seen[0], seen[1]);
+  EXPECT_EQ(shared.get().get(), seen[0]);
+  EXPECT_EQ(seen[0]->k(), packing().k);
+  EXPECT_EQ(seen[0]->dmCap(), 4);
 }
 
 }  // namespace
