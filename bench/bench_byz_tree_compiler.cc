@@ -2,20 +2,16 @@
 // Claims: any r-round algorithm compiles to ~O(DTP)-overhead-per-round
 // f-mobile-resilient form given a weak (k, DTP, eta) packing; correctness
 // holds under arbitrary mobile strategies.
-// Measured: correctness across adversary strategies and an f sweep, the
-// per-simulated-round overhead decomposition, and the L0-iterative vs
-// sparse-one-shot correction ablation.  The correctness grid and the
-// ablation are scn campaign lines (strategies and correction modes are
-// just swept axes); the schedule-anatomy table stays hand-rolled -- it
-// reads ByzSchedule internals, not trial results.
+// Measured here: the per-simulated-round overhead decomposition, read from
+// ByzSchedule internals.  The correctness grid (strategies x f x n) and the
+// L0-iterative vs sparse-one-shot ablation are the byz_tree and
+// byz_correction_modes lines of campaigns/paper_headline.campaign.
 #include <iostream>
-#include <string>
 
 #include "compile/byz_tree_compiler.h"
 #include "compile/expander_packing.h"
 #include "exp/bench_args.h"
 #include "graph/generators.h"
-#include "scn/campaign.h"
 #include "util/table.h"
 
 using namespace mobile;
@@ -23,69 +19,8 @@ using namespace mobile;
 int main(int argc, char** argv) {
   const exp::BenchArgs args = exp::parseBenchArgs(argc, argv);
 
-  // Correctness grid: {n, f} x strategy; the ablation sweeps the
-  // correction mode on a smaller grid.  Both were bench C++ before the
-  // scenario layer; now an f or strategy axis is one edit here.
-  std::string grid =
-      "name T7_byz_tree\n"
-      "set graph=clique algo=gossip rounds=2 input=5 mask=32 "
-      "compile=byz_tree aseed=7 seed=11\n";
-  if (args.smoke) {
-    grid +=
-        "scenario name=grid n=8,12 f=1 "
-        "adv=random_byz,camping_byz,tree_targeted_byz,bitflip_byz\n"
-        "scenario name=ablation n=8 f=1 mode=l0,sparse adv=random_byz\n";
-  } else {
-    grid +=
-        "scenario name=grid n=12 f=1,2 "
-        "adv=random_byz,camping_byz,tree_targeted_byz,bitflip_byz\n"
-        "scenario name=grid16 n=16 f=2,3 "
-        "adv=random_byz,camping_byz,tree_targeted_byz,bitflip_byz\n"
-        "scenario name=ablation n=12,16 f=1,2 mode=l0,sparse "
-        "adv=random_byz\n";
-  }
-  const scn::Campaign campaign = scn::parseCampaignText(grid);
-  if (args.list) {
-    scn::printScenarios(std::cout, campaign);
-    return 0;
-  }
-
   std::cout << "# T7: Byzantine tree-packing compiler (Theorem 3.5)\n\n";
-  std::cout << "## Correctness across adversary strategies (clique stars)\n\n";
-
-  std::vector<scn::Point> points;
-  const std::vector<exp::TrialSpec> specs =
-      scn::buildCampaignSpecs(campaign, args.seed, &points);
-  exp::ExperimentDriver driver({args.threads});
-  const auto results = driver.runAll(specs);
-
-  util::Table table({"group", "rounds/sim-round", "total rounds",
-                     "max msg words", "outputs ok"});
-  util::Table ab({"group", "rounds/sim", "max msg words", "normalized rounds",
-                  "outputs ok"});
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    // The overhead divisor is the point's own payload rounds axis, so a
-    // grid edit can never desynchronize the columns.
-    const int innerRounds =
-        static_cast<int>(points[i].params.integer("rounds", 2));
-    if (points[i].scenario == "ablation") {
-      ab.addRow({r.group, util::Table::num(r.rounds / innerRounds),
-                 util::Table::num(static_cast<std::uint64_t>(r.maxWords)),
-                 util::Table::num(
-                     static_cast<long>(r.rounds / innerRounds) *
-                     static_cast<long>(r.maxWords)),
-                 util::Table::boolean(r.ok)});
-    } else {
-      table.addRow({r.group, util::Table::num(r.rounds / innerRounds),
-                    util::Table::num(r.rounds),
-                    util::Table::num(static_cast<std::uint64_t>(r.maxWords)),
-                    util::Table::boolean(r.ok)});
-    }
-  }
-  table.print(std::cout);
-
-  std::cout << "\n## Overhead decomposition (schedule anatomy)\n\n";
+  std::cout << "## Overhead decomposition (schedule anatomy)\n\n";
   util::Table anatomy({"n", "f", "z iters", "sketch steps", "ecc steps",
                        "chunks", "rounds/iter", "rounds/sim-round"});
   const std::vector<std::pair<int, int>> anatomyGrid =
@@ -105,19 +40,11 @@ int main(int argc, char** argv) {
   }
   anatomy.print(std::cout);
 
-  std::cout << "\n## Ablation: L0-iterative (Sec 3.2) vs sparse one-shot "
-               "(Sec 1.2.2)\n\n";
-  ab.print(std::cout);
-  std::cout << "\nthe paper's ~O(DTP) vs ~O(DTP+f) trade, measured: the "
-               "one-shot variant runs fewer scheduled rounds (z=1) but ships "
-               "O(f)-sparse sketches, so its messages are wider -- the "
-               "normalized (rounds x width) column shows where each wins.\n";
-
   std::cout << "\npaper: overhead ~O(DTP) per round hiding log factors "
                "(z = O(log f) iterations x eta x rho, plus the ECC chunks); "
                "DTP = 2 on cliques so the overhead is polylog -- visible "
                "above as the f-driven growth of z and chunks only.\n";
 
-  exp::maybeWriteReports(args, "T7_byz_tree_compiler", results);
+  exp::maybeWriteReports(args, "T7_byz_tree_compiler", {});
   return 0;
 }

@@ -1,12 +1,11 @@
 // Experiment T5 -- Theorem A.4 (mobile-secure broadcast).
 // Claim (paper): ~O(D + sqrt(f b n) + b) rounds via fragments/landmarks.
 // Our dispersal substitution costs ~O((D + W) * eta * f)
-// (docs/architecture.md section 12, substitution 3); this bench measures
-// the actual scaling in f and the secret width W and verifies delivery
-// plus eavesdropper view independence.  The delivery
-// grid (n x f x W under a mobile eavesdropper) is a scn campaign line;
-// the scaling-shape probe and the 160-run view-independence sweep stay
-// hand-rolled (they read compiler internals / observe hooks).
+// (docs/architecture.md section 12, substitution 3).  Measured here: the
+// scaling shape in f, read from the compiled schedule, and eavesdropper
+// view independence, merged from observe-hook histograms.  The delivery
+// grid (n x f x W under a mobile eavesdropper) is the secure_broadcast
+// line of campaigns/paper_headline.campaign.
 #include <iostream>
 #include <map>
 
@@ -15,8 +14,6 @@
 #include "exp/bench_args.h"
 #include "exp/precompute_cache.h"
 #include "graph/generators.h"
-#include "graph/tree_packing.h"
-#include "scn/campaign.h"
 #include "sim/network.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -25,51 +22,12 @@ using namespace mobile;
 
 int main(int argc, char** argv) {
   const exp::BenchArgs args = exp::parseBenchArgs(argc, argv);
-  exp::ExperimentDriver driver({args.threads});
-
-  std::string grid =
-      "name T5_secure_broadcast\n"
-      "set graph=clique algo=secure_broadcast adv=random_eaves aseed=17 "
-      "seed=5\n";
-  grid += args.smoke ? "scenario name=delivery n=8,12 f=1,2 w=1\n"
-                     : "scenario name=delivery n=8,12,16,24 f=1..3 w=1,4\n";
-  const scn::Campaign campaign = scn::parseCampaignText(grid);
-  if (args.list) {
-    scn::printScenarios(std::cout, campaign);
-    return 0;
-  }
 
   std::cout << "# T5: Mobile-secure broadcast (Theorem A.4 architecture)\n\n";
-  util::Table table(
-      {"group", "rounds", "exchange", "dispersal", "all received"});
-
-  std::vector<scn::Point> points;
-  const std::vector<exp::TrialSpec> specs =
-      scn::buildCampaignSpecs(campaign, args.seed, &points);
-  const auto results = driver.runAll(specs);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    // Exchange/dispersal decomposition: the chunk key pool at the point's
-    // parameters (packing shared through the PrecomputeCache).
-    const scn::Params& p = points[i].params;
-    const graph::Graph g =
-        graph::clique(static_cast<graph::NodeId>(p.integer("n")));
-    const auto pk = exp::PrecomputeCache::global().starPacking(g, 2);
-    const int f = static_cast<int>(p.integer("f", 1));
-    const int exchange =
-        compile::BroadcastCore::keyPool(*pk, f).exchangeRounds();
-    table.addRow({r.group, util::Table::num(r.rounds),
-                  util::Table::num(exchange),
-                  util::Table::num(r.rounds - exchange),
-                  util::Table::boolean(r.ok)});
-  }
-  table.print(std::cout);
-
-  std::cout << "\n## Scaling shape (rounds vs f, W=1, n=16)\n\n";
+  std::cout << "## Scaling shape (rounds vs f, W=1, n=16)\n\n";
   {
     const graph::Graph g = graph::clique(16);
-    const auto pk =
-        exp::PrecomputeCache::global().starPacking(g, 2);
+    const auto pk = exp::PrecomputeCache::global().starPacking(g, 2);
     std::vector<double> fvals, rounds;
     util::Table shape({"f", "rounds"});
     const std::vector<int> shapeFs = args.smoke
@@ -90,53 +48,48 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\n## View independence of the secret\n\n";
-  std::vector<exp::TrialResult> viewResults;
-  {
-    const graph::Graph g = graph::clique(10);
-    const std::uint64_t seedCount = args.smoke ? 16 : 80;
-    std::vector<exp::TrialSpec> viewSpecs;
-    for (std::uint64_t seed = 0; seed < seedCount; ++seed) {
-      for (int which = 0; which < 2; ++which) {
-        exp::TrialSpec spec;
-        spec.group = which == 0 ? "secret=0" : "secret=~0";
-        spec.seed = seed * 2 + static_cast<std::uint64_t>(which);
-        spec.graphFactory = [g] { return g; };
-        spec.algoFactory = [which](const graph::Graph& gg) {
-          const auto pkk = exp::PrecomputeCache::global().starPacking(gg, 2);
-          return compile::makeMobileSecureBroadcast(
-              gg, pkk, {which == 0 ? 0ULL : ~0ULL}, 2);
-        };
-        spec.adversaryFactory = [seed](const graph::Graph&) {
-          return std::make_unique<adv::RandomEavesdropper>(2, 300 + seed);
-        };
-        // Histogram the low nibble of every observed u->v word; merged
-        // across trials below (each trial only touches its own result).
-        spec.observe = [](const sim::Network&, const adv::Adversary* adv,
-                          exp::TrialResult& r) {
-          for (const auto& rec : adv->viewLog())
-            if (rec.uv.present)
-              r.extra["nib" + std::to_string(rec.uv.at(0) & 0xf)] += 1.0;
-        };
-        viewSpecs.push_back(std::move(spec));
-      }
+  const graph::Graph g = graph::clique(10);
+  const std::uint64_t seedCount = args.smoke ? 16 : 80;
+  std::vector<exp::TrialSpec> viewSpecs;
+  for (std::uint64_t seed = 0; seed < seedCount; ++seed) {
+    for (int which = 0; which < 2; ++which) {
+      exp::TrialSpec spec;
+      spec.group = which == 0 ? "secret=0" : "secret=~0";
+      spec.seed = seed * 2 + static_cast<std::uint64_t>(which);
+      spec.graphFactory = [g] { return g; };
+      spec.algoFactory = [which](const graph::Graph& gg) {
+        const auto pkk = exp::PrecomputeCache::global().starPacking(gg, 2);
+        return compile::makeMobileSecureBroadcast(
+            gg, pkk, {which == 0 ? 0ULL : ~0ULL}, 2);
+      };
+      spec.adversaryFactory = [seed](const graph::Graph&) {
+        return std::make_unique<adv::RandomEavesdropper>(2, 300 + seed);
+      };
+      // Histogram the low nibble of every observed u->v word; merged
+      // across trials below (each trial only touches its own result).
+      spec.observe = [](const sim::Network&, const adv::Adversary* adv,
+                        exp::TrialResult& r) {
+        for (const auto& rec : adv->viewLog())
+          if (rec.uv.present)
+            r.extra["nib" + std::to_string(rec.uv.at(0) & 0xf)] += 1.0;
+      };
+      viewSpecs.push_back(std::move(spec));
     }
-    viewResults = driver.runAll(viewSpecs);
-    std::map<std::uint64_t, std::uint64_t> distA, distB;
-    for (const auto& r : viewResults) {
-      auto& dist = r.group == "secret=0" ? distA : distB;
-      for (const auto& [key, count] : r.extra)
-        if (key.rfind("nib", 0) == 0)
-          dist[std::stoull(key.substr(3))] +=
-              static_cast<std::uint64_t>(count);
-    }
-    std::cout << "TV(secret=0 vs secret=~0) = "
-              << util::Table::fixed(util::totalVariation(distA, distB), 4)
-              << " (sampling noise level; " << viewResults.size()
-              << " trials on " << args.threads << " thread(s))\n";
   }
+  exp::ExperimentDriver driver({args.threads});
+  const std::vector<exp::TrialResult> viewResults = driver.runAll(viewSpecs);
+  std::map<std::uint64_t, std::uint64_t> distA, distB;
+  for (const auto& r : viewResults) {
+    auto& dist = r.group == "secret=0" ? distA : distB;
+    for (const auto& [key, count] : r.extra)
+      if (key.rfind("nib", 0) == 0)
+        dist[std::stoull(key.substr(3))] += static_cast<std::uint64_t>(count);
+  }
+  std::cout << "TV(secret=0 vs secret=~0) = "
+            << util::Table::fixed(util::totalVariation(distA, distB), 4)
+            << " (sampling noise level; " << viewResults.size()
+            << " trials on " << args.threads << " thread(s))\n";
 
-  std::vector<exp::TrialResult> all = results;
-  all.insert(all.end(), viewResults.begin(), viewResults.end());
-  exp::maybeWriteReports(args, "T5_secure_broadcast", all);
+  exp::maybeWriteReports(args, "T5_secure_broadcast", viewResults);
   return 0;
 }

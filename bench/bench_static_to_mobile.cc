@@ -1,11 +1,10 @@
 // Experiment T3 -- Theorem 1.2 (static-to-mobile secure compilation).
 // Claims: r' = 2r + t rounds; f' = floor(f(t+1)/(r+t)) mobile resilience;
 // outputs equal the fault-free run; adversary views are input-independent.
-// Measured: round counts, output equivalence across payloads/graphs, and
-// the total-variation distance between views under two different inputs.
-// The equivalence grid (graph family x payload x t) is a scn campaign --
-// a new graph family is one scenario line; the view-indistinguishability
-// sweep stays hand-rolled (it merges observe-hook histograms).
+// Measured here: the total-variation distance between eavesdropper views
+// under two different inputs, merged from observe-hook histograms.  Round
+// counts and output equivalence across payloads, graph families and t are
+// the static_to_mobile* lines of campaigns/paper_headline.campaign.
 #include <iostream>
 #include <map>
 
@@ -13,9 +12,7 @@
 #include "algo/payloads.h"
 #include "compile/static_to_mobile.h"
 #include "exp/bench_args.h"
-#include "graph/bfs.h"
 #include "graph/generators.h"
-#include "scn/campaign.h"
 #include "sim/network.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -24,119 +21,65 @@ using namespace mobile;
 
 int main(int argc, char** argv) {
   const exp::BenchArgs args = exp::parseBenchArgs(argc, argv);
-  exp::ExperimentDriver driver({args.threads});
-
-  // The t axis sweeps via tmul (t = tmul * r, so one line covers payloads
-  // with different round counts); staticF for the f' column is fixed at 4
-  // as in the paper's running example.
-  std::string grid =
-      "name T3_static_to_mobile\n"
-      "set algo=floodmax,sum compile=static_to_mobile "
-      "adv=random_eaves f=2 aseed=99 seed=5 tmul=1";
-  if (!args.smoke) grid += ",3";
-  grid += "\nscenario name=torus-4x4 graph=torus rows=4 cols=4\n";
-  if (!args.smoke) {
-    grid +=
-        "scenario name=hypercube-4 graph=hypercube dim=4\n"
-        "scenario name=expander-n20-d6 graph=random_regular n=20 d=6 "
-        "gseed=115\n";
-  }
-  const scn::Campaign campaign = scn::parseCampaignText(grid);
-  if (args.list) {
-    scn::printScenarios(std::cout, campaign);
-    return 0;
-  }
 
   std::cout << "# T3: Static-to-mobile compiler (Theorem 1.2)\n\n";
-  std::cout << "## Round overhead and equivalence\n\n";
-  util::Table table({"group", "r", "t", "r' = 2r+t", "f'(f=4)", "outputs ok",
-                     "eavesdropper"});
-
-  std::vector<scn::Point> points;
-  const std::vector<exp::TrialSpec> specs =
-      scn::buildCampaignSpecs(campaign, args.seed, &points);
-  const auto results = driver.runAll(specs);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    // Recompute the schedule columns (r, t, f') at the point's parameters.
-    const scn::Params p = points[i].params;
-    const graph::Graph g = scn::graphs().get(p.str("graph"))(p);
-    const sim::Algorithm inner = scn::algos().get(p.str("algo"))(g, p);
-    const int t =
-        static_cast<int>(p.integer("tmul", 1)) * inner.rounds;
-    compile::StaticToMobileStats stats;
-    (void)compile::compileStaticToMobile(g, inner, t, &stats, 4);
-    table.addRow({r.group, util::Table::num(inner.rounds),
-                  util::Table::num(t),
-                  util::Table::num(stats.totalRounds),
-                  util::Table::num(stats.mobileF),
-                  util::Table::boolean(r.ok), "mobile f=2"});
-  }
-  table.print(std::cout);
-
-  std::cout << "\n## View indistinguishability across inputs (perfect "
+  std::cout << "## View indistinguishability across inputs (perfect "
                "security, measured statistically)\n\n";
+  const graph::Graph g = graph::cycle(8);
+  const std::vector<std::uint64_t> in1(8, 1), in2(8, 250);
+  const std::uint64_t seeds = args.smoke ? 40 : 200;
+  std::vector<exp::TrialSpec> viewSpecs;
+  for (std::uint64_t seed = 0; seed < seeds; ++seed) {
+    for (int which = 0; which < 2; ++which) {
+      exp::TrialSpec spec;
+      spec.group = which == 0 ? "input=x1" : "input=x2";
+      spec.seed = seed * 2 + static_cast<std::uint64_t>(which);
+      spec.graphFactory = [g] { return g; };
+      spec.algoFactory = [which, in1, in2](const graph::Graph& gg) {
+        const sim::Algorithm inner =
+            algo::makeGossipHash(gg, 3, which == 0 ? in1 : in2);
+        return compile::compileStaticToMobile(gg, inner, 6);
+      };
+      spec.adversaryFactory = [](const graph::Graph&) {
+        return std::make_unique<adv::CampingEavesdropper>(
+            std::vector<graph::EdgeId>{0, 4}, 2);
+      };
+      spec.observe = [](const sim::Network&, const adv::Adversary* adv,
+                        exp::TrialResult& r) {
+        for (const auto& rec : adv->viewLog())
+          if (rec.uv.present)
+            r.extra["nib" + std::to_string(rec.uv.at(0) & 0xf)] += 1.0;
+      };
+      viewSpecs.push_back(std::move(spec));
+    }
+  }
+  exp::ExperimentDriver driver({args.threads});
+  const std::vector<exp::TrialResult> viewResults = driver.runAll(viewSpecs);
+  // Merge per-trial histograms: by input for the signal TV, by seed
+  // parity for the same-distribution noise floor.
+  std::map<std::uint64_t, std::uint64_t> distA, distB, nullA, nullB;
+  for (const auto& r : viewResults) {
+    auto& dist = r.group == "input=x1" ? distA : distB;
+    auto& nullD = (r.seed / 2) % 2 == 0 ? nullA : nullB;
+    for (const auto& [key, count] : r.extra)
+      if (key.rfind("nib", 0) == 0) {
+        const std::uint64_t nib = std::stoull(key.substr(3));
+        dist[nib] += static_cast<std::uint64_t>(count);
+        nullD[nib] += static_cast<std::uint64_t>(count);
+      }
+  }
+  const double tv = util::totalVariation(distA, distB);
+  const double nullTv = util::totalVariation(nullA, nullB);
   util::Table sec({"graph", "seeds", "TV(view|x1, view|x2)", "null TV est",
                    "indistinguishable?"});
-  std::vector<exp::TrialResult> viewResults;
-  {
-    const graph::Graph g = graph::cycle(8);
-    std::vector<std::uint64_t> in1(8, 1), in2(8, 250);
-    const std::uint64_t seeds = args.smoke ? 40 : 200;
-    std::vector<exp::TrialSpec> viewSpecs;
-    for (std::uint64_t seed = 0; seed < seeds; ++seed) {
-      for (int which = 0; which < 2; ++which) {
-        exp::TrialSpec spec;
-        spec.group = which == 0 ? "input=x1" : "input=x2";
-        spec.seed = seed * 2 + static_cast<std::uint64_t>(which);
-        spec.graphFactory = [g] { return g; };
-        spec.algoFactory = [which, in1, in2](const graph::Graph& gg) {
-          const sim::Algorithm inner =
-              algo::makeGossipHash(gg, 3, which == 0 ? in1 : in2);
-          return compile::compileStaticToMobile(gg, inner, 6);
-        };
-        spec.adversaryFactory = [](const graph::Graph&) {
-          return std::make_unique<adv::CampingEavesdropper>(
-              std::vector<graph::EdgeId>{0, 4}, 2);
-        };
-        spec.observe = [](const sim::Network&, const adv::Adversary* adv,
-                          exp::TrialResult& r) {
-          for (const auto& rec : adv->viewLog())
-            if (rec.uv.present)
-              r.extra["nib" + std::to_string(rec.uv.at(0) & 0xf)] += 1.0;
-        };
-        viewSpecs.push_back(std::move(spec));
-      }
-    }
-    viewResults = driver.runAll(viewSpecs);
-    // Merge per-trial histograms: by input for the signal TV, by seed
-    // parity for the same-distribution noise floor.
-    std::map<std::uint64_t, std::uint64_t> distA, distB, nullA, nullB;
-    for (std::size_t i = 0; i < viewResults.size(); ++i) {
-      const auto& r = viewResults[i];
-      const std::uint64_t seed = r.seed / 2;
-      auto& dist = r.group == "input=x1" ? distA : distB;
-      auto& nullD = (seed % 2 == 0) ? nullA : nullB;
-      for (const auto& [key, count] : r.extra)
-        if (key.rfind("nib", 0) == 0) {
-          const std::uint64_t nib = std::stoull(key.substr(3));
-          dist[nib] += static_cast<std::uint64_t>(count);
-          nullD[nib] += static_cast<std::uint64_t>(count);
-        }
-    }
-    const double tv = util::totalVariation(distA, distB);
-    const double nullTv = util::totalVariation(nullA, nullB);
-    sec.addRow({"cycle 8", util::Table::num(seeds), util::Table::fixed(tv, 4),
-                util::Table::fixed(nullTv, 4),
-                util::Table::boolean(tv < 2.5 * (nullTv + 0.01))});
-  }
+  sec.addRow({"cycle 8", util::Table::num(seeds), util::Table::fixed(tv, 4),
+              util::Table::fixed(nullTv, 4),
+              util::Table::boolean(tv < 2.5 * (nullTv + 0.01))});
   sec.print(std::cout);
   std::cout << "\npaper: perfect security (views identically distributed); "
                "measured: TV between inputs matches the same-input sampling "
                "noise floor.\n";
 
-  std::vector<exp::TrialResult> all = results;
-  all.insert(all.end(), viewResults.begin(), viewResults.end());
-  exp::maybeWriteReports(args, "T3_static_to_mobile", all);
+  exp::maybeWriteReports(args, "T3_static_to_mobile", viewResults);
   return 0;
 }

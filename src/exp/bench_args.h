@@ -9,9 +9,9 @@
 //   --json PATH      write the aggregate GroupSummary report (BENCH_*.json)
 //   --csv PATH       write the raw per-trial records
 //   --seed N         base seed offset for the binary's sweeps (default 0)
-//   --list           print the scenario/registry names the binary exposes
-//                    and exit (scenario-ported benches list their scn
-//                    registry scenarios; mc_campaign lists all registries)
+//   --list           print the scn registries (graph families, payloads,
+//                    compilers, adversaries) and exit; only mc_campaign
+//                    acts on it, every other binary accepts and ignores it
 //   --trace PATH     enable observability and write a Chrome trace-event
 //                    JSON (spans + metrics snapshot) to PATH at exit; a
 //                    note is printed and the flag ignored when obs is
@@ -40,8 +40,8 @@ struct BenchArgs {
   /// Base seed offset applied by the binary to its sweeps (campaign
   /// runners shift every grid point's seed axis by this).
   std::uint64_t seed = 0;
-  /// --list: the binary should print its scenario / registry catalog and
-  /// exit instead of running.
+  /// --list: print the scn registry catalog and exit instead of running
+  /// (mc_campaign; the benches ignore it).
   bool list = false;
   /// --trace: Chrome trace output path.  parseBenchArgs already armed
   /// obs::enableTracingToFile with it; kept here for reporting.

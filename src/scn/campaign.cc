@@ -140,8 +140,7 @@ void applySeedOffset(std::vector<Point>& points, std::uint64_t offset) {
 }
 
 std::vector<exp::TrialSpec> buildCampaignSpecs(const Campaign& c,
-                                               std::uint64_t seedOffset,
-                                               std::vector<Point>* pointsOut) {
+                                               std::uint64_t seedOffset) {
   std::vector<Point> points = expandCampaign(c);
   applySeedOffset(points, seedOffset);
   TrialBuilder builder;
@@ -149,7 +148,6 @@ std::vector<exp::TrialSpec> buildCampaignSpecs(const Campaign& c,
   specs.reserve(points.size());
   for (const auto& p : points)
     specs.push_back(builder.build(p.params, p.group));
-  if (pointsOut != nullptr) *pointsOut = std::move(points);
   return specs;
 }
 

@@ -63,16 +63,14 @@ struct Point {
 /// Shifts every point's seed axis and re-derives its id (the --seed flag).
 void applySeedOffset(std::vector<Point>& points, std::uint64_t offset);
 
-/// The bench-wrapper path: expands `c` and lowers every point through one
-/// TrialBuilder (shared fingerprint cache), skipping the JSONL record.
-/// `pointsOut`, when non-null, receives the expanded points parallel to
-/// the returned specs.
+/// The `mc_campaign --dry` pre-flight: expands `c` and lowers every point
+/// through one TrialBuilder, which validates every axis, without running a
+/// trial or touching the JSONL record.
 [[nodiscard]] std::vector<exp::TrialSpec> buildCampaignSpecs(
-    const Campaign& c, std::uint64_t seedOffset = 0,
-    std::vector<Point>* pointsOut = nullptr);
+    const Campaign& c, std::uint64_t seedOffset);
 
-/// One line per scenario (label + axes) -- the --list output of a bench
-/// that exposes its grid as a campaign.
+/// One line per scenario (label + axes + point count) -- the
+/// `mc_campaign --dry` listing.
 void printScenarios(std::ostream& os, const Campaign& c);
 
 struct CampaignOptions {

@@ -170,9 +170,7 @@ int main(int argc, char** argv) {
       if (dry) {
         // Expand and lower every point (validating all axes) but run
         // nothing: the cheap pre-flight for a big sweep.
-        std::vector<scn::Point> points;
-        const auto specs =
-            scn::buildCampaignSpecs(campaign, args.seed, &points);
+        const auto specs = scn::buildCampaignSpecs(campaign, args.seed);
         scn::printScenarios(std::cout, campaign);
         std::cout << specs.size() << " grid points validated (dry run)\n";
         continue;
